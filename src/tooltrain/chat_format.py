@@ -97,6 +97,8 @@ class ToolSchema:
                              "or an object with a 'functions' list")
         functions = []
         for entry in data:
+            if not isinstance(entry, dict):
+                raise ValueError(f"schema entry {entry!r} is not a JSON object")
             params = {}
             for pname, pspec in (entry.get("parameters") or {}).items():
                 pspec = pspec or {}

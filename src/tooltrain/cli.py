@@ -26,7 +26,7 @@ from .chat_format import ToolSchema
 from .grpo import ZeroVariance, standardize_advantages
 from .reward import MalformedGroundTruth, total_reward
 from .toy_task import load_task
-from .toy_trainer import KD_LOSS_KINDS, ToyTrainConfig, train_sim_rl
+from .toy_trainer import ToyTrainConfig, train_sim_rl
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -90,10 +90,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     failures = 0
     for record in records:
         rid = record.get("id")
-        if rid in seen_ids:
-            print(f"error: duplicate record id {rid!r}", file=sys.stderr)
-            return EXIT_IO
-        seen_ids.add(rid)
+        if rid is not None:
+            if rid in seen_ids:
+                print(f"error: duplicate record id {rid!r}", file=sys.stderr)
+                return EXIT_IO
+            seen_ids.add(rid)
         try:
             schema = _load_schema_ref(record.get("schema_ref"), base_schema)
             breakdown = total_reward(record["generation"],
@@ -114,17 +115,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     print(f"scored {len(totals)} of {len(records)} records, "
           f"mean total reward {mean!r}", file=sys.stderr)
     return EXIT_VALIDATION if failures else EXIT_OK
-
-
-def _kd_loss_report(kind: str, teacher: dv.TopKDistribution, z: np.ndarray,
-                    m: int, lam: float) -> dv.LossReport:
-    if kind == "fkl":
-        return dv.fkl_topk(teacher, z)
-    if kind == "rkl":
-        return dv.rkl_topk_masked(teacher, z)
-    if kind == "rkl-stab":
-        return dv.rkl_topk_stabilized(teacher, z, m, lam)
-    return dv.ckd_loss(teacher, z, m, lam)
 
 
 def cmd_kd(args: argparse.Namespace) -> int:
@@ -150,7 +140,8 @@ def cmd_kd(args: argparse.Namespace) -> int:
             indices = np.asarray(topk["indices"], dtype=np.int64)
             probs = np.asarray(topk["probs"], dtype=np.float64)
             if k_cap is not None:
-                indices, probs = indices[:k_cap], probs[:k_cap]
+                keep = np.argsort(-probs, kind="stable")[:k_cap]
+                indices, probs = indices[keep], probs[keep]
             z = np.asarray(record["student_logits"], dtype=np.float64)
             if z.size != vocab_size:
                 raise ValueError(f"student_logits has length {z.size}, "
@@ -163,7 +154,7 @@ def cmd_kd(args: argparse.Namespace) -> int:
             print(f"error: position {pid!r}: {exc}", file=sys.stderr)
             return EXIT_IO
         try:
-            report = _kd_loss_report(args.loss, teacher, z, m, args.lambda_tail)
+            report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
         except (dv.DegenerateStudent, dv.DegenerateTeacher) as exc:
             failures += 1
             print(f"position {pid!r}: {exc}", file=sys.stderr)
@@ -181,9 +172,9 @@ def cmd_kd(args: argparse.Namespace) -> int:
 
     footer = {
         "records": len(losses),
-        "mean_loss": float(np.mean(losses)) if losses else float("nan"),
-        "mean_escape_mass": float(np.mean(escapes)) if escapes else float("nan"),
-        "mean_entropy": float(np.mean(entropies)) if entropies else float("nan"),
+        "mean_loss": float(np.mean(losses)) if losses else None,
+        "mean_escape_mass": float(np.mean(escapes)) if escapes else None,
+        "mean_entropy": float(np.mean(entropies)) if entropies else None,
     }
     out_lines.append(_dump(footer))
     _write_lines(args.output, out_lines)
@@ -273,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kd", help="evaluate a distillation loss per position")
     p.add_argument("--input", required=True)
-    p.add_argument("--loss", choices=list(KD_LOSS_KINDS), default="ckd")
-    p.add_argument("--k", type=int, help="cap the teacher entries used per record")
+    p.add_argument("--loss", choices=list(dv.KD_LOSS_KINDS), default="ckd")
+    p.add_argument("--k", type=int,
+                   help="keep the k most probable teacher entries per record")
     p.add_argument("--m", type=int, help="student top-m size (default min(100, vocab))")
     p.add_argument("--lambda", dest="lambda_tail", type=float,
                    default=dv.DEFAULT_LAMBDA_TAIL)

@@ -120,7 +120,51 @@ class LossReport:
     aux: dict[str, float]
 
 
-def _student_q(teacher: TopKDistribution, student_logits: np.ndarray) -> np.ndarray:
+def _fkl(teacher: TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:
+    p = teacher.probs
+    q_top = q[teacher.indices]
+    if np.any(q_top == 0.0):
+        dead = teacher.indices[q_top == 0.0]
+        raise DegenerateStudent(
+            f"student probability underflowed at top-k indices {dead.tolist()}")
+    grad = q * p.sum()
+    grad[teacher.indices] -= p
+    return float(np.sum(p * (np.log(p) - np.log(q_top)))), grad
+
+
+def _rkl(teacher: TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:
+    p = teacher.probs
+    if np.any(p == 0.0):
+        dead = teacher.indices[p == 0.0]
+        raise DegenerateTeacher(
+            f"teacher probability is zero at top-k indices {dead.tolist()}")
+    q_top = q[teacher.indices]
+    live = q_top > 0.0
+    ratio_term = np.zeros_like(q_top)
+    ratio_term[live] = np.log(q_top[live] / p[live]) + 1.0
+    grad = -q * float(np.sum(q_top * ratio_term))
+    grad[teacher.indices] += q_top * ratio_term
+    return float(np.sum(q_top[live] * np.log(q_top[live] / p[live]))), grad
+
+
+def _tail(teacher: TopKDistribution, q: np.ndarray,
+          m: int) -> tuple[float, np.ndarray]:
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    confident = np.setdiff1d(student_topm(q, m), teacher.indices, assume_unique=True)
+    tail_mass = float(q[confident].sum()) if confident.size else 0.0
+    grad = -q * tail_mass
+    grad[confident] += q[confident]
+    return tail_mass, grad
+
+
+def _kernel(teacher: TopKDistribution, student_logits: np.ndarray, kl=None,
+            m: int | None = None, lambda_tail: float = 1.0) -> LossReport:
+    """Body of every public kernel: validate, take the call's one softmax and
+    return ``kl + lambda_tail * tail`` in loss and gradient. ``kl`` is
+    ``_fkl``, ``_rkl`` or None; the tail term is present when ``m`` is given."""
+    if lambda_tail < 0:
+        raise ValueError("lambda_tail must be non-negative")
     z = np.asarray(student_logits, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("student logits must be a 1-d vector")
@@ -130,31 +174,20 @@ def _student_q(teacher: TopKDistribution, student_logits: np.ndarray) -> np.ndar
         raise IndexError(
             f"teacher index {int(teacher.indices.max())} out of bounds "
             f"for vocabulary of size {z.size}")
-    return softmax(z)
-
-
-def _base_aux(teacher: TopKDistribution, q: np.ndarray) -> dict[str, float]:
-    return {
-        "escape_mass": float(1.0 - q[teacher.indices].sum()),
-        "entropy": entropy(q),
-    }
+    q = softmax(z)
+    loss, grad = kl(teacher, q) if kl is not None else (0.0, 0.0)
+    kl_part, tail_part = loss, 0.0
+    if m is not None:
+        tail_part, tail_grad = _tail(teacher, q, m)
+        loss, grad = loss + lambda_tail * tail_part, grad + lambda_tail * tail_grad
+    aux = {"escape_mass": float(1.0 - q[teacher.indices].sum()), "entropy": entropy(q),
+           "kl_part": kl_part, "tail_part": tail_part}
+    return LossReport(loss=loss, grad=grad, aux=aux)
 
 
 def fkl_topk(teacher: TopKDistribution, student_logits: np.ndarray) -> LossReport:
     """Forward KL restricted to the teacher's top-k set."""
-    q = _student_q(teacher, student_logits)
-    p = teacher.probs
-    q_top = q[teacher.indices]
-    if np.any(q_top == 0.0):
-        dead = teacher.indices[q_top == 0.0]
-        raise DegenerateStudent(
-            f"student probability underflowed at top-k indices {dead.tolist()}")
-    loss = float(np.sum(p * (np.log(p) - np.log(q_top))))
-    grad = q * p.sum()
-    grad[teacher.indices] -= p
-    aux = _base_aux(teacher, q)
-    aux.update(kl_part=loss, tail_part=0.0)
-    return LossReport(loss=loss, grad=grad, aux=aux)
+    return _kernel(teacher, student_logits, _fkl)
 
 
 def student_topm(q: np.ndarray, m: int) -> np.ndarray:
@@ -169,16 +202,7 @@ def tail_penalty(teacher: TopKDistribution, student_logits: np.ndarray,
     J'_m is held fixed under differentiation, mirroring the treatment of the
     teacher's index set.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    q = _student_q(teacher, student_logits)
-    confident = np.setdiff1d(student_topm(q, m), teacher.indices, assume_unique=True)
-    tail_mass = float(q[confident].sum()) if confident.size else 0.0
-    grad = -q * tail_mass
-    grad[confident] += q[confident]
-    aux = _base_aux(teacher, q)
-    aux.update(kl_part=0.0, tail_part=tail_mass)
-    return LossReport(loss=tail_mass, grad=grad, aux=aux)
+    return _kernel(teacher, student_logits, m=m)
 
 
 def ckd_loss(teacher: TopKDistribution, student_logits: np.ndarray,
@@ -193,17 +217,7 @@ def ckd_loss(teacher: TopKDistribution, student_logits: np.ndarray,
     * j in J'_m:           q_j * (P + lambda * (1 - T))
     * all other j:         q_j * (P - lambda * T)
     """
-    if lambda_tail < 0:
-        raise ValueError("lambda_tail must be non-negative")
-    fkl = fkl_topk(teacher, student_logits)
-    tail = tail_penalty(teacher, student_logits, m)
-    aux = _base_aux(teacher, softmax(np.asarray(student_logits, dtype=np.float64)))
-    aux.update(kl_part=fkl.loss, tail_part=tail.loss)
-    return LossReport(
-        loss=fkl.loss + lambda_tail * tail.loss,
-        grad=fkl.grad + lambda_tail * tail.grad,
-        aux=aux,
-    )
+    return _kernel(teacher, student_logits, _fkl, m, lambda_tail)
 
 
 def rkl_topk_masked(teacher: TopKDistribution,
@@ -215,23 +229,7 @@ def rkl_topk_masked(teacher: TopKDistribution,
     prone. Entries where q_i has underflowed contribute their limit value of
     zero.
     """
-    q = _student_q(teacher, student_logits)
-    p = teacher.probs
-    if np.any(p == 0.0):
-        dead = teacher.indices[p == 0.0]
-        raise DegenerateTeacher(
-            f"teacher probability is zero at top-k indices {dead.tolist()}")
-    q_top = q[teacher.indices]
-    live = q_top > 0.0
-    ratio_term = np.zeros_like(q_top)
-    ratio_term[live] = np.log(q_top[live] / p[live]) + 1.0
-    s_total = float(np.sum(q_top * ratio_term))
-    loss = float(np.sum(q_top[live] * np.log(q_top[live] / p[live])))
-    grad = -q * s_total
-    grad[teacher.indices] += q_top * ratio_term
-    aux = _base_aux(teacher, q)
-    aux.update(kl_part=loss, tail_part=0.0)
-    return LossReport(loss=loss, grad=grad, aux=aux)
+    return _kernel(teacher, student_logits, _rkl)
 
 
 def rkl_topk_stabilized(teacher: TopKDistribution, student_logits: np.ndarray,
@@ -244,14 +242,19 @@ def rkl_topk_stabilized(teacher: TopKDistribution, student_logits: np.ndarray,
     receive a larger gradient than any top-k logit, which removes the masked
     objective's incentive to push mass outside the teacher's top-k set.
     """
-    if lambda_tail < 0:
-        raise ValueError("lambda_tail must be non-negative")
-    rkl = rkl_topk_masked(teacher, student_logits)
-    tail = tail_penalty(teacher, student_logits, m)
-    aux = _base_aux(teacher, softmax(np.asarray(student_logits, dtype=np.float64)))
-    aux.update(kl_part=rkl.loss, tail_part=tail.loss)
-    return LossReport(
-        loss=rkl.loss + lambda_tail * tail.loss,
-        grad=rkl.grad + lambda_tail * tail.grad,
-        aux=aux,
-    )
+    return _kernel(teacher, student_logits, _rkl, m, lambda_tail)
+
+
+# Every caller selects a kernel by name here, as f(teacher, student_logits, m,
+# lambda_tail). The lambdas look kernels up at call time, so a wrapper set on
+# a module attribute sees every call.
+LOSSES = {
+    "fkl": lambda t, z, m, lam: fkl_topk(t, z),
+    "tail": lambda t, z, m, lam: tail_penalty(t, z, m),
+    "ckd": lambda t, z, m, lam: ckd_loss(t, z, m, lam),
+    "rkl": lambda t, z, m, lam: rkl_topk_masked(t, z),
+    "rkl-stab": lambda t, z, m, lam: rkl_topk_stabilized(t, z, m, lam),
+}
+
+# The training objectives among them (the tail penalty alone is not one).
+KD_LOSS_KINDS = ("fkl", "rkl", "rkl-stab", "ckd")

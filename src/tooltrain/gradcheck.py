@@ -22,20 +22,6 @@ GRAD_SUM_TOL = 1e-8
 # membership margin in probability space; generous vs the O(q*h) probe shift
 TOPM_MARGIN = 1e-4
 
-LossFn = Callable[[dv.TopKDistribution, np.ndarray], dv.LossReport]
-
-
-def make_loss_fns(m: int, lambda_tail: float) -> dict[str, LossFn]:
-    """The five kernels under test, closed over their hyperparameters."""
-    return {
-        "fkl": dv.fkl_topk,
-        "tail": lambda t, z: dv.tail_penalty(t, z, m),
-        "ckd": lambda t, z: dv.ckd_loss(t, z, m, lambda_tail),
-        "rkl": dv.rkl_topk_masked,
-        "rkl-stab": lambda t, z: dv.rkl_topk_stabilized(t, z, m, lambda_tail),
-    }
-
-
 def central_difference(loss_fn: Callable[[np.ndarray], float], z: np.ndarray,
                        step: float = FD_STEP) -> np.ndarray:
     """Two-sided difference quotient of a scalar function, per coordinate."""
@@ -100,15 +86,16 @@ def run_gradient_suite(seed: int = 0, trials: int = 50, vocab_size: int = 32,
                        step: float = FD_STEP) -> dict[str, SuiteResult]:
     """Gradcheck every kernel on ``trials`` boundary-filtered random instances."""
     results: dict[str, SuiteResult] = {}
-    for name, loss_fn in make_loss_fns(m, lambda_tail).items():
+    for name, loss_fn in dv.LOSSES.items():
         rng = np.random.default_rng(seed)
         max_rel = 0.0
         max_sum = 0.0
         stats: dict = {}
         for _ in range(trials):
             teacher, z = random_instance(rng, vocab_size, k, m, stats=stats)
-            report = loss_fn(teacher, z)
-            numeric = central_difference(lambda zz: loss_fn(teacher, zz).loss, z, step)
+            report = loss_fn(teacher, z, m, lambda_tail)
+            numeric = central_difference(
+                lambda zz: loss_fn(teacher, zz, m, lambda_tail).loss, z, step)
             max_rel = max(max_rel, relative_error(report.grad, numeric))
             max_sum = max(max_sum, abs(float(report.grad.sum())))
         results[name] = SuiteResult(max_rel_err=max_rel, max_grad_sum=max_sum,

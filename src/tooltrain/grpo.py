@@ -111,7 +111,6 @@ def kl_k2(logp_new, logp_ref):
 @dataclass
 class ObjectiveReport:
     value: float
-    per_token: list[dict[str, np.ndarray]]
 
 
 def grpo_objective(group: RolloutGroup, advantages: Iterable[float],
@@ -126,7 +125,6 @@ def grpo_objective(group: RolloutGroup, advantages: Iterable[float],
     if advantages.size != group.size:
         raise LengthMismatch(
             f"{advantages.size} advantages for {group.size} rollouts")
-    per_token: list[dict[str, np.ndarray]] = []
     rollout_means = np.zeros(group.size)
     for i, rollout in enumerate(group.rollouts):
         ratio = np.exp(rollout.logp_new - rollout.logp_old)
@@ -136,6 +134,4 @@ def grpo_objective(group: RolloutGroup, advantages: Iterable[float],
         kl = kl_k2(rollout.logp_new, rollout.logp_ref)
         term = surrogate - cfg.beta * kl
         rollout_means[i] = term.mean()
-        per_token.append({"ratio": ratio, "clipped": clipped,
-                          "surrogate": surrogate, "kl": kl, "term": term})
-    return ObjectiveReport(value=float(rollout_means.mean()), per_token=per_token)
+    return ObjectiveReport(value=float(rollout_means.mean()))

@@ -83,11 +83,17 @@ def tool_call_reward(
     The denominator is |P| + |G| - |matches|, the size of the union induced
     by the matching. Two empty call lists score 1.0.
     """
+    return _call_reward(pred_calls, gt_calls, matcher)[0]
+
+
+def _call_reward(pred_calls: list[ToolCall], gt_calls: list[ToolCall],
+                 matcher) -> tuple[float, list[CallMatch]]:
+    """``tool_call_reward`` together with the matches it was computed from."""
     if not pred_calls and not gt_calls:
-        return 1.0
+        return 1.0, []
     result = matcher(pred_calls, gt_calls)
     denom = len(pred_calls) + len(gt_calls) - len(result.matches)
-    return result.total_similarity / denom
+    return result.total_similarity / denom, result.matches
 
 
 def response_reward(pred_text: str, gt_text: str) -> float:
@@ -150,11 +156,9 @@ def total_reward(
                                total=-1.0, violations=check.violations)
 
     if gt.tool_calls:
-        result = matcher(parsed.tool_calls, gt.tool_calls)
-        denom = len(parsed.tool_calls) + len(gt.tool_calls) - len(result.matches)
-        r_fc = result.total_similarity / denom if denom else 1.0
+        r_fc, matches = _call_reward(parsed.tool_calls, gt.tool_calls, matcher)
         return RewardBreakdown(r_format=1, r_fc=r_fc, r_response=0.0,
-                               total=r_fc, matches=result.matches)
+                               total=r_fc, matches=matches)
 
     r_resp = response_reward(parsed.response_text, gt.response_text)
     return RewardBreakdown(r_format=1, r_fc=0.0, r_response=r_resp, total=r_resp)

@@ -323,9 +323,6 @@ def evaluate_policy(policy: ToyPolicy, task: ToyTask, samples_per_prompt: int,
 
 # --- distillation-dynamics demo ---------------------------------------------
 
-KD_LOSS_KINDS = ("fkl", "rkl", "rkl-stab", "ckd")
-
-
 @dataclass
 class KdCurves:
     """Step-indexed means over positions; index 0 is the initial state."""
@@ -354,19 +351,6 @@ def adversarial_teacher_family(positions: int = 8, vocab_size: int = 32,
     return family
 
 
-def _kd_loss(kind: str, teacher: dv.TopKDistribution, z: np.ndarray, m: int,
-             lambda_tail: float) -> dv.LossReport:
-    if kind == "fkl":
-        return dv.fkl_topk(teacher, z)
-    if kind == "rkl":
-        return dv.rkl_topk_masked(teacher, z)
-    if kind == "rkl-stab":
-        return dv.rkl_topk_stabilized(teacher, z, m, lambda_tail)
-    if kind == "ckd":
-        return dv.ckd_loss(teacher, z, m, lambda_tail)
-    raise ValueError(f"unknown loss kind '{kind}', expected one of {KD_LOSS_KINDS}")
-
-
 def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
            step_size: float, seed: int, vocab_size: int = 32, m: int = 8,
            lambda_tail: float = dv.DEFAULT_LAMBDA_TAIL) -> KdCurves:
@@ -376,6 +360,9 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
     position; curves record the position means of escape mass (student
     probability outside the teacher's top-k) and entropy.
     """
+    if loss_kind not in dv.KD_LOSS_KINDS:
+        raise ValueError(
+            f"unknown loss kind '{loss_kind}', expected one of {dv.KD_LOSS_KINDS}")
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(len(teachers), vocab_size))
     escape = np.zeros(steps + 1)
@@ -393,7 +380,7 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
     record(0)
     for step in range(1, steps + 1):
         for row, teacher in enumerate(teachers):
-            report = _kd_loss(loss_kind, teacher, logits[row], m, lambda_tail)
+            report = dv.LOSSES[loss_kind](teacher, logits[row], m, lambda_tail)
             logits[row] -= step_size * report.grad
         record(step)
     return KdCurves(escape_mass=escape, entropy=ent)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
-from tooltrain.cli import main
+from tooltrain.cli import build_parser, main
 from tooltrain.toy_task import bundled_optional_param_task, save_task
 
 from golden import GOLDEN_RECORDS, GOLDEN_SCHEMA
@@ -132,6 +138,34 @@ class TestScore:
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert main(["score", "--input", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_records_without_id_are_not_duplicates(self, score_files, tmp_path):
+        schema_path, _ = score_files
+        inp = tmp_path / "in.jsonl"
+        record = {"generation": GOLDEN_RECORDS[1]["generation"],
+                  "ground_truth": GOLDEN_RECORDS[1]["ground_truth"]}
+        inp.write_text((json.dumps(record) + "\n") * 2)
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(inp), "--schema", str(schema_path),
+                     "--output", str(out)]) == 0
+        assert [json.loads(line)["total"] for line in
+                out.read_text().splitlines()] == [1.0, 1.0]
+
+    def test_repeated_id_is_still_rejected(self, score_files, tmp_path, capsys):
+        schema_path, _ = score_files
+        inp = tmp_path / "in.jsonl"
+        inp.write_text((json.dumps(dict(GOLDEN_RECORDS[0])) + "\n") * 2)
+        assert main(["score", "--input", str(inp), "--schema", str(schema_path),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        assert "duplicate record id" in capsys.readouterr().err
+
+    def test_malformed_inline_schema_is_format_error(self, tmp_path, capsys):
+        record = {"id": "r", "generation": "<think>t</think>fine",
+                  "ground_truth": "<think>t</think>fine", "schema_ref": [1]}
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps(record) + "\n")
+        assert main(["score", "--input", str(inp)]) == 2
+        assert capsys.readouterr().err.startswith("error: record 'r':")
+
 
 class TestKd:
     def test_teacher_equals_student_gives_zero_fkl(self, tmp_path):
@@ -213,6 +247,66 @@ class TestKd:
         assert "error" in lines[0]
         assert "loss" in lines[1]
         assert lines[-1]["records"] == 1
+
+    def test_k_keeps_the_most_probable_entries(self, tmp_path):
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": [0.5, 0.0, -0.5, 1.0],
+                 "teacher_topk": {"indices": [3, 0], "probs": [0.05, 0.9]}}]
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["kd", "--input", str(inp), "--loss", "fkl", "--k", "1",
+                     "--output", str(out)]) == 0
+        teacher = dv.TopKDistribution(indices=np.array([0]), probs=np.array([0.9]))
+        expected = dv.fkl_topk(teacher, np.array(rows[1]["student_logits"]))
+        assert json.loads(out.read_text().splitlines()[0])["loss"] == expected.loss
+        assert expected.loss > 0
+
+    def test_empty_file_footer_is_valid_json(self, tmp_path):
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text(json.dumps({"version": 1, "vocab_size": 4}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["kd", "--input", str(inp), "--output", str(out)]) == 0
+        assert out.read_text() == ('{"mean_entropy": null, "mean_escape_mass": null, '
+                                   '"mean_loss": null, "records": 0}\n')
+
+    def test_loss_choices_are_the_training_objectives(self):
+        kd = build_parser()._subparsers._group_actions[0].choices["kd"]
+        loss = next(a for a in kd._actions if a.dest == "loss")
+        assert tuple(loss.choices) == dv.KD_LOSS_KINDS
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kd_k_ignores_teacher_entry_order(data):
+    """Permuting a record's teacher entries leaves ``kd --k`` output unchanged."""
+    vocab = data.draw(st.integers(2, 24))
+    n = data.draw(st.integers(1, vocab))
+    indices = data.draw(st.lists(st.integers(0, vocab - 1), min_size=n,
+                                 max_size=n, unique=True))
+    weights = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n,
+                                 unique=True))
+    probs = [w / (sum(weights) * 1.25) for w in weights]
+    logits = data.draw(st.lists(st.floats(-8, 8), min_size=vocab, max_size=vocab))
+    perm = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(1, n + 1))
+    m = data.draw(st.integers(1, vocab))
+    loss = data.draw(st.sampled_from(dv.KD_LOSS_KINDS))
+
+    def run(order):
+        rows = [{"version": 1, "vocab_size": vocab},
+                {"position_id": 0, "student_logits": logits,
+                 "teacher_topk": {"indices": [indices[i] for i in order],
+                                  "probs": [probs[i] for i in order]}}]
+        with tempfile.TemporaryDirectory() as tmp:
+            inp, out = Path(tmp) / "kd.jsonl", Path(tmp) / "out.jsonl"
+            inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+            with contextlib.redirect_stderr(io.StringIO()):
+                status = main(["kd", "--input", str(inp), "--loss", loss,
+                               "--k", str(k), "--m", str(m), "--output", str(out)])
+            return status, out.read_bytes()
+
+    assert run(range(n)) == run(perm)
 
 
 class TestGradcheck:

@@ -7,7 +7,6 @@ import tooltrain.divergence as dv
 from tooltrain.gradcheck import (
     REL_TOL,
     central_difference,
-    make_loss_fns,
     random_instance,
     relative_error,
     run_gradient_suite,
@@ -198,6 +197,55 @@ class TestCkdComposition:
             assert (ckd < fkl).all()
 
 
+
+class TestExactComposition:
+    """The composites are literally kl + lambda * tail, not just close to it."""
+
+    @pytest.mark.parametrize("composite, kl", [
+        (dv.ckd_loss, dv.fkl_topk),
+        (dv.rkl_topk_stabilized, dv.rkl_topk_masked),
+    ])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 10.0])
+    def test_composite_equals_its_components(self, composite, kl, lam):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            teacher, z = random_instance(rng, 32, 8, 16)
+            whole = composite(teacher, z, 16, lam)
+            kl_part, tail = kl(teacher, z), dv.tail_penalty(teacher, z, 16)
+            assert whole.loss == kl_part.loss + lam * tail.loss
+            assert np.array_equal(whole.grad, kl_part.grad + lam * tail.grad)
+            assert whole.aux == {**kl_part.aux, "tail_part": tail.loss}
+
+    @pytest.mark.parametrize("name", sorted(dv.LOSSES))
+    def test_one_softmax_per_call(self, name, monkeypatch):
+        teacher, z = random_instance(np.random.default_rng(14), 32, 8, 16)
+        calls = []
+        real_softmax = dv.softmax
+        monkeypatch.setattr(dv, "softmax", lambda z: calls.append(1) or real_softmax(z))
+        dv.LOSSES[name](teacher, z, 16, 10.0)
+        assert len(calls) == 1
+
+
+class TestRegistry:
+    def test_training_objectives_are_registered(self):
+        assert set(dv.KD_LOSS_KINDS) <= set(dv.LOSSES)
+        assert list(dv.LOSSES) == ["fkl", "tail", "ckd", "rkl", "rkl-stab"]
+
+    def test_registry_matches_public_kernels(self):
+        teacher, z = random_instance(np.random.default_rng(15), 32, 8, 16)
+        direct = {
+            "fkl": dv.fkl_topk(teacher, z),
+            "tail": dv.tail_penalty(teacher, z, 16),
+            "ckd": dv.ckd_loss(teacher, z, 16, 2.5),
+            "rkl": dv.rkl_topk_masked(teacher, z),
+            "rkl-stab": dv.rkl_topk_stabilized(teacher, z, 16, 2.5),
+        }
+        for name, expected in direct.items():
+            got = dv.LOSSES[name](teacher, z, 16, 2.5)
+            assert got.loss == expected.loss, name
+            assert np.array_equal(got.grad, expected.grad), name
+            assert got.aux == expected.aux, name
+
 class TestRkl:
     def test_zero_when_student_matches_full_mass_teacher(self):
         teacher = uniform_teacher(4, 4)
@@ -285,22 +333,20 @@ class TestGradientSuite:
 
     def test_gradients_sum_to_zero(self):
         rng = np.random.default_rng(10)
-        fns = make_loss_fns(m=16, lambda_tail=10.0)
         for _ in range(50):
             teacher, z = random_instance(rng, 32, 8, 16)
-            for fn in fns.values():
-                assert abs(fn(teacher, z).grad.sum()) <= 1e-8
+            for fn in dv.LOSSES.values():
+                assert abs(fn(teacher, z, 16, 10.0).grad.sum()) <= 1e-8
 
     def test_descent_step_decreases_each_loss(self):
         rng = np.random.default_rng(11)
-        fns = make_loss_fns(m=16, lambda_tail=10.0)
         for _ in range(20):
             teacher, z = random_instance(rng, 32, 8, 16)
-            for name, fn in fns.items():
-                report = fn(teacher, z)
+            for name, fn in dv.LOSSES.items():
+                report = fn(teacher, z, 16, 10.0)
                 if np.abs(report.grad).max() < 1e-9:
                     continue  # already stationary
-                stepped = fn(teacher, z - 1e-3 * report.grad)
+                stepped = fn(teacher, z - 1e-3 * report.grad, 16, 10.0)
                 assert stepped.loss < report.loss, name
 
     def test_boundary_margin_filter(self):
