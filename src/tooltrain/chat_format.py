@@ -8,9 +8,9 @@ A generation is plain text carrying up to three kinds of content:
 * free text anywhere outside those blocks (the direct answer).
 
 ``parse_generation`` is total: malformed input never raises, it is decomposed
-best-effort and every structural defect is recorded as a
-:class:`FormatViolation`. ``validate_format`` then adds the schema-dependent
-checks and produces the binary format reward.
+best-effort in one linear-time pass over the tags, and every structural
+defect is recorded as a :class:`FormatViolation`. ``validate_format`` then
+adds the schema-dependent checks and produces the binary format reward.
 
 The five format rules, by ``rule_id``:
 
@@ -25,6 +25,7 @@ The five format rules, by ``rule_id``:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -32,6 +33,8 @@ THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
 TOOL_OPEN = "<tool_call>"
 TOOL_CLOSE = "</tool_call>"
+_TAG_RE = re.compile("|".join(map(re.escape,
+                                   (THINK_OPEN, THINK_CLOSE, TOOL_OPEN, TOOL_CLOSE))))
 
 _NO_DEFAULT = object()
 
@@ -184,44 +187,36 @@ def parse_generation(raw: str) -> ParsedGeneration:
     think_stray = False
 
     i = 0
-    n = len(raw)
-    while i < n:
-        hits = [(raw.find(tag, i), tag)
-                for tag in (THINK_OPEN, THINK_CLOSE, TOOL_OPEN, TOOL_CLOSE)]
-        hits = [(p, tag) for p, tag in hits if p >= 0]
-        if not hits:
-            response_parts.append(raw[i:])
-            break
-        pos, tag = min(hits)
+    while (hit := _TAG_RE.search(raw, i)) is not None:
+        pos, tag = hit.start(), hit.group()
         response_parts.append(raw[i:pos])
+        i = hit.end()
         if tag == THINK_CLOSE:
             violations.append(FormatViolation(1, "stray </think> without opener"))
             think_stray = True
             response_parts.append(tag)
-            i = pos + len(tag)
         elif tag == TOOL_CLOSE:
             violations.append(FormatViolation(2, "stray </tool_call> without opener"))
             response_parts.append(tag)
-            i = pos + len(tag)
         elif tag == THINK_OPEN:
-            start = pos + len(tag)
-            end = raw.find(THINK_CLOSE, start)
+            end = raw.find(THINK_CLOSE, i)
             if end < 0:
                 violations.append(FormatViolation(1, "unclosed <think> tag"))
                 think_stray = True
                 response_parts.append(raw[pos:])
                 break
-            think_blocks.append(raw[start:end])
+            think_blocks.append(raw[i:end])
             i = end + len(THINK_CLOSE)
         else:  # TOOL_OPEN
-            start = pos + len(tag)
-            end = raw.find(TOOL_CLOSE, start)
+            end = raw.find(TOOL_CLOSE, i)
             if end < 0:
                 violations.append(FormatViolation(2, "unclosed <tool_call> tag"))
                 response_parts.append(raw[pos:])
                 break
-            payloads.append(raw[start:end])
+            payloads.append(raw[i:end])
             i = end + len(TOOL_CLOSE)
+    else:  # no tag left: the rest is response text
+        response_parts.append(raw[i:])
 
     if not think_stray and len(think_blocks) != 1:
         violations.append(FormatViolation(

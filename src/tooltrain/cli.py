@@ -90,6 +90,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     failures = 0
     for record in records:
         rid = record.get("id")
+        if isinstance(rid, (list, dict)):
+            print(f"error: record {rid!r}: id must be a string, number or null",
+                  file=sys.stderr)
+            return EXIT_IO
         if rid is not None:
             if rid in seen_ids:
                 print(f"error: duplicate record id {rid!r}", file=sys.stderr)
@@ -124,12 +128,14 @@ def cmd_kd(args: argparse.Namespace) -> int:
             raise ValueError("first line must be a header with 'vocab_size'")
         header, records = rows[0], rows[1:]
         vocab_size = int(header["vocab_size"])
+        m = args.m if args.m is not None else dv.default_truncation(vocab_size)[1]
+        if not 1 <= m <= vocab_size:
+            raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     k_cap = args.k
-    m = args.m if args.m is not None else dv.default_truncation(vocab_size)[1]
     out_lines = []
     losses, escapes, entropies = [], [], []
     failures = 0

@@ -129,7 +129,8 @@ def _fkl(teacher: TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:
             f"student probability underflowed at top-k indices {dead.tolist()}")
     grad = q * p.sum()
     grad[teacher.indices] -= p
-    return float(np.sum(p * (np.log(p) - np.log(q_top)))), grad
+    live = p > 0.0  # 0 * log 0 is taken at its limit, 0
+    return float(np.sum(p[live] * (np.log(p[live]) - np.log(q_top[live])))), grad
 
 
 def _rkl(teacher: TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,0 +1,98 @@
+"""Slow exact reference implementations the fast library paths are tested against."""
+
+from __future__ import annotations
+
+from tooltrain.chat_format import (
+    THINK_CLOSE,
+    THINK_OPEN,
+    TOOL_CLOSE,
+    TOOL_OPEN,
+    FormatViolation,
+    ParsedGeneration,
+    ToolCall,
+    _parse_call_payload,
+)
+
+
+def lcs_length_dp(a: list[str], b: list[str]) -> int:
+    """Length of the longest common subsequence, O(|a|*|b|) dynamic program."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr.append(prev[j - 1] + 1)
+            else:
+                curr.append(max(prev[j], curr[j - 1]))
+        prev = curr
+    return prev[len(b)]
+
+
+def parse_generation_four_find(raw: str) -> ParsedGeneration:
+    """``parse_generation`` as four ``str.find`` scans per tag hit (quadratic)."""
+    violations: list[FormatViolation] = []
+    think_blocks: list[str] = []
+    payloads: list[str] = []
+    response_parts: list[str] = []
+    think_stray = False
+
+    i = 0
+    n = len(raw)
+    while i < n:
+        hits = [(raw.find(tag, i), tag)
+                for tag in (THINK_OPEN, THINK_CLOSE, TOOL_OPEN, TOOL_CLOSE)]
+        hits = [(p, tag) for p, tag in hits if p >= 0]
+        if not hits:
+            response_parts.append(raw[i:])
+            break
+        pos, tag = min(hits)
+        response_parts.append(raw[i:pos])
+        if tag == THINK_CLOSE:
+            violations.append(FormatViolation(1, "stray </think> without opener"))
+            think_stray = True
+            response_parts.append(tag)
+            i = pos + len(tag)
+        elif tag == TOOL_CLOSE:
+            violations.append(FormatViolation(2, "stray </tool_call> without opener"))
+            response_parts.append(tag)
+            i = pos + len(tag)
+        elif tag == THINK_OPEN:
+            start = pos + len(tag)
+            end = raw.find(THINK_CLOSE, start)
+            if end < 0:
+                violations.append(FormatViolation(1, "unclosed <think> tag"))
+                think_stray = True
+                response_parts.append(raw[pos:])
+                break
+            think_blocks.append(raw[start:end])
+            i = end + len(THINK_CLOSE)
+        else:  # TOOL_OPEN
+            start = pos + len(tag)
+            end = raw.find(TOOL_CLOSE, start)
+            if end < 0:
+                violations.append(FormatViolation(2, "unclosed <tool_call> tag"))
+                response_parts.append(raw[pos:])
+                break
+            payloads.append(raw[start:end])
+            i = end + len(TOOL_CLOSE)
+
+    if not think_stray and len(think_blocks) != 1:
+        violations.append(FormatViolation(
+            1, f"expected exactly one think block, found {len(think_blocks)}"))
+
+    tool_calls: list[ToolCall] = []
+    for idx, payload in enumerate(payloads):
+        call, error = _parse_call_payload(payload)
+        if call is not None:
+            tool_calls.append(call)
+        else:
+            violations.append(FormatViolation(3, f"tool_call block {idx}: {error}"))
+
+    return ParsedGeneration(
+        think=think_blocks[0] if think_blocks else None,
+        tool_calls=tool_calls,
+        response_text="".join(response_parts).strip(),
+        raw_errors=violations,
+    )

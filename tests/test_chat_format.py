@@ -1,8 +1,11 @@
 import json
 import random
 import string
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tooltrain import (
     ParsedGeneration,
@@ -12,6 +15,9 @@ from tooltrain import (
     render_generation,
     validate_format,
 )
+
+from fuzzing import random_generation, random_schema
+from oracles import parse_generation_four_find
 
 SCHEMA = ToolSchema.from_dict([
     {"name": "f", "description": "", "parameters": {
@@ -155,6 +161,33 @@ def test_parse_is_total_on_random_strings():
         text = "".join(rng.choices(alphabet, k=rng.randint(0, 60)))
         parsed = parse_generation(text)
         assert isinstance(parsed.response_text, str)
+
+
+def test_parse_matches_four_find_oracle_on_fuzz_corpus():
+    rng = random.Random(17)
+    for _ in range(2_000):
+        text = random_generation(rng, random_schema(rng))
+        assert parse_generation(text) == parse_generation_four_find(text)
+    for _ in range(2_000):
+        text = _random_text(rng)
+        assert parse_generation(text) == parse_generation_four_find(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(
+    ["<think>", "</think>", "<tool_call>", "</tool_call>", "{", '"', "x"]),
+    max_size=40).map("".join))
+def test_parse_matches_four_find_oracle_on_tag_soup(text):
+    assert parse_generation(text) == parse_generation_four_find(text)
+
+
+def test_parse_is_linear_in_stray_tags():
+    # on a 2-vCPU VM the quadratic four-find loop took 17.8 s here, one pass 0.08 s
+    text = "</tool_call>" * 32_000
+    start = time.perf_counter()
+    parsed = parse_generation(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(parsed.raw_errors) == 32_001
 
 
 def _random_clean_structure(rng: random.Random) -> ParsedGeneration:

@@ -158,6 +158,15 @@ class TestScore:
                      "--output", str(tmp_path / "out.jsonl")]) == 2
         assert "duplicate record id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rid", [[1, 2], {"k": "v"}])
+    def test_unhashable_id_is_format_error(self, rid, score_files, tmp_path, capsys):
+        schema_path, _ = score_files
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps({**GOLDEN_RECORDS[0], "id": rid}) + "\n")
+        assert main(["score", "--input", str(inp), "--schema", str(schema_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: record {rid!r}: id must be a string, number or null\n")
+
     def test_malformed_inline_schema_is_format_error(self, tmp_path, capsys):
         record = {"id": "r", "generation": "<think>t</think>fine",
                   "ground_truth": "<think>t</think>fine", "schema_ref": [1]}
@@ -269,6 +278,33 @@ class TestKd:
         assert main(["kd", "--input", str(inp), "--output", str(out)]) == 0
         assert out.read_text() == ('{"mean_entropy": null, "mean_escape_mass": null, '
                                    '"mean_loss": null, "records": 0}\n')
+
+    @pytest.mark.parametrize("m", [0, 17])
+    def test_m_out_of_range_is_format_error(self, m, tmp_path, capsys):
+        inp = tmp_path / "kd.jsonl"
+        make_kd_file(inp)  # vocab_size 16
+        assert main(["kd", "--input", str(inp), "--m", str(m)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: m={m} out of range [1, vocab_size=16]\n"
+
+    @pytest.mark.parametrize("loss", ["fkl", "ckd"])
+    def test_zero_teacher_probability_gives_finite_json(self, loss, tmp_path):
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": [0.5, 0.0, -0.5, 1.0],
+                 "teacher_topk": {"indices": [0, 3], "probs": [0.9, 0.0]}}]
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["kd", "--input", str(inp), "--loss", loss, "--m", "2",
+                     "--output", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+        record, footer = [json.loads(line, parse_constant=reject)
+                          for line in out.read_text().splitlines()]
+        assert np.isfinite(record["loss"]) and record["loss"] > 0
+        assert footer["mean_loss"] == record["loss"]
 
     def test_loss_choices_are_the_training_objectives(self):
         kd = build_parser()._subparsers._group_actions[0].choices["kd"]

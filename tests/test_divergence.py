@@ -331,6 +331,24 @@ class TestGradientSuite:
             assert result.max_rel_err <= REL_TOL, name
             assert result.max_grad_sum <= 1e-8, name
 
+    def test_zero_teacher_probability_is_its_limit(self):
+        # 0 * log 0 counts as 0: the loss is finite and the gradient still checks
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            teacher, z = random_instance(rng, 32, 8, 16)
+            probs = teacher.probs.copy()
+            probs[-1] = 0.0
+            zeroed = dv.TopKDistribution(indices=teacher.indices, probs=probs)
+            dropped = dv.TopKDistribution(indices=teacher.indices[:-1], probs=probs[:-1])
+            assert dv.fkl_topk(zeroed, z).loss == dv.fkl_topk(dropped, z).loss
+            for name in ("fkl", "ckd"):
+                fn = dv.LOSSES[name]
+                report = fn(zeroed, z, 16, 10.0)
+                assert np.isfinite(report.loss), name
+                numeric = central_difference(
+                    lambda zz: fn(zeroed, zz, 16, 10.0).loss, z)
+                assert relative_error(report.grad, numeric) <= REL_TOL, name
+
     def test_gradients_sum_to_zero(self):
         rng = np.random.default_rng(10)
         for _ in range(50):

@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tooltrain import ToolCall, call_similarity, lcs_length, rouge_l_f1, value_similarity
 from tooltrain.similarity import canonical_str, tokenize
+
+from oracles import lcs_length_dp
 
 
 def lcs_by_enumeration(a: list[str], b: list[str]) -> int:
@@ -46,6 +50,22 @@ class TestLcs:
             a = rng.choices(alphabet, k=rng.randint(0, 6))
             b = rng.choices(alphabet, k=rng.randint(0, 6))
             assert lcs_length(a, b) == lcs_by_enumeration(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_dynamic_program(self, data):
+        # lengths past 64 need multi-limb ints; a 1-token alphabet is all repeats
+        alphabet = [f"t{i}" for i in range(data.draw(st.integers(1, 20)))]
+        tokens = st.lists(st.sampled_from(alphabet), max_size=200)
+        a, b = data.draw(tokens), data.draw(tokens)
+        assert lcs_length(a, b) == lcs_length_dp(a, b)
+
+    def test_long_runs_against_dynamic_program(self):
+        rng = random.Random(3)
+        for n, m, size in ((200, 200, 1), (200, 199, 2), (129, 200, 20), (65, 64, 3)):
+            a = rng.choices("abcdefghijklmnopqrst"[:size], k=n)
+            b = rng.choices("abcdefghijklmnopqrst"[:size], k=m)
+            assert lcs_length(a, b) == lcs_length_dp(a, b)
 
 
 class TestRougeL:
