@@ -101,6 +101,9 @@ def cmd_score(args: argparse.Namespace) -> int:
             seen_ids.add(rid)
         try:
             schema = _load_schema_ref(record.get("schema_ref"), base_schema)
+            for key in ("generation", "ground_truth"):
+                if not isinstance(record[key], str):
+                    raise ValueError(f"{key} must be a string, got {record[key]!r}")
             breakdown = total_reward(record["generation"],
                                      record["ground_truth"], schema)
         except MalformedGroundTruth as exc:
@@ -127,7 +130,11 @@ def cmd_kd(args: argparse.Namespace) -> int:
         if not rows or "vocab_size" not in rows[0]:
             raise ValueError("first line must be a header with 'vocab_size'")
         header, records = rows[0], rows[1:]
-        vocab_size = int(header["vocab_size"])
+        try:
+            vocab_size = int(header["vocab_size"])
+        except (TypeError, OverflowError):
+            raise ValueError("header vocab_size must be an integer, "
+                             f"got {header['vocab_size']!r}") from None
         m = args.m if args.m is not None else dv.default_truncation(vocab_size)[1]
         if not 1 <= m <= vocab_size:
             raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")

@@ -55,9 +55,8 @@ class Rollout:
             raise ValueError("log-prob arrays must be 1-d and equally sized")
         if self.logp_new.size == 0:
             raise ValueError("rollout must contain at least one token")
-        for arr in (self.logp_new, self.logp_old, self.logp_ref):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("log-probabilities must be finite")
+        if not np.isfinite((self.logp_new, self.logp_old, self.logp_ref)).all():
+            raise ValueError("log-probabilities must be finite")
 
     @property
     def num_tokens(self) -> int:

@@ -9,11 +9,13 @@ answer components can be nonzero and the total stays in [-1, 1].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .chat_format import (
     FormatViolation,
+    ParsedGeneration,
     ToolCall,
     ToolSchema,
     parse_generation,
@@ -129,6 +131,24 @@ class RewardBreakdown:
         }
 
 
+@functools.lru_cache(maxsize=16)
+def _checked_ground_truth(ground_truth: str, schema: ToolSchema) -> ParsedGeneration:
+    """Parse and validate a ground truth once per ``(ground_truth, schema)``.
+
+    Callers score a group's generations one after another, so a few entries
+    suffice; keeping hundreds of parses alive costs more in garbage-collector
+    passes than it saves. Schemas hash by identity, so a schema must not be
+    edited after it has been used for scoring. The cached parse is shared;
+    callers must not mutate it. A malformed ground truth raises on every
+    call, as ``lru_cache`` does not cache exceptions.
+    """
+    gt = parse_generation(ground_truth)
+    gt_check = validate_format(gt, schema)
+    if gt_check.reward != 1:
+        raise MalformedGroundTruth(gt_check.violations)
+    return gt
+
+
 def total_reward(
     raw_generation: str,
     ground_truth: str,
@@ -143,12 +163,10 @@ def total_reward(
 
     Raises :class:`MalformedGroundTruth` when the ground truth itself does
     not parse cleanly; that signals a corrupt dataset, not a model failure.
+    A ground truth is parsed and validated once per ``(ground_truth,
+    schema)`` pair, so an RL group that shares one pays for it once.
     """
-    gt = parse_generation(ground_truth)
-    gt_check = validate_format(gt, schema)
-    if gt_check.reward != 1:
-        raise MalformedGroundTruth(gt_check.violations)
-
+    gt = _checked_ground_truth(ground_truth, schema)
     parsed = parse_generation(raw_generation)
     check = validate_format(parsed, schema)
     if check.reward == 0:

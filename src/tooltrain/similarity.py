@@ -118,6 +118,7 @@ def call_similarity(pred: ToolCall, gold: ToolCall) -> float:
     union = pred_keys | gold_keys
     if not union:
         return 1.0
-    shared = pred_keys & gold_keys
+    # Sorted, so the float sum does not depend on the process's string hash seed.
+    shared = sorted(pred_keys & gold_keys)
     total = sum(value_similarity(pred.arguments[k], gold.arguments[k]) for k in shared)
     return total / len(union)

@@ -137,33 +137,22 @@ class ToyPolicy:
             values.append(OMIT)
         return values
 
-    def sample_trajectory(self, prompt_id: str,
-                          rng: np.random.Generator) -> tuple[list[Decision], ToolCall]:
+    def sample_trajectory(self, prompt_id: str, rng: np.random.Generator,
+                          view: SlotView) -> tuple[list[Decision], ToolCall]:
+        """Draw one decision path from ``view``, a view of ``self.tables``."""
         fn_slot = (prompt_id, "fn")
-        probs = dv.softmax(self.tables[fn_slot])
-        fn_action = int(rng.choice(probs.size, p=probs))
+        fn_action = view.draw(fn_slot, rng)
         decisions = [Decision(fn_slot, fn_action)]
         fdef = self.task.schema.functions[fn_action]
         arguments: dict[str, Any] = {}
         for pname in fdef.parameters:
             slot = (prompt_id, "arg", fdef.name, pname)
-            probs = dv.softmax(self.tables[slot])
-            action = int(rng.choice(probs.size, p=probs))
+            action = view.draw(slot, rng)
             decisions.append(Decision(slot, action))
             value = self.actions(slot)[action]
             if value is not OMIT:
                 arguments[pname] = value
         return decisions, ToolCall(fdef.name, arguments)
-
-    def logps(self, decisions: Iterable[Decision],
-              tables: dict[tuple, np.ndarray] | None = None) -> np.ndarray:
-        """Per-decision log-probabilities under the given tables."""
-        tables = self.tables if tables is None else tables
-        out = []
-        for d in decisions:
-            z = tables[d.slot]
-            out.append(z[d.action] - _logsumexp(z))
-        return np.array(out, dtype=np.float64)
 
     def mean_entropy(self) -> float:
         return float(np.mean([dv.entropy(dv.softmax(z))
@@ -173,6 +162,45 @@ class ToyPolicy:
 def _logsumexp(z: np.ndarray) -> float:
     m = z.max()
     return float(m + np.log(np.exp(z - m).sum()))
+
+
+class SlotView:
+    """Softmax, CDF and log-normaliser of each slot table, derived on first use.
+
+    A view caches what it derives, so it must not outlive the call that built
+    it: the tables may be edited in place between calls.
+    """
+
+    def __init__(self, tables: dict[tuple, np.ndarray]):
+        self.tables = tables
+        self._probs: dict[tuple, np.ndarray] = {}
+        self._cdf: dict[tuple, np.ndarray] = {}
+        self._lse: dict[tuple, float] = {}
+
+    def probs(self, slot: tuple) -> np.ndarray:
+        probs = self._probs.get(slot)
+        if probs is None:
+            probs = self._probs[slot] = dv.softmax(self.tables[slot])
+        return probs
+
+    def draw(self, slot: tuple, rng: np.random.Generator) -> int:
+        """One action, the same draw as ``rng.choice(size, p=self.probs(slot))``."""
+        cdf = self._cdf.get(slot)
+        if cdf is None:
+            cdf = self.probs(slot).cumsum()
+            cdf /= cdf[-1]
+            self._cdf[slot] = cdf
+        return int(cdf.searchsorted(rng.random(), side="right"))
+
+    def logps(self, decisions: Iterable[Decision]) -> np.ndarray:
+        """Per-decision log-probabilities."""
+        out = []
+        for d in decisions:
+            lse = self._lse.get(d.slot)
+            if lse is None:
+                lse = self._lse[d.slot] = _logsumexp(self.tables[d.slot])
+            out.append(self.tables[d.slot][d.action] - lse)
+        return np.array(out, dtype=np.float64)
 
 
 def render_trajectory(call: ToolCall) -> str:
@@ -191,16 +219,17 @@ def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
     At sampling time logp_old equals logp_new; logp_ref comes from the frozen
     initial tables.
     """
+    view, ref_view = SlotView(policy.tables), SlotView(policy.ref_tables)
     rollouts = []
     trajectories = []
     for _ in range(group_size):
-        decisions, call = policy.sample_trajectory(prompt_id, rng)
+        decisions, call = policy.sample_trajectory(prompt_id, rng, view)
         text = render_trajectory(call)
         graded = _score(policy.task, prompt_id, text)
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
-        logp = policy.logps(decisions)
+        logp = view.logps(decisions)
         rollouts.append(Rollout(logp_new=logp, logp_old=logp.copy(),
-                                logp_ref=policy.logps(decisions, policy.ref_tables),
+                                logp_ref=ref_view.logps(decisions),
                                 reward=reward))
         trajectories.append(Trajectory(decisions=decisions, text=text,
                                        reward=reward, graded_reward=graded))
@@ -236,13 +265,14 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
     where the unclipped branch of min(r*A, clip(r)*A) is active for A >= 0
     when r <= 1 + eps and for A < 0 when r >= 1 - eps.
     """
+    view = SlotView(policy.tables)
     grads = {key: np.zeros_like(z) for key, z in policy.tables.items()}
     value = 0.0
     n_groups = len(samples)
     for sample in samples:
         group_rollouts = []
         for traj, rollout_rec in zip(sample.trajectories, sample.group.rollouts):
-            logp_new = policy.logps(traj.decisions)
+            logp_new = view.logps(traj.decisions)
             group_rollouts.append(Rollout(
                 logp_new=logp_new, logp_old=rollout_rec.logp_old,
                 logp_ref=rollout_rec.logp_ref, reward=rollout_rec.reward))
@@ -261,9 +291,7 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
                 coef = (adv * r if active else 0.0) \
                     - cfg.beta * (roll.logp_new[t] - roll.logp_ref[t])
                 coef /= n_groups * len(sample.trajectories) * tokens
-                z = policy.tables[decision.slot]
-                probs = dv.softmax(z)
-                grads[decision.slot] -= coef * probs
+                grads[decision.slot] -= coef * view.probs(decision.slot)
                 grads[decision.slot][decision.action] += coef
     return value, grads
 
@@ -294,10 +322,15 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
             by_id[prompt.prompt_id] = trajectories
         survivors = filter_homogeneous(groups) if grpo_cfg.filter_homogeneous else groups
         for group in survivors:
+            rewards = group.rewards()
+            # An unfiltered homogeneous group has no advantage signal and
+            # contributes only its KL term.
+            advantages = (standardize_advantages(rewards)
+                          if rewards.max() != rewards.min() else np.zeros(rewards.size))
             samples.append(GroupSample(
                 group=group,
                 trajectories=by_id[group.prompt_id],
-                advantages=standardize_advantages(group.rewards()),
+                advantages=advantages,
             ))
         if samples:
             _, grads = objective_and_gradient(policy, samples, grpo_cfg)
@@ -313,10 +346,11 @@ def evaluate_policy(policy: ToyPolicy, task: ToyTask, samples_per_prompt: int,
                     seed: int) -> float:
     """Mean graded reward of freshly sampled trajectories."""
     rng = np.random.default_rng(seed)
+    view = SlotView(policy.tables)
     scores = []
     for prompt in task.prompts:
         for _ in range(samples_per_prompt):
-            _, call = policy.sample_trajectory(prompt.prompt_id, rng)
+            _, call = policy.sample_trajectory(prompt.prompt_id, rng, view)
             scores.append(_score(task, prompt.prompt_id, render_trajectory(call)))
     return float(np.mean(scores))
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+import tooltrain.divergence as dv
 from tooltrain.chat_format import (
     THINK_CLOSE,
     THINK_OPEN,
@@ -96,3 +99,27 @@ def parse_generation_four_find(raw: str) -> ParsedGeneration:
         response_text="".join(response_parts).strip(),
         raw_errors=violations,
     )
+
+
+class RecomputingSlotView:
+    """``toy_trainer.SlotView`` that derives everything afresh on every use:
+    a softmax and ``Generator.choice`` per draw, a softmax per gradient token
+    and a log-normaliser per decision."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def probs(self, slot):
+        return dv.softmax(self.tables[slot])
+
+    def draw(self, slot, rng):
+        probs = dv.softmax(self.tables[slot])
+        return int(rng.choice(probs.size, p=probs))
+
+    def logps(self, decisions):
+        out = []
+        for d in decisions:
+            z = self.tables[d.slot]
+            m = z.max()
+            out.append(z[d.action] - float(m + np.log(np.exp(z - m).sum())))
+        return np.array(out, dtype=np.float64)

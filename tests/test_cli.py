@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
 from tooltrain.cli import build_parser, main
-from tooltrain.toy_task import bundled_optional_param_task, save_task
+from tooltrain.toy_task import (
+    bundled_default_task,
+    bundled_optional_param_task,
+    save_task,
+)
 
 from golden import GOLDEN_RECORDS, GOLDEN_SCHEMA
 
@@ -175,6 +179,17 @@ class TestScore:
         assert main(["score", "--input", str(inp)]) == 2
         assert capsys.readouterr().err.startswith("error: record 'r':")
 
+    @pytest.mark.parametrize("field,value", [("generation", 5), ("ground_truth", 7)])
+    def test_non_string_text_field_is_format_error(self, field, value, score_files,
+                                                   capsys):
+        schema_path, input_path = score_files
+        record = {**GOLDEN_RECORDS[0], "id": "r", field: value}
+        input_path.write_text(json.dumps(record) + "\n")
+        assert main(["score", "--input", str(input_path),
+                     "--schema", str(schema_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: record 'r': {field} must be a string, got {value!r}\n")
+
 
 class TestKd:
     def test_teacher_equals_student_gives_zero_fkl(self, tmp_path):
@@ -236,6 +251,15 @@ class TestKd:
         inp = tmp_path / "kd.jsonl"
         inp.write_text(json.dumps({"position_id": "p"}) + "\n")
         assert main(["kd", "--input", str(inp)]) == 2
+
+    @pytest.mark.parametrize("vocab_size", [[4], None])
+    def test_non_integer_vocab_size_is_format_error(self, vocab_size, tmp_path,
+                                                    capsys):
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text(json.dumps({"vocab_size": vocab_size}) + "\n")
+        assert main(["kd", "--input", str(inp)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: header vocab_size must be an integer, got {vocab_size!r}\n")
 
     def test_degenerate_student_is_per_record_failure(self, tmp_path):
         inp = tmp_path / "kd.jsonl"
@@ -384,6 +408,17 @@ class TestTrainToy:
         entropies = [line.split(",")[2]
                      for line in out.read_text().splitlines()[1:]]
         assert len(set(entropies)) == 1
+
+    def test_unfiltered_homogeneous_groups_exit_zero(self, tmp_path):
+        task_path = tmp_path / "task.json"
+        save_task(bundled_default_task(), task_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iterations": 60, "filter_groups": False}))
+        out = tmp_path / "log.csv"
+        assert main(["train-toy", "--task", str(task_path), "--config",
+                     str(cfg_path), "--seed", "0", "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0.0"] * 60
 
     def test_missing_task_file(self, tmp_path, capsys):
         status = main(["train-toy", "--task", str(tmp_path / "gone.json")])

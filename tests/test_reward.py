@@ -164,6 +164,29 @@ class TestTotalReward:
                 '<think>t</think><tool_call>{"name":"nope","arguments":{}}</tool_call>',
                 golden_schema())
 
+    def test_malformed_ground_truth_raises_on_every_call(self):
+        schema = golden_schema()
+        for _ in range(2):
+            with pytest.raises(MalformedGroundTruth):
+                total_reward("<think>t</think>", "missing think tags", schema)
+
+    def test_shared_ground_truth_parsed_once_per_group(self, monkeypatch):
+        import tooltrain.reward as rw
+
+        parsed = []
+        parse = rw.parse_generation
+        monkeypatch.setattr(rw, "parse_generation",
+                            lambda raw: parsed.append(raw) or parse(raw))
+        record = GOLDEN_RECORDS[0]
+        ground_truth = record["ground_truth"].replace(
+            "<think>", "<think>parsed once: ", 1)
+        schema = golden_schema()
+        totals = {total_reward(record["generation"], ground_truth, schema).total
+                  for _ in range(8)}
+        assert totals == {record["expected_total"]}
+        assert parsed.count(ground_truth) == 1
+        assert len(parsed) == 9
+
     def test_generation_with_calls_vs_text_gt_scores_zero_answer(self):
         record = GOLDEN_RECORDS[2]
         b = total_reward(record["generation"], record["ground_truth"],

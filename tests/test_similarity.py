@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tooltrain
 from tooltrain import ToolCall, call_similarity, lcs_length, rouge_l_f1, value_similarity
 from tooltrain.similarity import canonical_str, tokenize
 
@@ -187,6 +192,21 @@ class TestCallSimilarity:
 
     def test_both_empty_is_perfect(self):
         assert call_similarity(_call({}), _call({})) == 1.0
+
+    def test_independent_of_string_hash_seed(self):
+        # the shared similarities 0.8, 0.4 and 4/9 sum to different floats in
+        # different orders, and the union of four keys divides exactly
+        code = ("from tooltrain import ToolCall, call_similarity\n"
+                "pred = {'a': 'a b c', 'b': 'a b c d e f g', 'c': 'p q r s t u v'}\n"
+                "gold = {'a': 'a b', 'b': 'a x c', 'c': 'p q', 'd': 1}\n"
+                "print(repr(call_similarity(ToolCall('f', pred), ToolCall('f', gold))))")
+        src = str(Path(tooltrain.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = {subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+        ).stdout for seed in range(8)}
+        assert len(outputs) == 1
 
     def test_symmetry_and_bounds(self):
         rng = random.Random(29)

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
+import tooltrain.toy_trainer as toy_trainer
 from tooltrain import ToolSchema
 from tooltrain.grpo import standardize_advantages
 from tooltrain.toy_task import (
@@ -17,7 +20,9 @@ from tooltrain.toy_task import (
 )
 from tooltrain.toy_trainer import (
     OMIT,
+    Decision,
     GroupSample,
+    SlotView,
     ToyPolicy,
     ToyTrainConfig,
     TrainLog,
@@ -31,6 +36,8 @@ from tooltrain.toy_trainer import (
 )
 from tooltrain.chat_format import ToolCall
 from tooltrain.reward import total_reward
+
+from oracles import RecomputingSlotView
 
 
 def tiny_task() -> ToyTask:
@@ -146,6 +153,50 @@ class TestRollouts:
             assert not np.allclose(r.logp_new[0], r.logp_ref[0])
 
 
+@st.composite
+def slot_tables(draw):
+    """1-11-way logit tables: plain, scaled up to 50, and near-one-hot."""
+    size = draw(st.integers(1, 11))
+    z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+    z *= draw(st.sampled_from([1.0, 5.0, 50.0]))
+    if draw(st.booleans()):
+        z[draw(st.integers(0, size - 1))] += draw(st.floats(20.0, 60.0))
+    return z
+
+
+class TestSlotView:
+    @settings(max_examples=300, deadline=None)
+    @given(table=slot_tables(), seed=st.integers(0, 2**32 - 1))
+    def test_draws_and_logps_equal_the_recomputing_oracle(self, table, seed):
+        slot = ("p", "fn")
+        view = SlotView({slot: table})
+        oracle = RecomputingSlotView({slot: table})
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            action = view.draw(slot, rng)
+            assert action == oracle.draw(slot, oracle_rng)
+            decisions = [Decision(slot, action)]
+            np.testing.assert_array_equal(view.logps(decisions),
+                                          oracle.logps(decisions))
+        np.testing.assert_array_equal(view.probs(slot), oracle.probs(slot))
+
+    @pytest.mark.parametrize("mode", ["sim", "binary"])
+    @pytest.mark.parametrize("group_size", [4, 8])
+    def test_training_equals_the_recomputing_oracle_path(self, mode, group_size,
+                                                         monkeypatch):
+        task = bundled_default_task()
+        cfg = ToyTrainConfig(group_size=group_size, reward_mode=mode)
+        policy, log = train_sim_rl(task, cfg, iterations=40, seed=group_size)
+        score = evaluate_policy(policy, task, 16, seed=1)
+        monkeypatch.setattr(toy_trainer, "SlotView", RecomputingSlotView)
+        oracle_policy, oracle_log = train_sim_rl(task, cfg, iterations=40,
+                                                 seed=group_size)
+        assert log == oracle_log
+        for key, table in policy.tables.items():
+            np.testing.assert_array_equal(table, oracle_policy.tables[key])
+        assert score == evaluate_policy(oracle_policy, task, 16, seed=1)
+
+
 class TestPolicyGradient:
     def test_matches_finite_differences_on_frozen_minibatch(self):
         task = bundled_optional_param_task()
@@ -220,6 +271,14 @@ class TestTraining:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,mean_reward,mean_entropy,filtered_fraction"
         assert len(lines) == 8
+
+    def test_unfiltered_homogeneous_groups_do_not_crash(self):
+        # uniform-reward groups appear within 60 iterations at this seed
+        _, log = train_sim_rl(bundled_default_task(),
+                              ToyTrainConfig(filter_groups=False),
+                              iterations=60, seed=0)
+        assert log.filtered_fraction == [0.0] * 60
+        assert np.isfinite(log.mean_entropy).all()
 
     def test_evaluate_policy_bounds(self):
         task = bundled_optional_param_task()
