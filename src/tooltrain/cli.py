@@ -35,20 +35,30 @@ EXIT_IO = 2
 KD_FILE_VERSION = 1
 
 
+def _iter_jsonl(path: str):
+    """Yield the JSON object on each non-blank line, reading one line at a time.
+
+    Lines are the pieces of ``str.splitlines`` over the whole text and are
+    numbered from 1 in messages; a bad line raises ``ValueError``.
+    """
+    n = 0
+    with open(path, encoding="utf-8") as handle:
+        for raw in handle:
+            for line in raw.splitlines():
+                n += 1
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(obj, dict):
+                    raise ValueError(f"{path}:{n}: expected a JSON object per line")
+                yield obj
+
+
 def _read_jsonl(path: str) -> list[dict]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    records = []
-    for n, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}:{n}: expected a JSON object per line")
-        records.append(obj)
-    return records
+    return list(_iter_jsonl(path))
 
 
 def _dump(obj) -> str:
@@ -63,14 +73,21 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_schema_ref(ref, base_schema: ToolSchema | None) -> ToolSchema:
+def _load_schema_ref(ref, base_schema: ToolSchema | None,
+                     loaded: dict[str, ToolSchema]) -> ToolSchema:
+    """The record's schema; equal refs share the one ``ToolSchema`` in
+    ``loaded``, so the ground-truth memo (keyed by schema identity) hits."""
     if ref is None:
         if base_schema is None:
             raise ValueError("record has no schema_ref and no --schema was given")
         return base_schema
-    if isinstance(ref, str):
-        return ToolSchema.from_json(Path(ref).read_text(encoding="utf-8"))
-    return ToolSchema.from_dict(ref)
+    key = json.dumps(ref, sort_keys=True)  # a path dumps quoted, unlike a schema
+    if key not in loaded:
+        if isinstance(ref, str):
+            loaded[key] = ToolSchema.from_json(Path(ref).read_text(encoding="utf-8"))
+        else:
+            loaded[key] = ToolSchema.from_dict(ref)
+    return loaded[key]
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -85,6 +102,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         return EXIT_IO
 
     seen_ids = set()
+    schemas: dict[str, ToolSchema] = {}
     out_lines = []
     totals = []
     failures = 0
@@ -100,7 +118,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 return EXIT_IO
             seen_ids.add(rid)
         try:
-            schema = _load_schema_ref(record.get("schema_ref"), base_schema)
+            schema = _load_schema_ref(record.get("schema_ref"), base_schema, schemas)
             for key in ("generation", "ground_truth"):
                 if not isinstance(record[key], str):
                     raise ValueError(f"{key} must be a string, got {record[key]!r}")
@@ -125,11 +143,16 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_kd(args: argparse.Namespace) -> int:
+    # The input is read one line at a time; output lines and per-position
+    # messages are held back until the last line is in, so an exit 2 anywhere
+    # writes nothing but its one error line.
+    out_lines, notes = [], []
+    losses, escapes, entropies = [], [], []
+    rows = _iter_jsonl(args.input)
     try:
-        rows = _read_jsonl(args.input)
-        if not rows or "vocab_size" not in rows[0]:
+        header = next(rows, None)
+        if header is None or "vocab_size" not in header:
             raise ValueError("first line must be a header with 'vocab_size'")
-        header, records = rows[0], rows[1:]
         try:
             vocab_size = int(header["vocab_size"])
         except (TypeError, OverflowError):
@@ -138,51 +161,46 @@ def cmd_kd(args: argparse.Namespace) -> int:
         m = args.m if args.m is not None else dv.default_truncation(vocab_size)[1]
         if not 1 <= m <= vocab_size:
             raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")
+        for record in rows:
+            pid = record.get("position_id")
+            try:
+                topk = record["teacher_topk"]
+                indices = np.asarray(topk["indices"], dtype=np.int64)
+                probs = np.asarray(topk["probs"], dtype=np.float64)
+                if args.k is not None:
+                    keep = np.argsort(-probs, kind="stable")[:args.k]
+                    indices, probs = indices[keep], probs[keep]
+                z = np.asarray(record["student_logits"], dtype=np.float64)
+                if z.size != vocab_size:
+                    raise ValueError(f"student_logits has length {z.size}, "
+                                     f"header declares {vocab_size}")
+                if indices.size and int(indices.max()) >= vocab_size:
+                    raise ValueError(f"teacher index {int(indices.max())} out of "
+                                     f"bounds for vocab_size {vocab_size}")
+                teacher = dv.TopKDistribution(indices=indices, probs=probs)
+                report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
+            except (dv.DegenerateStudent, dv.DegenerateTeacher) as exc:
+                notes.append(f"position {pid!r}: {exc}\n")
+                out_lines.append(_dump({"position_id": pid, "error": str(exc)}))
+                continue
+            except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
+                raise ValueError(f"position {pid!r}: {exc}") from None
+            losses.append(report.loss)
+            escapes.append(report.aux["escape_mass"])
+            entropies.append(report.aux["entropy"])
+            out_lines.append(_dump({
+                "position_id": pid,
+                "loss": report.loss,
+                "escape_mass": report.aux["escape_mass"],
+                "entropy": report.aux["entropy"],
+            }))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        rows.close()
 
-    k_cap = args.k
-    out_lines = []
-    losses, escapes, entropies = [], [], []
-    failures = 0
-    for record in records:
-        pid = record.get("position_id")
-        try:
-            topk = record["teacher_topk"]
-            indices = np.asarray(topk["indices"], dtype=np.int64)
-            probs = np.asarray(topk["probs"], dtype=np.float64)
-            if k_cap is not None:
-                keep = np.argsort(-probs, kind="stable")[:k_cap]
-                indices, probs = indices[keep], probs[keep]
-            z = np.asarray(record["student_logits"], dtype=np.float64)
-            if z.size != vocab_size:
-                raise ValueError(f"student_logits has length {z.size}, "
-                                 f"header declares {vocab_size}")
-            if indices.size and int(indices.max()) >= vocab_size:
-                raise ValueError(f"teacher index {int(indices.max())} out of "
-                                 f"bounds for vocab_size {vocab_size}")
-            teacher = dv.TopKDistribution(indices=indices, probs=probs)
-        except (KeyError, ValueError, IndexError) as exc:
-            print(f"error: position {pid!r}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        try:
-            report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
-        except (dv.DegenerateStudent, dv.DegenerateTeacher) as exc:
-            failures += 1
-            print(f"position {pid!r}: {exc}", file=sys.stderr)
-            out_lines.append(_dump({"position_id": pid, "error": str(exc)}))
-            continue
-        losses.append(report.loss)
-        escapes.append(report.aux["escape_mass"])
-        entropies.append(report.aux["entropy"])
-        out_lines.append(_dump({
-            "position_id": pid,
-            "loss": report.loss,
-            "escape_mass": report.aux["escape_mass"],
-            "entropy": report.aux["entropy"],
-        }))
-
+    sys.stderr.write("".join(notes))
     footer = {
         "records": len(losses),
         "mean_loss": float(np.mean(losses)) if losses else None,
@@ -191,7 +209,7 @@ def cmd_kd(args: argparse.Namespace) -> int:
     }
     out_lines.append(_dump(footer))
     _write_lines(args.output, out_lines)
-    return EXIT_VALIDATION if failures else EXIT_OK
+    return EXIT_VALIDATION if notes else EXIT_OK
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:

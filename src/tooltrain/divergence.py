@@ -98,13 +98,37 @@ def entropy(q: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
+# Up to this size a full sort of the vector beats selecting the top k first.
+FULL_SORT_MAX_SIZE = 256
+
+
 def topk_indices(p: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries, ties broken toward lower index."""
+    """Indices of the k largest entries, ties broken toward lower index.
+
+    Exactly ``np.argsort(-p, kind="stable")[:k]``, in O(V + k log k) above
+    ``FULL_SORT_MAX_SIZE`` entries.
+    """
     p = np.asarray(p)
     if not 1 <= k <= p.size:
         raise ValueError(f"k={k} out of range for size {p.size}")
-    # stable argsort of -p keeps ascending-index order among equal values
-    return np.argsort(-p, kind="stable")[:k]
+    neg = -p.ravel()
+    if neg.size <= FULL_SORT_MAX_SIZE:
+        return np.argsort(neg, kind="stable")[:k]
+    return _select_smallest(neg, k)
+
+
+def _select_smallest(neg: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(neg, kind="stable")[:k]``: select by the k-th smallest
+    value, then sort only the k selected indices."""
+    kth = np.partition(neg, k - 1)[k - 1]
+    if kth != kth:  # NaN entries sort last; leave them to the full sort
+        return np.argsort(neg, kind="stable")[:k]
+    idx = np.flatnonzero(neg <= kth)
+    if idx.size > k:  # of the entries tied at the k-th value keep the lowest-indexed
+        tied = np.flatnonzero(neg[idx] == kth)
+        idx = np.delete(idx, tied[k - idx.size + tied.size:])
+    # stable argsort over ascending idx keeps lower indices first among ties
+    return idx[np.argsort(neg[idx], kind="stable")]
 
 
 def topk_of(p: np.ndarray, k: int) -> TopKDistribution:
@@ -148,11 +172,19 @@ def _rkl(teacher: TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(q_top[live] * np.log(q_top[live] / p[live]))), grad
 
 
-def _tail(teacher: TopKDistribution, q: np.ndarray,
-          m: int) -> tuple[float, np.ndarray]:
+def _confident(teacher: TopKDistribution, q: np.ndarray, m: int) -> np.ndarray:
+    """J'_m: the student's top-m indices outside I_k, in top-m order."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    confident = np.setdiff1d(student_topm(q, m), teacher.indices, assume_unique=True)
+    top = student_topm(q, m)
+    endorsed = np.zeros(q.size, dtype=bool)
+    endorsed[teacher.indices] = True
+    return top[~endorsed[top]]
+
+
+def _tail(teacher: TopKDistribution, q: np.ndarray,
+          m: int) -> tuple[float, np.ndarray]:
+    confident = _confident(teacher, q, m)
     tail_mass = float(q[confident].sum()) if confident.size else 0.0
     grad = -q * tail_mass
     grad[confident] += q[confident]

@@ -86,7 +86,9 @@ def standardize_advantages(rewards: Iterable[float]) -> np.ndarray:
     if rewards.size < 2:
         raise ValueError("advantage standardization needs at least two rewards")
     std = float(rewards.std())  # population: divide by G
-    if std == 0.0:
+    # max == min is the homogeneity rule of ``filter_homogeneous``: the float
+    # std of equal rewards such as 0.7 can be ~1e-16 rather than zero
+    if rewards.max() == rewards.min() or std == 0.0:
         raise ZeroVariance(f"all {rewards.size} rewards equal {rewards[0]}")
     return (rewards - rewards.mean()) / std
 

@@ -411,12 +411,17 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
         escape[step] = e_sum / len(teachers)
         ent[step] = h_sum / len(teachers)
 
-    record(0)
-    for step in range(1, steps + 1):
+    for step in range(steps):
+        e_sum = h_sum = 0.0
         for row, teacher in enumerate(teachers):
+            # aux holds the softmax statistics of the logits before this step
             report = dv.LOSSES[loss_kind](teacher, logits[row], m, lambda_tail)
+            e_sum += report.aux["escape_mass"]
+            h_sum += report.aux["entropy"]
             logits[row] -= step_size * report.grad
-        record(step)
+        escape[step] = e_sum / len(teachers)
+        ent[step] = h_sum / len(teachers)
+    record(steps)
     return KdCurves(escape_mass=escape, entropy=ent)
 
 

@@ -123,3 +123,46 @@ class RecomputingSlotView:
             m = z.max()
             out.append(z[d.action] - float(m + np.log(np.exp(z - m).sum())))
         return np.array(out, dtype=np.float64)
+
+
+def topk_indices_argsort(p: np.ndarray, k: int) -> np.ndarray:
+    """``divergence.topk_indices`` as a full stable argsort, O(V log V)."""
+    p = np.asarray(p)
+    if not 1 <= k <= p.size:
+        raise ValueError(f"k={k} out of range for size {p.size}")
+    # stable argsort of -p keeps ascending-index order among equal values
+    return np.argsort(-p, kind="stable")[:k]
+
+
+def confident_setdiff(teacher: dv.TopKDistribution, q: np.ndarray, m: int) -> np.ndarray:
+    """J'_m as ``setdiff1d`` of the student's top-m and the teacher's indices."""
+    return np.setdiff1d(dv.student_topm(q, m), teacher.indices, assume_unique=True)
+
+
+def kd_fit_recording(teachers: list[dv.TopKDistribution], loss_kind: str,
+                     steps: int, step_size: float, seed: int, vocab_size: int = 32,
+                     m: int = 8, lambda_tail: float = dv.DEFAULT_LAMBDA_TAIL):
+    """``toy_trainer.kd_fit`` with a separate softmax pass over every row
+    after each step to record the curves, rather than reading the kernels'
+    ``aux``."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(len(teachers), vocab_size))
+    escape = np.zeros(steps + 1)
+    ent = np.zeros(steps + 1)
+
+    def record(step: int) -> None:
+        e_sum = h_sum = 0.0
+        for teacher, z in zip(teachers, logits):
+            q = dv.softmax(z)
+            e_sum += 1.0 - q[teacher.indices].sum()
+            h_sum += dv.entropy(q)
+        escape[step] = e_sum / len(teachers)
+        ent[step] = h_sum / len(teachers)
+
+    record(0)
+    for step in range(1, steps + 1):
+        for row, teacher in enumerate(teachers):
+            report = dv.LOSSES[loss_kind](teacher, logits[row], m, lambda_tail)
+            logits[row] -= step_size * report.grad
+        record(step)
+    return escape, ent

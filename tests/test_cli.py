@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
-from tooltrain.cli import build_parser, main
+from tooltrain.chat_format import ToolSchema
+from tooltrain.cli import _iter_jsonl, build_parser, main
 from tooltrain.toy_task import (
     bundled_default_task,
     bundled_optional_param_task,
@@ -138,6 +139,47 @@ class TestScore:
         out = tmp_path / "out.jsonl"
         assert main(["score", "--input", str(inp), "--output", str(out)]) == 0
         assert json.loads(out.read_text())["total"] == 1.0
+
+    def test_equal_schema_refs_share_one_schema(self, tmp_path, monkeypatch):
+        import tooltrain.reward as rw
+
+        built, parsed = [], []
+        init = ToolSchema.__init__
+        monkeypatch.setattr(ToolSchema, "__init__",
+                            lambda self, functions: built.append(1) or init(self, functions))
+        parse = rw.parse_generation
+        monkeypatch.setattr(rw, "parse_generation",
+                            lambda raw: parsed.append(raw) or parse(raw))
+        call = '<tool_call>{"name":"f","arguments":{"a":1}}</tool_call>'
+        ground_truth = "<think>one schema per ref</think>" + call
+        fn = {"name": "f", "parameters": {"a": {"type": "int"}}}
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps([fn]))
+        refs = [[fn], [dict(reversed(fn.items()))], str(schema_path),
+                [fn], str(schema_path)]
+        inp = tmp_path / "in.jsonl"
+        inp.write_text("".join(
+            json.dumps({"id": i, "generation": "<think>t</think>" + call,
+                        "ground_truth": ground_truth, "schema_ref": ref}) + "\n"
+            for i, ref in enumerate(refs)))
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(inp), "--output", str(out)]) == 0
+        assert len(built) == 2  # one inline and one path schema
+        assert parsed.count(ground_truth) == 2  # once per schema
+        assert {json.loads(line)["total"] for line in out.read_text().splitlines()} == {1.0}
+
+    def test_bad_schema_ref_after_good_records_is_format_error(self, tmp_path,
+                                                               capsys):
+        good = {"id": "a", "generation": "<think>t</think>fine",
+                "ground_truth": "<think>t</think>fine",
+                "schema_ref": [{"name": "f", "parameters": {}}]}
+        rows = [good, {**good, "id": "b"}, {**good, "id": "c", "schema_ref": [1]}]
+        inp = tmp_path / "in.jsonl"
+        inp.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(inp), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: record 'c':")
 
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert main(["score", "--input", str(tmp_path / "nope.jsonl")]) == 2
@@ -330,6 +372,90 @@ class TestKd:
         assert np.isfinite(record["loss"]) and record["loss"] > 0
         assert footer["mean_loss"] == record["loss"]
 
+    def test_invalid_json_on_the_last_line_writes_nothing(self, tmp_path, capsys):
+        inp = tmp_path / "kd.jsonl"
+        make_kd_file(inp, positions=2)
+        dead = {"position_id": "dead",
+                "teacher_topk": {"indices": [0, 1], "probs": [0.6, 0.3]},
+                "student_logits": [0.0, -900.0] + [0.0] * 14}
+        with inp.open("a") as handle:
+            handle.write(json.dumps(dead) + "\n" + '{"position_id": "cut", "stu\n')
+        out = tmp_path / "out.jsonl"
+        assert main(["kd", "--input", str(inp), "--loss", "fkl",
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", f"error: {inp}:5: invalid JSON (Unterminated string starting at)\n")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\x0c\n"])
+    def test_file_without_header_writes_nothing(self, text, tmp_path, capsys):
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text(text)
+        out = tmp_path / "out.jsonl"
+        assert main(["kd", "--input", str(inp), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: first line must be a header with 'vocab_size'\n")
+
+    def test_header_only_file_writes_only_the_footer(self, tmp_path, capsys):
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text(json.dumps({"version": 1, "vocab_size": 4}))  # no newline
+        assert main(["kd", "--input", str(inp), "--m", "4"]) == 0
+        assert capsys.readouterr() == (
+            '{"mean_entropy": null, "mean_escape_mass": null, '
+            '"mean_loss": null, "records": 0}\n', "")
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
+    def test_line_numbers_count_every_splitlines_piece(self, sep, tmp_path, capsys):
+        header = json.dumps({"version": 1, "vocab_size": 4})
+        good = json.dumps({"position_id": "g", "student_logits": [0, 0, 0, 1],
+                           "teacher_topk": {"indices": [0], "probs": [0.5]}})
+        text = sep.join([header, "", good + "\x0c" + good, "", "\x0c" + good,
+                         "\x1c\u2028{bad", ""])
+        inp = tmp_path / "kd.jsonl"
+        inp.write_bytes(text.encode("utf-8"))
+        n = text.splitlines().index("{bad") + 1
+        assert main(["kd", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {inp}:{n}: invalid JSON (Expecting property name "
+                "enclosed in double quotes)\n")
+
+    @pytest.mark.parametrize("record, message", [
+        ({"student_logits": [float("nan"), 0, 0, 0],
+          "teacher_topk": {"indices": [0], "probs": [0.5]}},
+         "student logits must be finite"),
+        ({"student_logits": [0, 0, 0, 0], "teacher_topk": [0]},
+         "list indices must be integers or slices, not str"),
+        ({"student_logits": [[0, 0], [0, 0]],
+          "teacher_topk": {"indices": [0], "probs": [0.5]}},
+         "student logits must be a 1-d vector"),
+    ])
+    def test_kernel_rejection_is_format_error(self, record, message, tmp_path,
+                                              capsys):
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text(json.dumps({"vocab_size": 4}) + "\n"
+                       + json.dumps({"position_id": "p", **record}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["kd", "--input", str(inp), "--m", "2",
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: position 'p': {message}\n"
+
+    def test_negative_lambda_is_format_error(self, tmp_path, capsys):
+        inp = tmp_path / "kd.jsonl"
+        make_kd_file(inp)
+        assert main(["kd", "--input", str(inp), "--lambda", "-1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: position 'pos0': lambda_tail must be non-negative\n")
+
+    def test_reader_is_lazy(self, tmp_path):
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text(json.dumps({"vocab_size": 4}) + "\n{bad\n")
+        rows = _iter_jsonl(str(inp))
+        assert next(rows) == {"vocab_size": 4}
+        with pytest.raises(ValueError, match=":2: invalid JSON"):
+            next(rows)
+
     def test_loss_choices_are_the_training_objectives(self):
         kd = build_parser()._subparsers._group_actions[0].choices["kd"]
         loss = next(a for a in kd._actions if a.dest == "loss")
@@ -448,6 +574,13 @@ class TestAdvantages:
         inp.write_text(json.dumps({"prompt_id": "g", "rewards": [1, 1, 1, 1]}) + "\n")
         assert main(["advantages", "--input", str(inp)]) == 0
         assert json.loads(capsys.readouterr().out) == {"prompt_id": "g",
+                                                       "filtered": True}
+
+    def test_equal_float_rewards_marked_filtered(self, tmp_path, capsys):
+        inp = tmp_path / "groups.jsonl"
+        inp.write_text(json.dumps({"prompt_id": "h", "rewards": [0.7, 0.7, 0.7]}) + "\n")
+        assert main(["advantages", "--input", str(inp)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"prompt_id": "h",
                                                        "filtered": True}
 
     def test_single_element_group_is_error(self, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
 from tooltrain.gradcheck import (
@@ -13,6 +15,8 @@ from tooltrain.gradcheck import (
     topm_boundary_gap,
 )
 from tooltrain.toy_trainer import collapse_witness
+
+from oracles import confident_setdiff, topk_indices_argsort
 
 
 class TestSoftmax:
@@ -52,11 +56,72 @@ class TestTopK:
             assert top.indices.tolist() == oracle
             np.testing.assert_allclose(top.probs, p[oracle])
 
+    @pytest.mark.parametrize("p", [
+        np.zeros(7), np.array([-0.0, 0.0, -0.0, 1.0, 0.0]), np.array([0.5]),
+        np.array([0.25, np.nan, 0.25, 0.5, np.nan]), np.array([3, 1, 3, 2, 3]),
+    ])
+    def test_first_and_last_k_equal_the_argsort_oracle(self, p):
+        for k in (1, p.size):
+            expected = topk_indices_argsort(p, k)
+            assert np.array_equal(dv.topk_indices(p, k), expected)
+            assert np.array_equal(dv._select_smallest(-p, k), expected)
+
+    def test_wide_vectors_equal_the_argsort_oracle(self):
+        rng = np.random.default_rng(2)
+        for size in (dv.FULL_SORT_MAX_SIZE + 1, 5000, 151_936):
+            for p in (dv.softmax(rng.normal(size=size) * 30),
+                      np.round(rng.random(size), 2)):
+                for k in (1, 100, size):
+                    assert np.array_equal(dv.topk_indices(p, k),
+                                          topk_indices_argsort(p, k))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="distinct"):
             dv.TopKDistribution(indices=np.array([1, 1]), probs=np.array([0.4, 0.3]))
         with pytest.raises(ValueError, match="sum"):
             dv.TopKDistribution(indices=np.array([0, 1]), probs=np.array([0.7, 0.7]))
+
+
+def _topk_vector(data) -> np.ndarray:
+    """Vectors rich in exact ties: quantised values, runs of (signed) zeros
+    and softmax outputs with underflowed entries."""
+    v = data.draw(st.integers(1, 300), label="V")
+    kind = data.draw(st.sampled_from(["quantised", "zeros", "softmax"]), label="kind")
+    if kind == "quantised":
+        return np.array(data.draw(st.lists(st.integers(0, 4), min_size=v,
+                                           max_size=v))) / 4.0
+    if kind == "zeros":
+        values = st.sampled_from([0.0, -0.0, 0.0, -0.0, 0.125, 1.0, np.nan])
+        return np.array(data.draw(st.lists(values, min_size=v, max_size=v)))
+    logits = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=v,
+                                         max_size=v)), dtype=np.float64)
+    return dv.softmax(logits * data.draw(st.sampled_from([0.5, 20.0, 200.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_topk_selection_equals_the_full_stable_argsort(data):
+    p = _topk_vector(data)
+    k = data.draw(st.sampled_from([1, p.size]) | st.integers(1, p.size), label="k")
+    expected = topk_indices_argsort(p, k)
+    for got in (dv.topk_indices(p, k), dv._select_smallest(-p, k)):
+        assert np.array_equal(got, expected)
+        assert got.dtype == expected.dtype
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_confident_set_equals_setdiff_in_topm_order(data):
+    q = dv.softmax(np.log(_topk_vector(data) + 1e-3))
+    indices = data.draw(st.lists(st.integers(0, q.size - 1), min_size=1,
+                                 max_size=q.size, unique=True), label="teacher")
+    teacher = dv.TopKDistribution(indices=np.array(indices),
+                                  probs=np.full(len(indices), 1.0 / len(indices)))
+    m = data.draw(st.integers(1, q.size), label="m")
+    got = dv._confident(teacher, q, m)
+    expected = confident_setdiff(teacher, q, m)
+    assert np.array_equal(got, expected)
+    assert got.dtype == expected.dtype
 
 
 class TestEntropy:

@@ -36,6 +36,12 @@ class TestAdvantages:
         with pytest.raises(ZeroVariance):
             standardize_advantages([0.5] * 6)
 
+    @pytest.mark.parametrize("value", [0.7, 0.1])
+    def test_equal_rewards_with_nonzero_float_std_raise(self, value):
+        assert np.full(3, value).std() > 0.0  # the float mean is not exactly value
+        with pytest.raises(ZeroVariance):
+            standardize_advantages([value] * 3)
+
     def test_needs_at_least_two(self):
         with pytest.raises(ValueError):
             standardize_advantages([1.0])

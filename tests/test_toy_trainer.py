@@ -37,7 +37,7 @@ from tooltrain.toy_trainer import (
 from tooltrain.chat_format import ToolCall
 from tooltrain.reward import total_reward
 
-from oracles import RecomputingSlotView
+from oracles import RecomputingSlotView, kd_fit_recording
 
 
 def tiny_task() -> ToyTask:
@@ -300,6 +300,23 @@ class TestKdFit:
         a = kd_fit(family, "ckd", steps=50, step_size=0.5, seed=3)
         b = kd_fit(family, "ckd", steps=50, step_size=0.5, seed=3)
         np.testing.assert_array_equal(a.escape_mass, b.escape_mass)
+
+    @pytest.mark.parametrize("kind", dv.KD_LOSS_KINDS)
+    def test_curves_equal_the_recording_pass_oracle(self, kind):
+        rng = np.random.default_rng(8)
+        random_teachers = [dv.topk_of(dv.softmax(rng.normal(size=48) * 3), 5)
+                           for _ in range(4)]
+        for teachers, kwargs in [
+            (adversarial_teacher_family(seed=3), {}),
+            (random_teachers, {"vocab_size": 48, "m": 12, "lambda_tail": 2.0}),
+        ]:
+            for steps in (0, 1, 60):
+                curves = kd_fit(teachers, kind, steps=steps, step_size=0.5, seed=4,
+                                **kwargs)
+                escape, entropy = kd_fit_recording(teachers, kind, steps=steps,
+                                                   step_size=0.5, seed=4, **kwargs)
+                assert np.array_equal(curves.escape_mass, escape)
+                assert np.array_equal(curves.entropy, entropy)
 
     def test_curve_lengths_include_initial_state(self):
         family = adversarial_teacher_family(positions=2)
