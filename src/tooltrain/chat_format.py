@@ -166,10 +166,6 @@ class ParsedGeneration:
     response_text: str
     raw_errors: list[FormatViolation]
 
-    @property
-    def has_calls(self) -> bool:
-        return bool(self.tool_calls)
-
 
 def parse_generation(raw: str) -> ParsedGeneration:
     """Decompose raw template text; never raises.

@@ -150,6 +150,8 @@ def cmd_kd(args: argparse.Namespace) -> int:
     losses, escapes, entropies = [], [], []
     rows = _iter_jsonl(args.input)
     try:
+        if args.k is not None and args.k < 1:
+            raise ValueError(f"k={args.k} must be at least 1")
         header = next(rows, None)
         if header is None or "vocab_size" not in header:
             raise ValueError("first line must be a header with 'vocab_size'")
@@ -239,7 +241,12 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         cfg_data = {}
         if args.config:
             cfg_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        iterations = int(cfg_data.pop("iterations", 500))
+        if not isinstance(cfg_data, dict):
+            raise ValueError("config must be a JSON object")
+        iterations = cfg_data.pop("iterations", 500)
+        if type(iterations) is not int or iterations < 1:  # bool is no count
+            raise ValueError(f"iterations must be an integer of at least 1, "
+                             f"got {iterations!r}")
         if args.epsilon is not None:
             cfg_data["epsilon"] = args.epsilon
         if args.beta is not None:
@@ -254,6 +261,17 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     final = log.trailing_mean_reward(50)
     print(f"final mean reward (trailing 50): {final!r}")
     return EXIT_OK
+
+
+def _numeric_rewards(values: list) -> np.ndarray:
+    """Finite rewards as float64; a JSON bool, string, list or null is no reward."""
+    for value in values:
+        if type(value) not in (int, float):
+            raise ValueError(f"reward {value!r} is not a number")
+    rewards = np.array(values, dtype=np.float64)  # OverflowError past 1e308
+    if not np.isfinite(rewards).all():
+        raise ValueError("rewards must be finite")
+    return rewards
 
 
 def cmd_advantages(args: argparse.Namespace) -> int:
@@ -271,10 +289,13 @@ def cmd_advantages(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_VALIDATION
         try:
-            adv = standardize_advantages(rewards)
+            adv = standardize_advantages(_numeric_rewards(rewards))
         except ZeroVariance:
             out_lines.append(_dump({"prompt_id": pid, "filtered": True}))
             continue
+        except (ValueError, OverflowError) as exc:
+            print(f"error: group {pid!r}: {exc}", file=sys.stderr)
+            return EXIT_IO
         out_lines.append(_dump({"prompt_id": pid, "advantages": adv.tolist()}))
     _write_lines(args.output, out_lines)
     return EXIT_OK

@@ -19,6 +19,8 @@ with respect to the slot tables exact.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -41,6 +43,10 @@ from .toy_task import ToyTask, render_call_text
 OMIT = "<omit>"
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ToyTrainConfig:
     group_size: int = 8
@@ -51,14 +57,25 @@ class ToyTrainConfig:
     reward_mode: str = "sim"  # "sim" or "binary"
 
     def __post_init__(self):
-        if self.group_size < 2:
-            raise ValueError("group_size must be at least 2")
+        if not _is_int(self.group_size) or self.group_size < 2:
+            raise ValueError(f"group_size must be an integer of at least 2, "
+                             f"got {self.group_size!r}")
+        for name in ("learning_rate", "epsilon", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.filter_groups, bool):
+            raise ValueError(f"filter_groups must be a bool, got {self.filter_groups!r}")
         if self.reward_mode not in ("sim", "binary"):
             raise ValueError("reward_mode must be 'sim' or 'binary'")
+        # built here so that its range checks surface with the config's own
+        object.__setattr__(self, "_grpo", GrpoConfig(
+            epsilon=self.epsilon, beta=self.beta,
+            filter_homogeneous=self.filter_groups))
 
     def grpo(self) -> GrpoConfig:
-        return GrpoConfig(epsilon=self.epsilon, beta=self.beta,
-                          filter_homogeneous=self.filter_groups)
+        return self._grpo
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ToyTrainConfig":
@@ -155,8 +172,23 @@ class ToyPolicy:
         return decisions, ToolCall(fdef.name, arguments)
 
     def mean_entropy(self) -> float:
-        return float(np.mean([dv.entropy(dv.softmax(z))
-                              for z in self.tables.values()]))
+        """Mean softmax entropy of the tables, one softmax per table size.
+
+        Bit-identical to the mean of ``dv.entropy(dv.softmax(z))`` over the
+        tables: a row holding an entry that is not positive (an underflowed
+        zero) goes through ``dv.entropy``, which skips such entries.
+        """
+        tables = list(self.tables.values())
+        out = np.empty(len(tables))
+        for size in {z.size for z in tables}:
+            positions = [i for i, z in enumerate(tables) if z.size == size]
+            q = dv.softmax(np.stack([tables[i] for i in positions]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = -np.sum(q * np.log(q), axis=1)
+            for row in np.flatnonzero(~(q > 0).all(axis=1)):
+                h[row] = dv.entropy(q[row])
+            out[positions] = h
+        return float(np.mean(out))
 
 
 def _logsumexp(z: np.ndarray) -> float:
@@ -207,25 +239,39 @@ def render_trajectory(call: ToolCall) -> str:
     return render_call_text("select the matching tool", [call])
 
 
-def _score(task: ToyTask, prompt_id: str, text: str) -> float:
-    return total_reward(text, task.prompt(prompt_id).ground_truth, task.schema).total
+def _scored(task: ToyTask, prompt_id: str, decisions: list[Decision],
+            call: ToolCall, scores: dict) -> tuple[str, float]:
+    """Rendered text and graded reward of a trajectory, memoised in ``scores``.
+
+    The text is a function of the prompt, the decision actions and the task,
+    so the prompt and actions key the memo. The memo must not outlive the
+    call that built it, since a ``ToyTask`` may be edited in place.
+    """
+    key = (prompt_id, tuple(d.action for d in decisions))
+    hit = scores.get(key)
+    if hit is None:
+        text = render_trajectory(call)
+        ground_truth = task.prompt(prompt_id).ground_truth
+        hit = scores[key] = (text, total_reward(text, ground_truth, task.schema).total)
+    return hit
 
 
 def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
-                 rng: np.random.Generator,
-                 reward_mode: str = "sim") -> tuple[RolloutGroup, list[Trajectory]]:
+                 rng: np.random.Generator, reward_mode: str = "sim",
+                 scores: dict | None = None) -> tuple[RolloutGroup, list[Trajectory]]:
     """Sample a rollout group and keep the decision paths for the update.
 
     At sampling time logp_old equals logp_new; logp_ref comes from the frozen
-    initial tables.
+    initial tables. Each distinct trajectory is rendered and scored once per
+    ``scores`` memo (a fresh one per call when None; see ``_scored``).
     """
+    scores = {} if scores is None else scores
     view, ref_view = SlotView(policy.tables), SlotView(policy.ref_tables)
     rollouts = []
     trajectories = []
     for _ in range(group_size):
         decisions, call = policy.sample_trajectory(prompt_id, rng, view)
-        text = render_trajectory(call)
-        graded = _score(policy.task, prompt_id, text)
+        text, graded = _scored(policy.task, prompt_id, decisions, call, scores)
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
         logp = view.logps(decisions)
         rollouts.append(Rollout(logp_new=logp, logp_old=logp.copy(),
@@ -234,14 +280,6 @@ def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
         trajectories.append(Trajectory(decisions=decisions, text=text,
                                        reward=reward, graded_reward=graded))
     return RolloutGroup(prompt_id=prompt_id, rollouts=rollouts), trajectories
-
-
-def rollout(policy: ToyPolicy, prompt_id: str, group_size: int,
-            rng_seed: int) -> RolloutGroup:
-    """Seeded rollout group; byte-identical across repeated invocations."""
-    rng = np.random.default_rng(rng_seed)
-    group, _ = sample_group(policy, prompt_id, group_size, rng)
-    return group
 
 
 @dataclass
@@ -305,10 +343,13 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     rewards, and ascends the clipped objective. Identical (task, cfg, seed)
     reproduce the log exactly.
     """
+    if not _is_int(iterations) or iterations < 0:
+        raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
     rng = np.random.default_rng(seed)
     policy = ToyPolicy(task)
     grpo_cfg = cfg.grpo()
     log = TrainLog()
+    scores: dict = {}  # one memo for the run; see _scored
     for _ in range(iterations):
         samples: list[GroupSample] = []
         graded: list[float] = []
@@ -316,7 +357,8 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
         by_id = {}
         for prompt in task.prompts:
             group, trajectories = sample_group(policy, prompt.prompt_id,
-                                               cfg.group_size, rng, cfg.reward_mode)
+                                               cfg.group_size, rng, cfg.reward_mode,
+                                               scores)
             graded.extend(t.graded_reward for t in trajectories)
             groups.append(group)
             by_id[prompt.prompt_id] = trajectories
@@ -347,12 +389,13 @@ def evaluate_policy(policy: ToyPolicy, task: ToyTask, samples_per_prompt: int,
     """Mean graded reward of freshly sampled trajectories."""
     rng = np.random.default_rng(seed)
     view = SlotView(policy.tables)
-    scores = []
+    scores: dict = {}
+    graded = []
     for prompt in task.prompts:
         for _ in range(samples_per_prompt):
-            _, call = policy.sample_trajectory(prompt.prompt_id, rng, view)
-            scores.append(_score(task, prompt.prompt_id, render_trajectory(call)))
-    return float(np.mean(scores))
+            decisions, call = policy.sample_trajectory(prompt.prompt_id, rng, view)
+            graded.append(_scored(task, prompt.prompt_id, decisions, call, scores)[1])
+    return float(np.mean(graded))
 
 
 # --- distillation-dynamics demo ---------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import tooltrain.divergence as dv
+import tooltrain.toy_trainer as toy_trainer
 from tooltrain.chat_format import (
     THINK_CLOSE,
     THINK_OPEN,
@@ -15,6 +16,8 @@ from tooltrain.chat_format import (
     ToolCall,
     _parse_call_payload,
 )
+from tooltrain.grpo import Rollout, RolloutGroup
+from tooltrain.reward import total_reward
 
 
 def lcs_length_dp(a: list[str], b: list[str]) -> int:
@@ -166,3 +169,30 @@ def kd_fit_recording(teachers: list[dv.TopKDistribution], loss_kind: str,
             logits[row] -= step_size * report.grad
         record(step)
     return escape, ent
+
+
+def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim"):
+    """``toy_trainer.sample_group`` that renders and scores every sampled
+    trajectory, repeats included."""
+    view = toy_trainer.SlotView(policy.tables)
+    ref_view = toy_trainer.SlotView(policy.ref_tables)
+    task = policy.task
+    rollouts = []
+    trajectories = []
+    for _ in range(group_size):
+        decisions, call = policy.sample_trajectory(prompt_id, rng, view)
+        text = toy_trainer.render_trajectory(call)
+        graded = total_reward(text, task.prompt(prompt_id).ground_truth,
+                              task.schema).total
+        reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
+        logp = view.logps(decisions)
+        rollouts.append(Rollout(logp_new=logp, logp_old=logp.copy(),
+                                logp_ref=ref_view.logps(decisions), reward=reward))
+        trajectories.append(toy_trainer.Trajectory(
+            decisions=decisions, text=text, reward=reward, graded_reward=graded))
+    return RolloutGroup(prompt_id=prompt_id, rollouts=rollouts), trajectories
+
+
+def mean_entropy_per_table(policy) -> float:
+    """``ToyPolicy.mean_entropy`` as one softmax and entropy call per table."""
+    return float(np.mean([dv.entropy(dv.softmax(z)) for z in policy.tables.values()]))

@@ -49,6 +49,13 @@ def make_kd_file(path, vocab_size=16, positions=6, seed=0, teacher_equals_studen
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
 
 
+def write_three_entry_teacher(path):
+    rows = [{"version": 1, "vocab_size": 6},
+            {"position_id": "p", "student_logits": [0.5, 0.0, -0.5, 1.0, 0.2, -1.0],
+             "teacher_topk": {"indices": [3, 0, 4], "probs": [0.6, 0.3, 0.05]}}]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+
+
 class TestScore:
     def test_golden_totals(self, score_files, tmp_path, capsys):
         schema_path, input_path = score_files
@@ -461,6 +468,28 @@ class TestKd:
         loss = next(a for a in kd._actions if a.dest == "loss")
         assert tuple(loss.choices) == dv.KD_LOSS_KINDS
 
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_k_below_one_is_format_error(self, k, tmp_path, capsys):
+        inp = tmp_path / "kd.jsonl"
+        write_three_entry_teacher(inp)
+        out = tmp_path / "out.jsonl"
+        assert main(["kd", "--input", str(inp), "--k", str(k),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: k={k} must be at least 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["3", "4"])
+    def test_k_at_or_above_the_entry_count_keeps_every_entry(self, k, tmp_path):
+        inp = tmp_path / "kd.jsonl"
+        write_three_entry_teacher(inp)
+        whole, cut = tmp_path / "whole.jsonl", tmp_path / "cut.jsonl"
+        assert main(["kd", "--input", str(inp), "--output", str(whole)]) == 0
+        assert main(["kd", "--input", str(inp), "--k", k, "--output", str(cut)]) == 0
+        assert cut.read_text() == whole.read_text()
+        # pinned loss of the full three-entry teacher
+        assert json.loads(cut.read_text().splitlines()[0])["loss"] == \
+            2.955288735580854
+
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -561,6 +590,34 @@ class TestTrainToy:
         assert status == 0
 
 
+    @pytest.mark.parametrize("config", [
+        {"epsilon": "x"}, {"learning_rate": "x"}, {"group_size": 2.5},
+        {"iterations": -3}, {"iterations": 0}, {"iterations": 2.5},
+        {"iterations": True}, {"iterations": "5"}, {"epsilon": 0.0},
+        {"beta": -1.0}, {"learning_rate": float("nan")}, {"group_size": True},
+        {"filter_groups": "no"}, [1, 2], "x",
+    ])
+    def test_bad_config_is_format_error(self, config, tmp_path, capsys):
+        task_path = tmp_path / "task.json"
+        save_task(bundled_optional_param_task(), task_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "log.csv"
+        assert main(["train-toy", "--task", str(task_path), "--config",
+                     str(cfg_path), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--beta"])
+    def test_non_finite_flag_is_format_error(self, flag, tmp_path, capsys):
+        task_path = tmp_path / "task.json"
+        save_task(bundled_optional_param_task(), task_path)
+        assert main(["train-toy", "--task", str(task_path), flag, "inf"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestAdvantages:
     def test_closed_form_group(self, tmp_path, capsys):
         inp = tmp_path / "groups.jsonl"
@@ -587,3 +644,23 @@ class TestAdvantages:
         inp = tmp_path / "groups.jsonl"
         inp.write_text(json.dumps({"prompt_id": "g", "rewards": [1]}) + "\n")
         assert main(["advantages", "--input", str(inp)]) == 1
+
+    @pytest.mark.parametrize("rewards, message", [
+        (["x", "y"], "reward 'x' is not a number"),
+        ([1, None], "reward None is not a number"),
+        ([[1], [2]], "reward [1] is not a number"),
+        ([True, False], "reward True is not a number"),
+        ([1.0, float("nan")], "rewards must be finite"),
+        ([1.0, float("inf")], "rewards must be finite"),
+        ([float("-inf"), 0.0], "rewards must be finite"),
+        ([1, 10**400], "int too large to convert to float"),
+    ])
+    def test_non_numeric_rewards_are_format_errors(self, rewards, message,
+                                                    tmp_path, capsys):
+        inp = tmp_path / "groups.jsonl"
+        inp.write_text(json.dumps({"prompt_id": "g", "rewards": [1, 0]}) + "\n"
+                       + json.dumps({"prompt_id": "a", "rewards": rewards}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["advantages", "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: group 'a': {message}\n")
+        assert not out.exists()

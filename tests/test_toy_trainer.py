@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,14 +31,18 @@ from tooltrain.toy_trainer import (
     evaluate_policy,
     kd_fit,
     objective_and_gradient,
-    rollout,
     sample_group,
     train_sim_rl,
 )
 from tooltrain.chat_format import ToolCall
 from tooltrain.reward import total_reward
 
-from oracles import RecomputingSlotView, kd_fit_recording
+from oracles import (
+    RecomputingSlotView,
+    kd_fit_recording,
+    mean_entropy_per_table,
+    sample_group_unmemoised,
+)
 
 
 def tiny_task() -> ToyTask:
@@ -116,8 +121,8 @@ class TestRollouts:
     def test_seeded_rollout_reproducible(self):
         task = bundled_default_task()
         policy = ToyPolicy(task)
-        a = rollout(policy, "p0", 8, rng_seed=5)
-        b = rollout(policy, "p0", 8, rng_seed=5)
+        a = sample_group(policy, "p0", 8, np.random.default_rng(5))[0]
+        b = sample_group(policy, "p0", 8, np.random.default_rng(5))[0]
         assert [r.reward for r in a.rollouts] == [r.reward for r in b.rollouts]
         for ra, rb in zip(a.rollouts, b.rollouts):
             np.testing.assert_array_equal(ra.logp_new, rb.logp_new)
@@ -127,7 +132,7 @@ class TestRollouts:
         policy = ToyPolicy(task)
         policy.tables[("t0", "fn")][0] = 1e3
         policy.tables[("t0", "arg", "f1", "a")][0] = 1e3
-        group = rollout(policy, "t0", 8, rng_seed=1)
+        group = sample_group(policy, "t0", 8, np.random.default_rng(1))[0]
         rewards = group.rewards()
         assert rewards.min() == rewards.max() == 1.0
 
@@ -147,7 +152,7 @@ class TestRollouts:
         policy = ToyPolicy(task)
         # single-entry drift: a whole-row shift would be softmax-invariant
         policy.tables[("t0", "fn")][0] += 1.5
-        group = rollout(policy, "t0", 4, rng_seed=3)
+        group = sample_group(policy, "t0", 4, np.random.default_rng(3))[0]
         for r in group.rollouts:
             np.testing.assert_array_equal(r.logp_new, r.logp_old)
             assert not np.allclose(r.logp_new[0], r.logp_ref[0])
@@ -195,6 +200,110 @@ class TestSlotView:
         for key, table in policy.tables.items():
             np.testing.assert_array_equal(table, oracle_policy.tables[key])
         assert score == evaluate_policy(oracle_policy, task, 16, seed=1)
+
+
+def train_unmemoised(task, cfg, iterations, seed, monkeypatch, keys=None):
+    """``train_sim_rl`` through the unmemoised oracles; ``keys`` collects each
+    sampled trajectory's (prompt, actions) memo key."""
+    def sample_group(policy, prompt_id, group_size, rng, reward_mode, scores):
+        group, trajectories = sample_group_unmemoised(policy, prompt_id,
+                                                      group_size, rng, reward_mode)
+        if keys is not None:
+            keys.update((prompt_id, tuple(d.action for d in t.decisions))
+                        for t in trajectories)
+        return group, trajectories
+
+    with monkeypatch.context() as patch:
+        patch.setattr(toy_trainer, "sample_group", sample_group)
+        patch.setattr(ToyPolicy, "mean_entropy", mean_entropy_per_table)
+        return train_sim_rl(task, cfg, iterations, seed)
+
+
+def evaluate_unmemoised(policy, task, samples_per_prompt, seed):
+    rng = np.random.default_rng(seed)
+    view = SlotView(policy.tables)
+    graded = []
+    for prompt in task.prompts:
+        for _ in range(samples_per_prompt):
+            _, call = policy.sample_trajectory(prompt.prompt_id, rng, view)
+            text = toy_trainer.render_trajectory(call)
+            graded.append(total_reward(text, prompt.ground_truth, task.schema).total)
+    return float(np.mean(graded))
+
+
+@st.composite
+def table_families(draw):
+    """1-12 tables of 1-20 entries, logits scaled up to 800 so rows underflow."""
+    tables = []
+    for _ in range(draw(st.integers(1, 12))):
+        size = draw(st.integers(1, 20))
+        z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size,
+                                   max_size=size)))
+        tables.append(z * draw(st.sampled_from([1.0, 10.0, 100.0, 800.0])))
+    return tables
+
+
+class TestScoreMemo:
+    @pytest.mark.parametrize("make_task", [bundled_default_task,
+                                           bundled_optional_param_task])
+    @pytest.mark.parametrize("mode", ["sim", "binary"])
+    @pytest.mark.parametrize("group_size", [4, 8])
+    @pytest.mark.parametrize("filter_groups", [True, False])
+    def test_training_equals_the_unmemoised_oracle_path(
+            self, make_task, mode, group_size, filter_groups, monkeypatch):
+        task = make_task()
+        cfg = ToyTrainConfig(group_size=group_size, reward_mode=mode,
+                             filter_groups=filter_groups)
+        policy, log = train_sim_rl(task, cfg, iterations=40, seed=group_size)
+        oracle_policy, oracle_log = train_unmemoised(task, cfg, 40, group_size,
+                                                     monkeypatch)
+        for name in ("mean_reward", "mean_entropy", "filtered_fraction"):
+            assert np.array_equal(getattr(log, name), getattr(oracle_log, name))
+        for key, table in policy.tables.items():
+            assert np.array_equal(table, oracle_policy.tables[key])
+        assert evaluate_policy(policy, task, 16, seed=1) == \
+            evaluate_unmemoised(oracle_policy, task, 16, seed=1)
+
+    def test_each_distinct_trajectory_is_scored_once_per_run(self, monkeypatch):
+        task, cfg = bundled_default_task(), ToyTrainConfig()
+        keys = set()
+        train_unmemoised(task, cfg, 500, 0, monkeypatch, keys)
+        calls = []
+
+        def counting_total_reward(*args, **kwargs):
+            calls.append(args[:2])  # (text, ground truth)
+            return total_reward(*args, **kwargs)
+
+        monkeypatch.setattr(toy_trainer, "total_reward", counting_total_reward)
+        train_sim_rl(task, cfg, 500, 0)
+        assert len(calls) == len(keys) < 500 * len(task.prompts) * cfg.group_size
+        assert len(set(calls)) == len(calls)
+
+    def test_group_without_memo_dedups_within_the_group(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(toy_trainer, "total_reward",
+                            lambda *a: calls.append(a) or total_reward(*a))
+        task = tiny_task()
+        _, trajectories = sample_group(ToyPolicy(task), "t0", 64,
+                                       np.random.default_rng(0))
+        # f1 takes a in {1, 2}; f2 takes b in {x, y} or omits it
+        assert len(calls) == len({t.text for t in trajectories}) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=table_families())
+    def test_batched_entropy_equals_per_table_entropy(self, tables):
+        policy = ToyPolicy(tiny_task())
+        policy.tables = dict(enumerate(tables))
+        expected = float(np.mean([dv.entropy(dv.softmax(z)) for z in tables]))
+        assert np.array_equal(policy.mean_entropy(), expected)
+
+    def test_batched_entropy_on_underflowed_rows(self):
+        rows = [np.array([0.0, -800.0, 3.0, 1.0, -900.0, 2.0, 0.5, 0.25, 7.0]),
+                np.arange(9) * 100.0, np.linspace(-1, 1, 9)]
+        policy = ToyPolicy(tiny_task())
+        policy.tables = dict(enumerate(rows))
+        assert np.array_equal(policy.mean_entropy(),
+                              mean_entropy_per_table(policy))
 
 
 class TestPolicyGradient:
@@ -285,6 +394,39 @@ class TestTraining:
         policy, _ = train_sim_rl(task, ToyTrainConfig(), iterations=30, seed=1)
         score = evaluate_policy(policy, task, samples_per_prompt=64, seed=0)
         assert 0.0 <= score <= 1.0
+
+
+class TestToyTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("group_size", 2.5), ("group_size", True), ("group_size", "8"),
+        ("learning_rate", "x"), ("learning_rate", True), ("epsilon", "x"),
+        ("epsilon", None), ("beta", [0.1]), ("filter_groups", 1),
+        ("filter_groups", "yes"),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ToyTrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("group_size", 1), ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", math.inf),
+        ("beta", -1e-3), ("beta", math.nan), ("reward_mode", "graded"),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ToyTrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("iterations", [-3, 2.5, True, "5"])
+    def test_train_rejects_bad_iterations(self, iterations):
+        with pytest.raises(ValueError, match="iterations"):
+            train_sim_rl(tiny_task(), ToyTrainConfig(), iterations, seed=0)
+
+    def test_grpo_config_is_built_once(self):
+        cfg = ToyTrainConfig(epsilon=0.3, beta=0.0, filter_groups=False)
+        assert cfg.grpo() is cfg.grpo()
+        assert (cfg.grpo().epsilon, cfg.grpo().beta,
+                cfg.grpo().filter_homogeneous) == (0.3, 0.0, False)
+        assert ToyTrainConfig(group_size=np.int64(4)).group_size == 4
 
 
 class TestTrainLog:
