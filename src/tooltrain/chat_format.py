@@ -79,10 +79,6 @@ class ToolSchema:
     def get(self, name: str) -> FunctionDef | None:
         return self._by_name.get(name)
 
-    @property
-    def function_names(self) -> list[str]:
-        return [f.name for f in self.functions]
-
     @classmethod
     def from_dict(cls, data: Any) -> "ToolSchema":
         """Build a schema from parsed JSON.

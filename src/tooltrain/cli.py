@@ -57,10 +57,6 @@ def _iter_jsonl(path: str):
                 yield obj
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    return list(_iter_jsonl(path))
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
@@ -92,7 +88,7 @@ def _load_schema_ref(ref, base_schema: ToolSchema | None,
 
 def cmd_score(args: argparse.Namespace) -> int:
     try:
-        records = _read_jsonl(args.input)
+        records = list(_iter_jsonl(args.input))
         base_schema = None
         if args.schema:
             base_schema = ToolSchema.from_json(
@@ -276,7 +272,7 @@ def _numeric_rewards(values: list) -> np.ndarray:
 
 def cmd_advantages(args: argparse.Namespace) -> int:
     try:
-        records = _read_jsonl(args.input)
+        records = list(_iter_jsonl(args.input))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -24,11 +24,19 @@ T = sum of q over J'_m, S = sum over I_k of q_i * (log(q_i/p_i) + 1)):
 
 and the composites add linearly. Every gradient sums to zero over the
 vocabulary because each loss depends on z only through the softmax.
+
+One body computes every loss on N stacked positions: teacher indices and
+probabilities (N, k) and student logits (N, V) give per-row losses, the
+(N, V) gradient and per-row aux: ``escape_mass``, ``entropy``, ``kl_part``,
+``tail_part`` and ``confident_size`` (|J'_m|, 0 without a tail term). The
+public kernels are its one-row calls and ``LOSSES[name].rows`` its batched
+entry; row r of a batch equals the one-row call on row r bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,23 +106,44 @@ def entropy(q: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
+def _row_sums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Row sums of ``terms`` over its ``live`` entries. A row with a dead entry
+    sums its live ones packed together, as the 1-d masked sum does; a zero
+    left in place would change numpy's pairwise summation order."""
+    sums = terms.sum(axis=1)
+    for row in np.flatnonzero(~live.all(axis=1)):
+        sums[row] = terms[row][live[row]].sum()
+    return sums
+
+
+def entropy_rows(q: np.ndarray) -> np.ndarray:
+    """``entropy`` of each row of a 2-d stack, bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = q * np.log(q)
+    return -(terms.sum(axis=1) if q.min() > 0 else _row_sums(terms, q > 0))
+
+
 # Up to this size a full sort of the vector beats selecting the top k first.
 FULL_SORT_MAX_SIZE = 256
 
 
 def topk_indices(p: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries, ties broken toward lower index.
+    """Indices of the k largest entries along the last axis, ties broken
+    toward lower index.
 
-    Exactly ``np.argsort(-p, kind="stable")[:k]``, in O(V + k log k) above
-    ``FULL_SORT_MAX_SIZE`` entries.
+    Exactly ``np.argsort(-p, axis=-1, kind="stable")[..., :k]``, in
+    O(V + k log k) per row above ``FULL_SORT_MAX_SIZE`` entries.
     """
     p = np.asarray(p)
-    if not 1 <= k <= p.size:
-        raise ValueError(f"k={k} out of range for size {p.size}")
-    neg = -p.ravel()
-    if neg.size <= FULL_SORT_MAX_SIZE:
-        return np.argsort(neg, kind="stable")[:k]
-    return _select_smallest(neg, k)
+    size = p.shape[-1]
+    if not 1 <= k <= size:
+        raise ValueError(f"k={k} out of range for size {size}")
+    neg = -p
+    if size <= FULL_SORT_MAX_SIZE:
+        return np.argsort(neg, axis=-1, kind="stable")[..., :k]
+    if neg.ndim == 1:
+        return _select_smallest(neg, k)
+    return np.stack([_select_smallest(row, k) for row in neg])
 
 
 def _select_smallest(neg: np.ndarray, k: int) -> np.ndarray:
@@ -139,93 +168,134 @@ def topk_of(p: np.ndarray, k: int) -> TopKDistribution:
 
 @dataclass
 class LossReport:
+    """Loss, gradient and diagnostics at one position, or row-wise at N."""
+
     loss: float
     grad: np.ndarray
     aux: dict[str, float]
 
 
-def _fkl(teacher: TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:
-    p = teacher.probs
-    q_top = q[teacher.indices]
-    if np.any(q_top == 0.0):
-        dead = teacher.indices[q_top == 0.0]
-        raise DegenerateStudent(
-            f"student probability underflowed at top-k indices {dead.tolist()}")
-    grad = q * p.sum()
-    grad[teacher.indices] -= p
-    live = p > 0.0  # 0 * log 0 is taken at its limit, 0
-    return float(np.sum(p[live] * (np.log(p[live]) - np.log(q_top[live])))), grad
+def _check_live(dead: np.ndarray, indices: np.ndarray, error: type, what: str) -> None:
+    if dead.any():
+        r = dead.any(axis=1).argmax()  # the first row with a dead entry
+        raise error(f"{what} at top-k indices {indices[r][dead[r]].tolist()}")
 
 
-def _rkl(teacher: TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:
-    p = teacher.probs
-    if np.any(p == 0.0):
-        dead = teacher.indices[p == 0.0]
-        raise DegenerateTeacher(
-            f"teacher probability is zero at top-k indices {dead.tolist()}")
-    q_top = q[teacher.indices]
+def _fkl(indices, p, q, q_top, rows) -> tuple[np.ndarray, np.ndarray]:
+    _check_live(q_top == 0.0, indices, DegenerateStudent,
+                "student probability underflowed")
+    grad = q * p.sum(axis=1, keepdims=True)
+    grad[rows, indices] -= p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * (np.log(p) - np.log(q_top))
+    return _row_sums(terms, p > 0.0), grad  # 0 * log 0 is taken at its limit, 0
+
+
+def _rkl(indices, p, q, q_top, rows) -> tuple[np.ndarray, np.ndarray]:
+    _check_live(p == 0.0, indices, DegenerateTeacher, "teacher probability is zero")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(q_top / p)
+        terms = q_top * log_ratio
     live = q_top > 0.0
-    ratio_term = np.zeros_like(q_top)
-    ratio_term[live] = np.log(q_top[live] / p[live]) + 1.0
-    grad = -q * float(np.sum(q_top * ratio_term))
-    grad[teacher.indices] += q_top * ratio_term
-    return float(np.sum(q_top[live] * np.log(q_top[live] / p[live]))), grad
+    ratio_term = np.where(live, log_ratio + 1.0, 0.0)
+    grad = q * -np.sum(q_top * ratio_term, axis=1, keepdims=True)
+    grad[rows, indices] += q_top * ratio_term
+    return _row_sums(terms, live), grad
 
 
-def _confident(teacher: TopKDistribution, q: np.ndarray, m: int) -> np.ndarray:
-    """J'_m: the student's top-m indices outside I_k, in top-m order."""
+def _confident(indices: np.ndarray, q: np.ndarray,
+               m: int) -> tuple[np.ndarray, np.ndarray]:
+    """J'_m, the student's top-m indices outside I_k, as (row, index) pairs
+    in row order and, within a row, in top-m order."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    top = student_topm(q, m)
-    endorsed = np.zeros(q.size, dtype=bool)
-    endorsed[teacher.indices] = True
-    return top[~endorsed[top]]
+    top = topk_indices(q, m)
+    rows = np.arange(len(q))[:, None]
+    endorsed = np.zeros(q.shape, dtype=bool)
+    endorsed[rows, indices] = True
+    r, j = np.nonzero(~endorsed[rows, top])
+    return r, top[r, j]
 
 
-def _tail(teacher: TopKDistribution, q: np.ndarray,
-          m: int) -> tuple[float, np.ndarray]:
-    confident = _confident(teacher, q, m)
-    tail_mass = float(q[confident].sum()) if confident.size else 0.0
-    grad = -q * tail_mass
-    grad[confident] += q[confident]
-    return tail_mass, grad
+def _tail(indices, q, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows, cols = _confident(indices, q, m)
+    mass_at = q[rows, cols]
+    size = np.bincount(rows, minlength=len(q))
+    ends = np.cumsum(size).tolist()  # J'_m differs in size between rows: sum each alone
+    tail_mass = np.array([mass_at[a:b].sum() for a, b in zip([0] + ends, ends)])
+    grad = q * -tail_mass[:, None]  # (-q) * T without a full-size -q
+    grad[rows, cols] += mass_at
+    return tail_mass, grad, size
 
 
-def _kernel(teacher: TopKDistribution, student_logits: np.ndarray, kl=None,
-            m: int | None = None, lambda_tail: float = 1.0) -> LossReport:
-    """Body of every public kernel: validate, take the call's one softmax and
-    return ``kl + lambda_tail * tail`` in loss and gradient. ``kl`` is
-    ``_fkl``, ``_rkl`` or None; the tail term is present when ``m`` is given."""
+def _rows(indices: np.ndarray, probs: np.ndarray, student_logits: np.ndarray,
+          kl=None, m: int | None = None, lambda_tail: float = 1.0) -> LossReport:
+    """Body of every kernel: ``kl + lambda_tail * tail`` at N positions, from
+    teacher indices and probabilities (N, k) and student logits (N, V), with
+    one softmax. ``kl`` is ``_fkl``, ``_rkl`` or None; the tail term is present
+    when ``m`` is given. Each row equals the body on that row alone, bit for
+    bit: numpy reduces a row as it reduces a 1-d vector, and sums over sets
+    whose size differs between rows are taken row by row."""
     if lambda_tail < 0:
         raise ValueError("lambda_tail must be non-negative")
     z = np.asarray(student_logits, dtype=np.float64)
-    if z.ndim != 1:
+    if z.ndim != 2:  # a stack of single positions' vectors
         raise ValueError("student logits must be a 1-d vector")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("student logits must be finite")
-    if teacher.indices.max() >= z.size:
-        raise IndexError(
-            f"teacher index {int(teacher.indices.max())} out of bounds "
-            f"for vocabulary of size {z.size}")
+    top = indices.max(axis=1)
+    if (top >= z.shape[1]).any():
+        raise IndexError(f"teacher index {int(top[top >= z.shape[1]][0])} out of bounds "
+                         f"for vocabulary of size {z.shape[1]}")
     q = softmax(z)
-    loss, grad = kl(teacher, q) if kl is not None else (0.0, 0.0)
-    kl_part, tail_part = loss, 0.0
+    rows = np.arange(len(q))[:, None]
+    q_top = q[rows, indices]
+    loss, grad = kl(indices, probs, q, q_top, rows) if kl else (np.zeros(len(q)), 0.0)
+    kl_part, tail_part, size = loss, np.zeros(len(q)), np.zeros(len(q))
     if m is not None:
-        tail_part, tail_grad = _tail(teacher, q, m)
+        tail_part, tail_grad, size = _tail(indices, q, m)
         loss, grad = loss + lambda_tail * tail_part, grad + lambda_tail * tail_grad
-    aux = {"escape_mass": float(1.0 - q[teacher.indices].sum()), "entropy": entropy(q),
-           "kl_part": kl_part, "tail_part": tail_part}
+    aux = {"escape_mass": 1.0 - q_top.sum(axis=1), "entropy": entropy_rows(q),
+           "kl_part": kl_part, "tail_part": tail_part, "confident_size": size}
     return LossReport(loss=loss, grad=grad, aux=aux)
+
+
+class LossKind(NamedTuple):
+    """An entry of ``LOSSES``: its public kernel at one position, and the
+    terms of ``kl + lambda_tail * tail`` for the body at many."""
+
+    kernel: Callable  # f(teacher, student_logits, m, lambda_tail)
+    kl: Callable | None = None
+    tail: bool = False
+
+    def __call__(self, teacher, student_logits, m, lambda_tail) -> LossReport:
+        return self.kernel(teacher, student_logits, m, lambda_tail)
+
+    def rows(self, indices, probs, student_logits, m, lambda_tail) -> LossReport:
+        """The loss at N positions: teacher indices and probabilities (N, k),
+        student logits (N, V). It raises what one-row calls in row order would."""
+        weighted = self.kl is not None and self.tail  # only composites take lambda
+        terms = self.kl, m if self.tail else None, lambda_tail if weighted else 1.0
+        try:
+            return _rows(indices, probs, student_logits, *terms)
+        except (ValueError, IndexError):
+            # a later row may fail an earlier check than the first failing row
+            # does; alone, that row raises its own (the last row's is this one)
+            for r in range(len(indices) - 1):
+                _rows(indices[r:r + 1], probs[r:r + 1], student_logits[r:r + 1], *terms)
+            raise
+
+    def row(self, teacher, student_logits, m, lambda_tail) -> LossReport:
+        """The loss at one position: ``rows`` on a single row."""
+        z = np.asarray(student_logits, dtype=np.float64)[None]
+        report = self.rows(teacher.indices[None], teacher.probs[None], z, m, lambda_tail)
+        return LossReport(loss=float(report.loss[0]), grad=report.grad[0],
+                          aux={key: float(value[0]) for key, value in report.aux.items()})
 
 
 def fkl_topk(teacher: TopKDistribution, student_logits: np.ndarray) -> LossReport:
     """Forward KL restricted to the teacher's top-k set."""
-    return _kernel(teacher, student_logits, _fkl)
-
-
-def student_topm(q: np.ndarray, m: int) -> np.ndarray:
-    """The student's own top-m index set (ties toward lower index)."""
-    return topk_indices(q, m)
+    return LOSSES["fkl"].row(teacher, student_logits, None, 1.0)
 
 
 def tail_penalty(teacher: TopKDistribution, student_logits: np.ndarray,
@@ -235,7 +305,7 @@ def tail_penalty(teacher: TopKDistribution, student_logits: np.ndarray,
     J'_m is held fixed under differentiation, mirroring the treatment of the
     teacher's index set.
     """
-    return _kernel(teacher, student_logits, m=m)
+    return LOSSES["tail"].row(teacher, student_logits, m, 1.0)
 
 
 def ckd_loss(teacher: TopKDistribution, student_logits: np.ndarray,
@@ -250,7 +320,7 @@ def ckd_loss(teacher: TopKDistribution, student_logits: np.ndarray,
     * j in J'_m:           q_j * (P + lambda * (1 - T))
     * all other j:         q_j * (P - lambda * T)
     """
-    return _kernel(teacher, student_logits, _fkl, m, lambda_tail)
+    return LOSSES["ckd"].row(teacher, student_logits, m, lambda_tail)
 
 
 def rkl_topk_masked(teacher: TopKDistribution,
@@ -262,7 +332,7 @@ def rkl_topk_masked(teacher: TopKDistribution,
     prone. Entries where q_i has underflowed contribute their limit value of
     zero.
     """
-    return _kernel(teacher, student_logits, _rkl)
+    return LOSSES["rkl"].row(teacher, student_logits, None, 1.0)
 
 
 def rkl_topk_stabilized(teacher: TopKDistribution, student_logits: np.ndarray,
@@ -275,18 +345,19 @@ def rkl_topk_stabilized(teacher: TopKDistribution, student_logits: np.ndarray,
     receive a larger gradient than any top-k logit, which removes the masked
     objective's incentive to push mass outside the teacher's top-k set.
     """
-    return _kernel(teacher, student_logits, _rkl, m, lambda_tail)
+    return LOSSES["rkl-stab"].row(teacher, student_logits, m, lambda_tail)
 
 
 # Every caller selects a kernel by name here, as f(teacher, student_logits, m,
-# lambda_tail). The lambdas look kernels up at call time, so a wrapper set on
-# a module attribute sees every call.
+# lambda_tail) at one position or ``.rows`` at many. The lambdas look kernels
+# up at call time, so a wrapper set on a module attribute sees every call.
 LOSSES = {
-    "fkl": lambda t, z, m, lam: fkl_topk(t, z),
-    "tail": lambda t, z, m, lam: tail_penalty(t, z, m),
-    "ckd": lambda t, z, m, lam: ckd_loss(t, z, m, lam),
-    "rkl": lambda t, z, m, lam: rkl_topk_masked(t, z),
-    "rkl-stab": lambda t, z, m, lam: rkl_topk_stabilized(t, z, m, lam),
+    "fkl": LossKind(lambda t, z, m, lam: fkl_topk(t, z), _fkl),
+    "tail": LossKind(lambda t, z, m, lam: tail_penalty(t, z, m), tail=True),
+    "ckd": LossKind(lambda t, z, m, lam: ckd_loss(t, z, m, lam), _fkl, tail=True),
+    "rkl": LossKind(lambda t, z, m, lam: rkl_topk_masked(t, z), _rkl),
+    "rkl-stab": LossKind(lambda t, z, m, lam: rkl_topk_stabilized(t, z, m, lam), _rkl,
+                         tail=True),
 }
 
 # The training objectives among them (the tail penalty alone is not one).

@@ -58,10 +58,6 @@ class Rollout:
         if not np.isfinite((self.logp_new, self.logp_old, self.logp_ref)).all():
             raise ValueError("log-probabilities must be finite")
 
-    @property
-    def num_tokens(self) -> int:
-        return int(self.logp_new.size)
-
 
 @dataclass
 class RolloutGroup:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -79,8 +81,10 @@ class ToyTrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ToyTrainConfig":
-        known = set(cls.__dataclass_fields__)
-        return cls(**{k: v for k, v in data.items() if k in known})
+        unknown = sorted(repr(key) for key in set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**data)
 
 
 @dataclass
@@ -172,22 +176,14 @@ class ToyPolicy:
         return decisions, ToolCall(fdef.name, arguments)
 
     def mean_entropy(self) -> float:
-        """Mean softmax entropy of the tables, one softmax per table size.
-
-        Bit-identical to the mean of ``dv.entropy(dv.softmax(z))`` over the
-        tables: a row holding an entry that is not positive (an underflowed
-        zero) goes through ``dv.entropy``, which skips such entries.
-        """
+        """Mean softmax entropy of the tables, one softmax per table size;
+        bit-identical to the mean of ``dv.entropy(dv.softmax(z))`` over them."""
         tables = list(self.tables.values())
         out = np.empty(len(tables))
         for size in {z.size for z in tables}:
             positions = [i for i, z in enumerate(tables) if z.size == size]
             q = dv.softmax(np.stack([tables[i] for i in positions]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = -np.sum(q * np.log(q), axis=1)
-            for row in np.flatnonzero(~(q > 0).all(axis=1)):
-                h[row] = dv.entropy(q[row])
-            out[positions] = h
+            out[positions] = dv.entropy_rows(q)
         return float(np.mean(out))
 
 
@@ -444,27 +440,32 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
     logits = rng.normal(size=(len(teachers), vocab_size))
     escape = np.zeros(steps + 1)
     ent = np.zeros(steps + 1)
+    loss = dv.LOSSES[loss_kind]
+    # one block of stacked teachers when all share k, else a block per position
+    cuts = [0, len(teachers)] if len({t.k for t in teachers}) == 1 \
+        else range(len(teachers) + 1)
+    blocks = [(slice(a, b), np.stack([t.indices for t in teachers[a:b]]),
+               np.stack([t.probs for t in teachers[a:b]]))
+              for a, b in zip(cuts, cuts[1:])]
 
-    def record(step: int) -> None:
-        e_sum = h_sum = 0.0
-        for teacher, z in zip(teachers, logits):
-            q = dv.softmax(z)
-            e_sum += 1.0 - q[teacher.indices].sum()
-            h_sum += dv.entropy(q)
-        escape[step] = e_sum / len(teachers)
-        ent[step] = h_sum / len(teachers)
-
-    for step in range(steps):
-        e_sum = h_sum = 0.0
-        for row, teacher in enumerate(teachers):
-            # aux holds the softmax statistics of the logits before this step
-            report = dv.LOSSES[loss_kind](teacher, logits[row], m, lambda_tail)
-            e_sum += report.aux["escape_mass"]
-            h_sum += report.aux["entropy"]
-            logits[row] -= step_size * report.grad
-        escape[step] = e_sum / len(teachers)
-        ent[step] = h_sum / len(teachers)
-    record(steps)
+    for step in range(steps + 1):
+        escapes, entropies = [], []
+        for rows, indices, probs in blocks:
+            if step < steps:
+                # aux holds the softmax statistics of the logits before this step
+                report = loss.rows(indices, probs, logits[rows], m, lambda_tail)
+                logits[rows] -= step_size * report.grad
+                e, h = report.aux["escape_mass"], report.aux["entropy"]
+            else:
+                q = dv.softmax(logits[rows])
+                e = 1.0 - np.take_along_axis(q, indices, axis=1).sum(axis=1)
+                h = dv.entropy_rows(q)
+            escapes += e.tolist()
+            entropies += h.tolist()
+        # a running sum left to right: from Python 3.12 the builtin sum()
+        # compensates rounding, which would change the curves
+        escape[step] = reduce(add, escapes, 0.0) / len(escapes)
+        ent[step] = reduce(add, entropies, 0.0) / len(entropies)
     return KdCurves(escape_mass=escape, entropy=ent)
 
 

@@ -139,15 +139,97 @@ def topk_indices_argsort(p: np.ndarray, k: int) -> np.ndarray:
 
 def confident_setdiff(teacher: dv.TopKDistribution, q: np.ndarray, m: int) -> np.ndarray:
     """J'_m as ``setdiff1d`` of the student's top-m and the teacher's indices."""
-    return np.setdiff1d(dv.student_topm(q, m), teacher.indices, assume_unique=True)
+    return np.setdiff1d(topk_indices_argsort(q, m), teacher.indices, assume_unique=True)
+
+
+# --- the per-row divergence body -------------------------------------------
+
+def _fkl_per_row(teacher: dv.TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:
+    p = teacher.probs
+    q_top = q[teacher.indices]
+    if np.any(q_top == 0.0):
+        dead = teacher.indices[q_top == 0.0]
+        raise dv.DegenerateStudent(
+            f"student probability underflowed at top-k indices {dead.tolist()}")
+    grad = q * p.sum()
+    grad[teacher.indices] -= p
+    live = p > 0.0  # 0 * log 0 is taken at its limit, 0
+    return float(np.sum(p[live] * (np.log(p[live]) - np.log(q_top[live])))), grad
+
+
+def _rkl_per_row(teacher: dv.TopKDistribution, q: np.ndarray) -> tuple[float, np.ndarray]:
+    p = teacher.probs
+    if np.any(p == 0.0):
+        dead = teacher.indices[p == 0.0]
+        raise dv.DegenerateTeacher(
+            f"teacher probability is zero at top-k indices {dead.tolist()}")
+    q_top = q[teacher.indices]
+    live = q_top > 0.0
+    ratio_term = np.zeros_like(q_top)
+    ratio_term[live] = np.log(q_top[live] / p[live]) + 1.0
+    grad = -q * float(np.sum(q_top * ratio_term))
+    grad[teacher.indices] += q_top * ratio_term
+    return float(np.sum(q_top[live] * np.log(q_top[live] / p[live]))), grad
+
+
+def _tail_per_row(teacher: dv.TopKDistribution, q: np.ndarray,
+                  m: int) -> tuple[float, np.ndarray]:
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    top = topk_indices_argsort(q, m)
+    endorsed = np.zeros(q.size, dtype=bool)
+    endorsed[teacher.indices] = True
+    confident = top[~endorsed[top]]
+    tail_mass = float(q[confident].sum()) if confident.size else 0.0
+    grad = -q * tail_mass
+    grad[confident] += q[confident]
+    return tail_mass, grad
+
+
+def kernel_per_row(teacher: dv.TopKDistribution, student_logits: np.ndarray, kl=None,
+                   m: int | None = None, lambda_tail: float = 1.0) -> dv.LossReport:
+    """The divergence kernels one position at a time, with masked 1-d sums:
+    ``kl + lambda_tail * tail`` where ``kl`` is ``_fkl_per_row``,
+    ``_rkl_per_row`` or None and the tail term is present when ``m`` is given.
+    Its aux has no ``confident_size``."""
+    if lambda_tail < 0:
+        raise ValueError("lambda_tail must be non-negative")
+    z = np.asarray(student_logits, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError("student logits must be a 1-d vector")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("student logits must be finite")
+    if teacher.indices.max() >= z.size:
+        raise IndexError(
+            f"teacher index {int(teacher.indices.max())} out of bounds "
+            f"for vocabulary of size {z.size}")
+    q = dv.softmax(z)
+    loss, grad = kl(teacher, q) if kl is not None else (0.0, 0.0)
+    kl_part, tail_part = loss, 0.0
+    if m is not None:
+        tail_part, tail_grad = _tail_per_row(teacher, q, m)
+        loss, grad = loss + lambda_tail * tail_part, grad + lambda_tail * tail_grad
+    aux = {"escape_mass": float(1.0 - q[teacher.indices].sum()), "entropy": dv.entropy(q),
+           "kl_part": kl_part, "tail_part": tail_part}
+    return dv.LossReport(loss=loss, grad=grad, aux=aux)
+
+
+# ``divergence.LOSSES`` on ``kernel_per_row``, called the same way.
+LOSSES_PER_ROW = {
+    "fkl": lambda t, z, m, lam: kernel_per_row(t, z, _fkl_per_row),
+    "tail": lambda t, z, m, lam: kernel_per_row(t, z, m=m),
+    "ckd": lambda t, z, m, lam: kernel_per_row(t, z, _fkl_per_row, m, lam),
+    "rkl": lambda t, z, m, lam: kernel_per_row(t, z, _rkl_per_row),
+    "rkl-stab": lambda t, z, m, lam: kernel_per_row(t, z, _rkl_per_row, m, lam),
+}
 
 
 def kd_fit_recording(teachers: list[dv.TopKDistribution], loss_kind: str,
                      steps: int, step_size: float, seed: int, vocab_size: int = 32,
                      m: int = 8, lambda_tail: float = dv.DEFAULT_LAMBDA_TAIL):
-    """``toy_trainer.kd_fit`` with a separate softmax pass over every row
-    after each step to record the curves, rather than reading the kernels'
-    ``aux``."""
+    """``toy_trainer.kd_fit`` one position at a time through ``kernel_per_row``,
+    with a separate softmax pass over every row after each step to record the
+    curves, rather than reading the kernels' ``aux``."""
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(len(teachers), vocab_size))
     escape = np.zeros(steps + 1)
@@ -165,7 +247,7 @@ def kd_fit_recording(teachers: list[dv.TopKDistribution], loss_kind: str,
     record(0)
     for step in range(1, steps + 1):
         for row, teacher in enumerate(teachers):
-            report = dv.LOSSES[loss_kind](teacher, logits[row], m, lambda_tail)
+            report = LOSSES_PER_ROW[loss_kind](teacher, logits[row], m, lambda_tail)
             logits[row] -= step_size * report.grad
         record(step)
     return escape, ent

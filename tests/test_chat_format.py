@@ -229,7 +229,7 @@ class TestSchema:
                 "p": {"description": "", "type": "str", "default": "05"}}},
         ])
         schema = ToolSchema.from_json(text)
-        assert schema.function_names == ["a", "b"]
+        assert [f.name for f in schema.functions] == ["a", "b"]
         assert schema.get("b").parameters["p"].has_default
 
     def test_default_absent_vs_present(self):

@@ -595,7 +595,7 @@ class TestTrainToy:
         {"iterations": -3}, {"iterations": 0}, {"iterations": 2.5},
         {"iterations": True}, {"iterations": "5"}, {"epsilon": 0.0},
         {"beta": -1.0}, {"learning_rate": float("nan")}, {"group_size": True},
-        {"filter_groups": "no"}, [1, 2], "x",
+        {"filter_groups": "no"}, [1, 2], "x", {"iterations": 3, "learnig_rate": 0.0},
     ])
     def test_bad_config_is_format_error(self, config, tmp_path, capsys):
         task_path = tmp_path / "task.json"

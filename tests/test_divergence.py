@@ -16,7 +16,7 @@ from tooltrain.gradcheck import (
 )
 from tooltrain.toy_trainer import collapse_witness
 
-from oracles import confident_setdiff, topk_indices_argsort
+from oracles import LOSSES_PER_ROW, confident_setdiff, topk_indices_argsort
 
 
 class TestSoftmax:
@@ -118,8 +118,9 @@ def test_confident_set_equals_setdiff_in_topm_order(data):
     teacher = dv.TopKDistribution(indices=np.array(indices),
                                   probs=np.full(len(indices), 1.0 / len(indices)))
     m = data.draw(st.integers(1, q.size), label="m")
-    got = dv._confident(teacher, q, m)
+    rows, got = dv._confident(teacher.indices[None], q[None], m)
     expected = confident_setdiff(teacher, q, m)
+    assert not rows.any()
     assert np.array_equal(got, expected)
     assert got.dtype == expected.dtype
 
@@ -222,7 +223,7 @@ class TestCkdComposition:
             q = dv.softmax(z)
             report = dv.ckd_loss(teacher, z, m=16, lambda_tail=lam)
             p_sum = teacher.mass
-            confident = np.setdiff1d(dv.student_topm(q, 16), teacher.indices)
+            confident = np.setdiff1d(dv.topk_indices(q, 16), teacher.indices)
             tail_mass = q[confident].sum()
             expected = q * (p_sum - lam * tail_mass)           # other non-top-k
             expected[confident] = q[confident] * (p_sum + lam * (1 - tail_mass))
@@ -237,7 +238,7 @@ class TestCkdComposition:
         for _ in range(50):
             teacher, z = random_instance(rng, 32, 8, 16)
             q = dv.softmax(z)
-            confident = np.setdiff1d(dv.student_topm(q, 16), teacher.indices)
+            confident = np.setdiff1d(dv.topk_indices(q, 16), teacher.indices)
             if confident.size == 0:
                 continue
             gap = (dv.ckd_loss(teacher, z, 16, lam).grad[confident]
@@ -252,7 +253,7 @@ class TestCkdComposition:
         for _ in range(50):
             teacher, z = random_instance(rng, 32, 8, 16)
             q = dv.softmax(z)
-            confident = np.setdiff1d(dv.student_topm(q, 16), teacher.indices)
+            confident = np.setdiff1d(dv.topk_indices(q, 16), teacher.indices)
             if confident.size == 0:
                 continue
             others = np.setdiff1d(
@@ -279,7 +280,8 @@ class TestExactComposition:
             kl_part, tail = kl(teacher, z), dv.tail_penalty(teacher, z, 16)
             assert whole.loss == kl_part.loss + lam * tail.loss
             assert np.array_equal(whole.grad, kl_part.grad + lam * tail.grad)
-            assert whole.aux == {**kl_part.aux, "tail_part": tail.loss}
+            assert whole.aux == {**kl_part.aux, "tail_part": tail.loss,
+                                 "confident_size": tail.aux["confident_size"]}
 
     @pytest.mark.parametrize("name", sorted(dv.LOSSES))
     def test_one_softmax_per_call(self, name, monkeypatch):
@@ -289,6 +291,130 @@ class TestExactComposition:
         monkeypatch.setattr(dv, "softmax", lambda z: calls.append(1) or real_softmax(z))
         dv.LOSSES[name](teacher, z, 16, 10.0)
         assert len(calls) == 1
+
+
+def _instance(seed: int, vocab_size: int, k: int, logits: str = "normal",
+              zero_prob: bool = False) -> tuple[dv.TopKDistribution, np.ndarray]:
+    """A teacher, optionally with a p = 0 entry, and student logits that are
+    "normal", "ties" (few distinct values), "wide" or "underflow" (a third of
+    them 900 below the rest, so the softmax holds exact zeros)."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(k)) * rng.uniform(0.5, 1.0)
+    if zero_prob:
+        probs[rng.integers(k)] = 0.0
+    teacher = dv.TopKDistribution(indices=rng.permutation(vocab_size)[:k], probs=probs)
+    z = rng.normal(size=vocab_size) * {"wide": 40.0}.get(logits, 3.0)
+    if logits == "ties":
+        z = rng.integers(0, 3, size=vocab_size).astype(np.float64)
+    if logits == "underflow":
+        z[rng.permutation(vocab_size)[:vocab_size // 3]] -= 900.0
+    return teacher, z
+
+
+def _outcome(fn, *args):
+    """The kernel's result as raw bytes, or its exception class and message."""
+    try:
+        report = fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    aux = {key: np.float64(value).tobytes() for key, value in report.aux.items()
+           if key != "confident_size"}
+    return np.float64(report.loss).tobytes(), report.grad.tobytes(), aux
+
+
+_ORACLE_CASES = {
+    "k>=9 pairwise sums": dict(vocab_size=64, k=12),
+    "teacher p=0": dict(vocab_size=32, k=6, zero_prob=True),
+    "spread above 800": dict(vocab_size=32, k=6, logits="underflow"),
+    "V>256 partition top-m": dict(vocab_size=1000, k=20),
+    "V>256 with zeros": dict(vocab_size=300, k=9, logits="underflow", zero_prob=True),
+}
+
+
+class TestOneBody:
+    """The public kernels are one-row calls of the (N, V) body; both equal
+    the per-row oracle bit for bit, raising the same errors."""
+
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_kernels_equal_the_per_row_oracle(self, case):
+        for seed in range(20):
+            teacher, z = _instance(seed, **_ORACLE_CASES[case])
+            for name in dv.LOSSES:
+                for m, lam in ((1, 10.0), (teacher.k + 3, 0.5)):
+                    assert _outcome(dv.LOSSES[name], teacher, z, m, lam) == \
+                        _outcome(LOSSES_PER_ROW[name], teacher, z, m, lam), (name, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), vocab_size=st.sampled_from([2, 5, 16, 33, 300]),
+           k=st.integers(1, 12),
+           logits=st.sampled_from(["normal", "ties", "wide", "underflow"]),
+           zero_prob=st.booleans(), m=st.integers(-1, 20),
+           lam=st.sampled_from([-1.0, 0.0, 0.5, 10.0]))
+    def test_every_kernel_equals_the_per_row_oracle(self, seed, vocab_size, k, logits,
+                                                     zero_prob, m, lam):
+        teacher, z = _instance(seed, vocab_size, min(k, vocab_size), logits, zero_prob)
+        for name in dv.LOSSES:
+            got = _outcome(dv.LOSSES[name], teacher, z, m, lam)
+            assert got == _outcome(LOSSES_PER_ROW[name], teacher, z, m, lam), name
+            if isinstance(got[0], bytes):
+                tail = dv.LOSSES[name].tail
+                size = dv.LOSSES[name](teacher, z, m, lam).aux["confident_size"]
+                assert size == (len(confident_setdiff(teacher, dv.softmax(z), m))
+                                if tail else 0.0), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_one_row_calls(self, data):
+        """Row r of a batched call is the one-row call on row r, and a failing
+        batch raises what the first failing row raises alone."""
+        n = data.draw(st.integers(1, 6), label="N")
+        vocab_size = data.draw(st.sampled_from([8, 33, 300]), label="V")
+        k = data.draw(st.integers(1, 8), label="k")
+        rows = [_instance(data.draw(st.integers(0, 2**32 - 1)), vocab_size, k,
+                          data.draw(st.sampled_from(["normal", "ties", "underflow"])),
+                          data.draw(st.booleans()))
+                for _ in range(n)]
+        teachers, z = [t for t, _ in rows], np.stack([zz for _, zz in rows])
+        indices = np.stack([t.indices for t in teachers])
+        if data.draw(st.booleans(), label="corrupt a row"):
+            r = data.draw(st.integers(0, n - 1))
+            if data.draw(st.booleans(), label="out of bounds"):
+                indices[r, 0] = vocab_size
+            else:
+                z[r, 0] = np.inf
+        teachers = [dv.TopKDistribution(indices=i, probs=t.probs)
+                    for i, t in zip(indices, teachers)]
+        probs = np.stack([t.probs for t in teachers])
+        m = data.draw(st.integers(0, 9), label="m")
+        for name, loss in dv.LOSSES.items():
+            singles = [_outcome(loss, t, zz, m, 2.0) for t, zz in zip(teachers, z)]
+            try:
+                batch = loss.rows(indices, probs, z, m, 2.0)
+            except (ValueError, IndexError) as exc:
+                first_error = next(o for o in singles if not isinstance(o[0], bytes))
+                assert (type(exc), str(exc)) == first_error, name
+                continue
+            for r, single in enumerate(singles):
+                report = dv.LossReport(batch.loss[r], batch.grad[r],
+                                       {key: v[r] for key, v in batch.aux.items()})
+                assert _outcome(lambda: report) == single, (name, r)
+
+    def test_degenerate_messages(self):
+        teacher = dv.TopKDistribution(indices=np.array([3, 1, 2]),
+                                      probs=np.array([0.5, 0.0, 0.0]))
+        z = np.array([0.0, -900.0, 0.0, -900.0])
+        with pytest.raises(dv.DegenerateStudent) as exc:
+            dv.fkl_topk(teacher, z)
+        assert str(exc.value) == "student probability underflowed at top-k indices [3, 1]"
+        with pytest.raises(dv.DegenerateTeacher) as exc:
+            dv.rkl_topk_masked(teacher, z)
+        assert str(exc.value) == "teacher probability is zero at top-k indices [1, 2]"
+        # in a batch the first degenerate row is the one named
+        fine = np.array([1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(dv.DegenerateStudent) as exc:
+            dv.LOSSES["ckd"].rows(np.array([[0, 1, 2], [3, 1, 2], [1, 2, 3]]),
+                                  np.full((3, 3), 0.3), np.stack([fine, z, z]), 2, 1.0)
+        assert str(exc.value) == "student probability underflowed at top-k indices [3, 1]"
 
 
 class TestRegistry:

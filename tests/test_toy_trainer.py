@@ -421,6 +421,11 @@ class TestToyTrainConfig:
         with pytest.raises(ValueError, match="iterations"):
             train_sim_rl(tiny_task(), ToyTrainConfig(), iterations, seed=0)
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="^unknown config keys: 'learnig_rate', 'zeta'$"):
+            ToyTrainConfig.from_dict({"zeta": 1, "learnig_rate": 0.0, "epsilon": 0.3})
+        assert ToyTrainConfig.from_dict({"epsilon": 0.3}).epsilon == 0.3
+
     def test_grpo_config_is_built_once(self):
         cfg = ToyTrainConfig(epsilon=0.3, beta=0.0, filter_groups=False)
         assert cfg.grpo() is cfg.grpo()
@@ -448,11 +453,15 @@ class TestKdFit:
         rng = np.random.default_rng(8)
         random_teachers = [dv.topk_of(dv.softmax(rng.normal(size=48) * 3), 5)
                            for _ in range(4)]
-        for teachers, kwargs in [
-            (adversarial_teacher_family(seed=3), {}),
-            (random_teachers, {"vocab_size": 48, "m": 12, "lambda_tail": 2.0}),
+        unequal_k = [dv.topk_of(dv.softmax(rng.normal(size=48) * 3), k)
+                     for k in (3, 9, 5)]
+        wide = {"vocab_size": 48, "m": 12, "lambda_tail": 2.0}
+        for teachers, kwargs, all_steps in [
+            (adversarial_teacher_family(seed=3), {}, (0, 1, 500)),
+            (random_teachers, wide, (0, 1, 60)),
+            (unequal_k, wide, (0, 60)),
         ]:
-            for steps in (0, 1, 60):
+            for steps in all_steps:
                 curves = kd_fit(teachers, kind, steps=steps, step_size=0.5, seed=4,
                                 **kwargs)
                 escape, entropy = kd_fit_recording(teachers, kind, steps=steps,
