@@ -163,7 +163,10 @@ def cmd_kd(args: argparse.Namespace) -> int:
             pid = record.get("position_id")
             try:
                 topk = record["teacher_topk"]
-                indices = np.asarray(topk["indices"], dtype=np.int64)
+                raw = topk["indices"]  # a float or bool would truncate silently
+                if not isinstance(raw, list) or any(type(i) is not int for i in raw):
+                    raise ValueError(f"teacher indices {raw!r} are not all integers")
+                indices = np.asarray(raw, dtype=np.int64)
                 probs = np.asarray(topk["probs"], dtype=np.float64)
                 if args.k is not None:
                     keep = np.argsort(-probs, kind="stable")[:args.k]
@@ -172,8 +175,9 @@ def cmd_kd(args: argparse.Namespace) -> int:
                 if z.size != vocab_size:
                     raise ValueError(f"student_logits has length {z.size}, "
                                      f"header declares {vocab_size}")
-                if indices.size and int(indices.max()) >= vocab_size:
-                    raise ValueError(f"teacher index {int(indices.max())} out of "
+                if indices.size and not 0 <= indices.min() <= indices.max() < vocab_size:
+                    bad = indices.max() if indices.max() >= vocab_size else indices.min()
+                    raise ValueError(f"teacher index {int(bad)} out of "
                                      f"bounds for vocab_size {vocab_size}")
                 teacher = dv.TopKDistribution(indices=indices, probs=probs)
                 report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)

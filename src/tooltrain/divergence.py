@@ -75,6 +75,8 @@ class TopKDistribution:
             raise ValueError("indices and probs must be 1-d arrays of equal length")
         if indices.size == 0:
             raise ValueError("top-k set must be non-empty")
+        if indices.min() < 0:
+            raise ValueError(f"teacher index {int(indices.min())} is negative")
         if len(np.unique(indices)) != indices.size:
             raise ValueError("top-k indices must be distinct")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0) or np.any(probs > 1):
@@ -243,10 +245,11 @@ def _rows(indices: np.ndarray, probs: np.ndarray, student_logits: np.ndarray,
         raise ValueError("student logits must be a 1-d vector")
     if not np.isfinite(z).all():
         raise ValueError("student logits must be finite")
-    top = indices.max(axis=1)
-    if (top >= z.shape[1]).any():
-        raise IndexError(f"teacher index {int(top[top >= z.shape[1]][0])} out of bounds "
-                         f"for vocabulary of size {z.shape[1]}")
+    if indices.max() >= z.shape[1] or indices.min() < 0:
+        top = indices.max(axis=1)  # a bad row names its largest index if too large
+        end = np.where(top >= z.shape[1], top, indices.min(axis=1))
+        raise IndexError(f"teacher index {int(end[(end < 0) | (end >= z.shape[1])][0])} "
+                         f"out of bounds for vocabulary of size {z.shape[1]}")
     q = softmax(z)
     rows = np.arange(len(q))[:, None]
     q_top = q[rows, indices]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -137,15 +138,14 @@ class ToyPolicy:
     def __init__(self, task: ToyTask):
         self.task = task
         self.tables: dict[tuple, np.ndarray] = {}
+        self.arg_slots: dict[str, list[list[tuple]]] = {}  # [prompt][function index]
         for prompt in task.prompts:
             pid = prompt.prompt_id
             self.tables[(pid, "fn")] = np.zeros(len(task.schema.functions))
-            for fdef in task.schema.functions:
-                for pname in fdef.parameters:
-                    size = len(task.domains[fdef.name][pname])
-                    if fdef.parameters[pname].has_default:
-                        size += 1
-                    self.tables[(pid, "arg", fdef.name, pname)] = np.zeros(size)
+            self.arg_slots[pid] = [[(pid, "arg", f.name, pname) for pname in f.parameters]
+                                   for f in task.schema.functions]
+            for slot in [slot for slots in self.arg_slots[pid] for slot in slots]:
+                self.tables[slot] = np.zeros(len(self.actions(slot)))
         self.ref_tables = {k: v.copy() for k, v in self.tables.items()}
 
     def actions(self, slot: tuple) -> list[Any]:
@@ -159,21 +159,11 @@ class ToyPolicy:
         return values
 
     def sample_trajectory(self, prompt_id: str, rng: np.random.Generator,
-                          view: SlotView) -> tuple[list[Decision], ToolCall]:
-        """Draw one decision path from ``view``, a view of ``self.tables``."""
-        fn_slot = (prompt_id, "fn")
-        fn_action = view.draw(fn_slot, rng)
-        decisions = [Decision(fn_slot, fn_action)]
-        fdef = self.task.schema.functions[fn_action]
-        arguments: dict[str, Any] = {}
-        for pname in fdef.parameters:
-            slot = (prompt_id, "arg", fdef.name, pname)
-            action = view.draw(slot, rng)
-            decisions.append(Decision(slot, action))
-            value = self.actions(slot)[action]
-            if value is not OMIT:
-                arguments[pname] = value
-        return decisions, ToolCall(fdef.name, arguments)
+                          view: SlotView) -> tuple[int, ...]:
+        """Draw one path's actions from ``view``, a view of ``self.tables``:
+        a function index, then a value index for each of its parameters."""
+        fn = view.draw((prompt_id, "fn"), rng)
+        return (fn, *[view.draw(slot, rng) for slot in self.arg_slots[prompt_id][fn]])
 
     def mean_entropy(self) -> float:
         """Mean softmax entropy of the tables, one softmax per table size;
@@ -195,14 +185,14 @@ def _logsumexp(z: np.ndarray) -> float:
 class SlotView:
     """Softmax, CDF and log-normaliser of each slot table, derived on first use.
 
-    A view caches what it derives, so it must not outlive the call that built
-    it: the tables may be edited in place between calls.
+    A view caches what it derives, so it holds only while the tables do:
+    ``train_sim_rl`` keeps one until its next table update, others one a call.
     """
 
     def __init__(self, tables: dict[tuple, np.ndarray]):
         self.tables = tables
         self._probs: dict[tuple, np.ndarray] = {}
-        self._cdf: dict[tuple, np.ndarray] = {}
+        self._cdf: dict[tuple, list[float]] = {}
         self._lse: dict[tuple, float] = {}
 
     def probs(self, slot: tuple) -> np.ndarray:
@@ -212,13 +202,14 @@ class SlotView:
         return probs
 
     def draw(self, slot: tuple, rng: np.random.Generator) -> int:
-        """One action, the same draw as ``rng.choice(size, p=self.probs(slot))``."""
+        """One action, the same draw as ``rng.choice(size, p=self.probs(slot))``:
+        ``bisect_right`` makes the comparisons of ``searchsorted(side="right")``."""
         cdf = self._cdf.get(slot)
         if cdf is None:
             cdf = self.probs(slot).cumsum()
             cdf /= cdf[-1]
-            self._cdf[slot] = cdf
-        return int(cdf.searchsorted(rng.random(), side="right"))
+            cdf = self._cdf[slot] = cdf.tolist()
+        return bisect_right(cdf, rng.random())
 
     def logps(self, decisions: Iterable[Decision]) -> np.ndarray:
         """Per-decision log-probabilities."""
@@ -235,47 +226,69 @@ def render_trajectory(call: ToolCall) -> str:
     return render_call_text("select the matching tool", [call])
 
 
-def _scored(task: ToyTask, prompt_id: str, decisions: list[Decision],
-            call: ToolCall, scores: dict) -> tuple[str, float]:
-    """Rendered text and graded reward of a trajectory, memoised in ``scores``.
+@dataclass
+class _Path:
+    """A ``_path`` memo entry; ``rollout`` is the path's under ``view``."""
 
-    The text is a function of the prompt, the decision actions and the task,
-    so the prompt and actions key the memo. The memo must not outlive the
-    call that built it, since a ``ToyTask`` may be edited in place.
+    trajectory: Trajectory
+    logp_ref: np.ndarray
+    view: SlotView | None = None
+    rollout: Rollout | None = None
+
+
+def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, ...],
+          reward_mode: str, paths: dict) -> _Path:
+    """The path of ``actions`` under ``prompt_id``, memoised in ``paths``.
+
+    Its decisions, text and rewards follow from the prompt, the actions and
+    the task, and its logp_ref also from the frozen reference tables. A memo
+    serves one policy, task and reward mode, and must not outlive the call
+    that built it, since a ``ToyTask`` may be edited in place.
     """
-    key = (prompt_id, tuple(d.action for d in decisions))
-    hit = scores.get(key)
-    if hit is None:
-        text = render_trajectory(call)
-        ground_truth = task.prompt(prompt_id).ground_truth
-        hit = scores[key] = (text, total_reward(text, ground_truth, task.schema).total)
-    return hit
+    path = paths.get((prompt_id, actions))
+    if path is None:
+        fn, *values = actions
+        decisions = [Decision((prompt_id, "fn"), fn),
+                     *map(Decision, policy.arg_slots[prompt_id][fn], values)]
+        arguments = {d.slot[3]: value for d in decisions[1:]
+                     if (value := policy.actions(d.slot)[d.action]) is not OMIT}
+        text = render_trajectory(ToolCall(policy.task.schema.functions[fn].name,
+                                          arguments))
+        graded = total_reward(text, task.prompt(prompt_id).ground_truth,
+                              task.schema).total
+        reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
+        path = paths[prompt_id, actions] = _Path(
+            Trajectory(decisions, text, reward, graded),
+            SlotView(policy.ref_tables).logps(decisions))
+    return path
 
 
 def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
                  rng: np.random.Generator, reward_mode: str = "sim",
-                 scores: dict | None = None) -> tuple[RolloutGroup, list[Trajectory]]:
+                 paths: dict | None = None,
+                 view: SlotView | None = None) -> tuple[RolloutGroup, list[Trajectory]]:
     """Sample a rollout group and keep the decision paths for the update.
 
     At sampling time logp_old equals logp_new; logp_ref comes from the frozen
-    initial tables. Each distinct trajectory is rendered and scored once per
-    ``scores`` memo (a fresh one per call when None; see ``_scored``).
+    initial tables. ``paths`` memoises each distinct path (see ``_path``), so a
+    draw costs only its random numbers; members that drew one path from one
+    ``view`` share its ``Rollout``, which dies when a draw from another view
+    replaces it. ``paths`` and ``view`` are fresh for the call when None.
     """
-    scores = {} if scores is None else scores
-    view, ref_view = SlotView(policy.tables), SlotView(policy.ref_tables)
-    rollouts = []
-    trajectories = []
+    paths = {} if paths is None else paths
+    view = SlotView(policy.tables) if view is None else view
+    group, trajectories = RolloutGroup(prompt_id), []
     for _ in range(group_size):
-        decisions, call = policy.sample_trajectory(prompt_id, rng, view)
-        text, graded = _scored(policy.task, prompt_id, decisions, call, scores)
-        reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
-        logp = view.logps(decisions)
-        rollouts.append(Rollout(logp_new=logp, logp_old=logp.copy(),
-                                logp_ref=ref_view.logps(decisions),
-                                reward=reward))
-        trajectories.append(Trajectory(decisions=decisions, text=text,
-                                       reward=reward, graded_reward=graded))
-    return RolloutGroup(prompt_id=prompt_id, rollouts=rollouts), trajectories
+        path = _path(policy.task, policy, prompt_id,
+                     policy.sample_trajectory(prompt_id, rng, view), reward_mode, paths)
+        if path.view is not view:
+            logp = view.logps(path.trajectory.decisions)
+            path.view, path.rollout = view, Rollout(
+                logp_new=logp, logp_old=logp.copy(), logp_ref=path.logp_ref,
+                reward=path.trajectory.reward)
+        group.rollouts.append(path.rollout)
+        trajectories.append(path.trajectory)
+    return group, trajectories
 
 
 @dataclass
@@ -303,13 +316,15 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
     grads = {key: np.zeros_like(z) for key, z in policy.tables.items()}
     value = 0.0
     n_groups = len(samples)
+    current: dict = {}  # one rollout at the live tables per distinct sampled one
     for sample in samples:
         group_rollouts = []
         for traj, rollout_rec in zip(sample.trajectories, sample.group.rollouts):
-            logp_new = view.logps(traj.decisions)
-            group_rollouts.append(Rollout(
-                logp_new=logp_new, logp_old=rollout_rec.logp_old,
-                logp_ref=rollout_rec.logp_ref, reward=rollout_rec.reward))
+            if (key := (id(traj), id(rollout_rec))) not in current:
+                current[key] = Rollout(
+                    logp_new=view.logps(traj.decisions), logp_old=rollout_rec.logp_old,
+                    logp_ref=rollout_rec.logp_ref, reward=rollout_rec.reward)
+            group_rollouts.append(current[key])
         live = RolloutGroup(sample.group.prompt_id, group_rollouts)
         report = grpo_objective(live, sample.advantages, cfg)
         value += report.value / n_groups
@@ -337,7 +352,8 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     Each iteration samples one group per prompt from a single sequential
     seeded generator, drops homogeneous groups, standardizes the surviving
     rewards, and ascends the clipped objective. Identical (task, cfg, seed)
-    reproduce the log exactly.
+    reproduce the log exactly. The run keeps one path memo, and one
+    ``SlotView`` and mean entropy per table state, i.e. until an update.
     """
     if not _is_int(iterations) or iterations < 0:
         raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
@@ -345,7 +361,8 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     policy = ToyPolicy(task)
     grpo_cfg = cfg.grpo()
     log = TrainLog()
-    scores: dict = {}  # one memo for the run; see _scored
+    paths: dict = {}
+    view, entropy = SlotView(policy.tables), policy.mean_entropy()
     for _ in range(iterations):
         samples: list[GroupSample] = []
         graded: list[float] = []
@@ -354,7 +371,7 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
         for prompt in task.prompts:
             group, trajectories = sample_group(policy, prompt.prompt_id,
                                                cfg.group_size, rng, cfg.reward_mode,
-                                               scores)
+                                               paths, view)
             graded.extend(t.graded_reward for t in trajectories)
             groups.append(group)
             by_id[prompt.prompt_id] = trajectories
@@ -374,8 +391,9 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
             _, grads = objective_and_gradient(policy, samples, grpo_cfg)
             for key, grad in grads.items():
                 policy.tables[key] += cfg.learning_rate * grad
+            view, entropy = SlotView(policy.tables), policy.mean_entropy()
         log.mean_reward.append(float(np.mean(graded)))
-        log.mean_entropy.append(policy.mean_entropy())
+        log.mean_entropy.append(entropy)
         log.filtered_fraction.append(1.0 - len(survivors) / len(groups))
     return policy, log
 
@@ -385,12 +403,11 @@ def evaluate_policy(policy: ToyPolicy, task: ToyTask, samples_per_prompt: int,
     """Mean graded reward of freshly sampled trajectories."""
     rng = np.random.default_rng(seed)
     view = SlotView(policy.tables)
-    scores: dict = {}
-    graded = []
-    for prompt in task.prompts:
-        for _ in range(samples_per_prompt):
-            decisions, call = policy.sample_trajectory(prompt.prompt_id, rng, view)
-            graded.append(_scored(task, prompt.prompt_id, decisions, call, scores)[1])
+    paths: dict = {}
+    graded = [_path(task, policy, prompt.prompt_id,
+                    policy.sample_trajectory(prompt.prompt_id, rng, view), "sim",
+                    paths).trajectory.graded_reward
+              for prompt in task.prompts for _ in range(samples_per_prompt)]
     return float(np.mean(graded))
 
 

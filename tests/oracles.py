@@ -253,16 +253,34 @@ def kd_fit_recording(teachers: list[dv.TopKDistribution], loss_kind: str,
     return escape, ent
 
 
+def sample_path(policy, prompt_id, rng, view):
+    """One trajectory's decisions and call, drawn slot by slot from ``view``,
+    with each slot key, decision and argument built as it is drawn."""
+    fn_slot = (prompt_id, "fn")
+    fn_action = view.draw(fn_slot, rng)
+    decisions = [toy_trainer.Decision(fn_slot, fn_action)]
+    fdef = policy.task.schema.functions[fn_action]
+    arguments = {}
+    for pname in fdef.parameters:
+        slot = (prompt_id, "arg", fdef.name, pname)
+        action = view.draw(slot, rng)
+        decisions.append(toy_trainer.Decision(slot, action))
+        value = policy.actions(slot)[action]
+        if value is not toy_trainer.OMIT:
+            arguments[pname] = value
+    return decisions, ToolCall(fdef.name, arguments)
+
+
 def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim"):
-    """``toy_trainer.sample_group`` that renders and scores every sampled
-    trajectory, repeats included."""
+    """``toy_trainer.sample_group`` that draws, renders and scores every sampled
+    trajectory, repeats included, each with its own ``Rollout``."""
     view = toy_trainer.SlotView(policy.tables)
     ref_view = toy_trainer.SlotView(policy.ref_tables)
     task = policy.task
     rollouts = []
     trajectories = []
     for _ in range(group_size):
-        decisions, call = policy.sample_trajectory(prompt_id, rng, view)
+        decisions, call = sample_path(policy, prompt_id, rng, view)
         text = toy_trainer.render_trajectory(call)
         graded = total_reward(text, task.prompt(prompt_id).ground_truth,
                               task.schema).total

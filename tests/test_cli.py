@@ -296,6 +296,24 @@ class TestKd:
         inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         assert main(["kd", "--input", str(inp)]) == 2
 
+    @pytest.mark.parametrize("indices, message", [
+        ([-1, 0], "teacher index -1 out of bounds for vocab_size 4"),
+        ([0, -5], "teacher index -5 out of bounds for vocab_size 4"),
+        ([1.5, 0], "teacher indices [1.5, 0] are not all integers"),
+        ([True, 0], "teacher indices [True, 0] are not all integers"),
+        (3, "teacher indices 3 are not all integers"),
+    ])
+    def test_negative_or_non_integer_index_is_format_error(self, indices, message,
+                                                           tmp_path, capsys):
+        inp, out = tmp_path / "kd.jsonl", tmp_path / "out.jsonl"
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": [0.5, 0.0, -0.5, 1.0],
+                 "teacher_topk": {"indices": indices, "probs": [0.6, 0.3]}}]
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["kd", "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: position 'p': {message}\n")
+        assert not out.exists()
+
     def test_missing_header_is_format_error(self, tmp_path):
         inp = tmp_path / "kd.jsonl"
         inp.write_text(json.dumps({"position_id": "p"}) + "\n")
@@ -664,3 +682,62 @@ class TestAdvantages:
         assert main(["advantages", "--input", str(inp), "--output", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: group 'a': {message}\n")
         assert not out.exists()
+
+
+def _kd_run(rows, argv, to_file=False):
+    """``kd`` on ``rows`` in a fresh directory: (status, stdout, stderr, the
+    bytes of the ``--output`` file when ``to_file``, or None if not written)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "kd.jsonl", Path(tmp) / "out.jsonl"
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # a traceback would escape ``main`` and fail the test here
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = main(["kd", "--input", str(inp), *argv]
+                          + (["--output", str(out)] if to_file else []))
+        written = out.read_bytes() if out.exists() else None
+        return status, stdout.getvalue(), stderr.getvalue(), written
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kd_rejects_malformed_teacher_indices(data):
+    """One malformed teacher index (negative, below -V, a float, a bool, past
+    int64 or a string) or a missing index list exits 2 with one error line and
+    writes nothing; the valid record's stdout is what the kernel reports."""
+    vocab = data.draw(st.integers(2, 12), label="V")
+    n = data.draw(st.integers(1, min(vocab, 4)), label="k")
+    indices = data.draw(st.lists(st.integers(0, vocab - 1), min_size=n, max_size=n,
+                                 unique=True))
+    probs = [0.9 / n] * n
+    logits = data.draw(st.lists(st.floats(-8, 8), min_size=vocab, max_size=vocab))
+    loss = data.draw(st.sampled_from(dv.KD_LOSS_KINDS))
+    m = data.draw(st.integers(1, vocab), label="m")
+
+    def rows(topk):
+        return [{"version": 1, "vocab_size": vocab},
+                {"position_id": "p", "student_logits": logits, "teacher_topk": topk}]
+
+    teacher = dv.TopKDistribution(np.array(indices), np.array(probs))
+    report = dv.LOSSES[loss](teacher, np.array(logits), m, dv.DEFAULT_LAMBDA_TAIL)
+    record = {"position_id": "p", "loss": report.loss,
+              "escape_mass": report.aux["escape_mass"], "entropy": report.aux["entropy"]}
+    footer = {"records": 1, "mean_loss": report.loss,
+              "mean_escape_mass": report.aux["escape_mass"],
+              "mean_entropy": report.aux["entropy"]}
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in (record, footer))
+    argv = ["--loss", loss, "--m", str(m)]
+    assert _kd_run(rows({"indices": indices, "probs": probs}), argv) == \
+        (0, expected, "", None)
+
+    bad = data.draw(st.sampled_from([-1, -vocab - 1, 1.5, True, 2**63, "3", None]))
+    topk = {"probs": probs}
+    if bad is not None:
+        topk["indices"] = indices.copy()
+        topk["indices"][data.draw(st.integers(0, n - 1))] = bad
+    status, stdout, stderr, written = _kd_run(rows(topk), argv, to_file=True)
+    assert (status, stdout, written) == (2, "", None)
+    assert stderr.startswith("error: position 'p': ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+    if isinstance(bad, int) and not isinstance(bad, bool) and bad < 0:
+        assert f"teacher index {bad} out of bounds" in stderr

@@ -80,6 +80,8 @@ class TestTopK:
             dv.TopKDistribution(indices=np.array([1, 1]), probs=np.array([0.4, 0.3]))
         with pytest.raises(ValueError, match="sum"):
             dv.TopKDistribution(indices=np.array([0, 1]), probs=np.array([0.7, 0.7]))
+        with pytest.raises(ValueError, match="^teacher index -2 is negative$"):
+            dv.TopKDistribution(indices=np.array([0, -2]), probs=np.array([0.4, 0.3]))
 
 
 def _topk_vector(data) -> np.ndarray:
@@ -398,6 +400,21 @@ class TestOneBody:
                 report = dv.LossReport(batch.loss[r], batch.grad[r],
                                        {key: v[r] for key, v in batch.aux.items()})
                 assert _outcome(lambda: report) == single, (name, r)
+
+    @pytest.mark.parametrize("indices, named", [
+        ([[0, 1], [2, -1], [-3, 9]], -1), ([[0, 1], [-3, 9]], 9), ([[-3, -2]], -3),
+        ([[1, 0], [2, 3], [0, 4]], 4),
+    ])
+    def test_rows_reject_indices_below_zero_and_from_vocab_size(self, indices, named):
+        """The first bad row names its largest index if that is too large,
+        else its smallest; a negative index never wraps to the vocabulary's end."""
+        n = len(indices)
+        for name, loss in dv.LOSSES.items():
+            with pytest.raises(IndexError) as exc:
+                loss.rows(np.array(indices), np.full((n, 2), 0.4), np.zeros((n, 4)),
+                          2, 1.0)
+            assert str(exc.value) == \
+                f"teacher index {named} out of bounds for vocabulary of size 4", name
 
     def test_degenerate_messages(self):
         teacher = dv.TopKDistribution(indices=np.array([3, 1, 2]),

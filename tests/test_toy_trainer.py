@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import tooltrain.divergence as dv
 import tooltrain.toy_trainer as toy_trainer
 from tooltrain import ToolSchema
-from tooltrain.grpo import standardize_advantages
+from tooltrain.grpo import Rollout, standardize_advantages
 from tooltrain.toy_task import (
     ToyPrompt,
     ToyTask,
@@ -42,6 +43,7 @@ from oracles import (
     kd_fit_recording,
     mean_entropy_per_table,
     sample_group_unmemoised,
+    sample_path,
 )
 
 
@@ -205,7 +207,7 @@ class TestSlotView:
 def train_unmemoised(task, cfg, iterations, seed, monkeypatch, keys=None):
     """``train_sim_rl`` through the unmemoised oracles; ``keys`` collects each
     sampled trajectory's (prompt, actions) memo key."""
-    def sample_group(policy, prompt_id, group_size, rng, reward_mode, scores):
+    def sample_group(policy, prompt_id, group_size, rng, reward_mode, paths, view):
         group, trajectories = sample_group_unmemoised(policy, prompt_id,
                                                       group_size, rng, reward_mode)
         if keys is not None:
@@ -225,7 +227,7 @@ def evaluate_unmemoised(policy, task, samples_per_prompt, seed):
     graded = []
     for prompt in task.prompts:
         for _ in range(samples_per_prompt):
-            _, call = policy.sample_trajectory(prompt.prompt_id, rng, view)
+            _, call = sample_path(policy, prompt.prompt_id, rng, view)
             text = toy_trainer.render_trajectory(call)
             graded.append(total_reward(text, prompt.ground_truth, task.schema).total)
     return float(np.mean(graded))
@@ -304,6 +306,103 @@ class TestScoreMemo:
         policy.tables = dict(enumerate(rows))
         assert np.array_equal(policy.mean_entropy(),
                               mean_entropy_per_table(policy))
+
+
+class FixedDraws:
+    """A generator stand-in whose ``random()`` returns the given floats."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def path_keys(prompt_id, trajectories):
+    return {(prompt_id, tuple(d.action for d in t.decisions)) for t in trajectories}
+
+
+class TestPathMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(tables=table_families(),
+           uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+    def test_bisect_draw_equals_searchsorted_on_underflowing_tables(self, tables,
+                                                                    uniforms):
+        for z in tables:
+            cdf = dv.softmax(z).cumsum()
+            cdf /= cdf[-1]
+            # each CDF value and its neighbours, where the side of a tie decides
+            edges = [np.nextafter(c, 0.0) for c in cdf] + list(cdf) + \
+                [np.nextafter(c, 1.0) for c in cdf]
+            draws = [float(u) for u in edges if 0.0 <= u < 1.0] + uniforms
+            view = SlotView({"slot": z})
+            assert [view.draw("slot", FixedDraws([u])) for u in draws] == \
+                cdf.searchsorted(draws, side="right").tolist()
+
+    def test_paths_rollouts_and_entropies_are_derived_once_per_table_state(
+            self, monkeypatch):
+        task, cfg, iterations = bundled_default_task(), ToyTrainConfig(), 200
+        # the unmemoised oracle run: the paths drawn at each table state, the
+        # distinct paths of each update's kept groups, and the entropy of the
+        # tables each iteration starts from
+        state, drawn, kept, entropies = [0], set(), [], []
+        objective = toy_trainer.objective_and_gradient
+
+        def oracle_objective(policy, samples, grpo_cfg):
+            kept.append(set().union(*(path_keys(s.group.prompt_id, s.trajectories)
+                                      for s in samples)))
+            state[0] += 1
+            return objective(policy, samples, grpo_cfg)
+
+        def oracle_sample_group(policy, prompt_id, group_size, rng, mode, paths, view):
+            if prompt_id == task.prompts[0].prompt_id:
+                entropies.append(mean_entropy_per_table(policy))
+            group, trajectories = sample_group_unmemoised(policy, prompt_id,
+                                                          group_size, rng, mode)
+            drawn.update((state[0], key) for key in path_keys(prompt_id, trajectories))
+            return group, trajectories
+
+        with monkeypatch.context() as patch:
+            patch.setattr(toy_trainer, "sample_group", oracle_sample_group)
+            patch.setattr(toy_trainer, "objective_and_gradient", oracle_objective)
+            oracle_policy, oracle_log = train_sim_rl(task, cfg, iterations, seed=0)
+        # each iteration logs the entropy of the tables it leaves behind
+        assert oracle_log.mean_entropy == \
+            entropies[1:] + [mean_entropy_per_table(oracle_policy)]
+
+        counts, policies, ref_paths = collections.Counter(), [], []
+        rollout_init, logps = Rollout.__post_init__, SlotView.logps
+        entropy = ToyPolicy.mean_entropy
+
+        class RecordedPolicy(ToyPolicy):
+            def __init__(self, task):
+                super().__init__(task)
+                policies.append(self)
+
+        def counted(name, fn):
+            return lambda *args: counts.update([name]) or fn(*args)
+
+        def recorded_logps(view, decisions):
+            if view.tables is policies[0].ref_tables:
+                ref_paths.append(tuple(decisions))
+            return logps(view, decisions)
+
+        monkeypatch.setattr(toy_trainer, "ToyPolicy", RecordedPolicy)
+        monkeypatch.setattr(Rollout, "__post_init__", counted("rollout", rollout_init))
+        monkeypatch.setattr(SlotView, "logps", recorded_logps)
+        monkeypatch.setattr(ToyPolicy, "mean_entropy", counted("entropy", entropy))
+        monkeypatch.setattr(toy_trainer, "objective_and_gradient",
+                            counted("update", objective))
+        log = train_sim_rl(task, cfg, iterations, seed=0)[1]
+
+        assert log == oracle_log
+        # one rollout per distinct path per table state while sampling, and
+        # one live rollout per distinct kept path per update
+        assert counts["rollout"] == len(drawn) + sum(map(len, kept)) < \
+            iterations * len(task.prompts) * cfg.group_size
+        # reference log-probs once per distinct path for the whole run
+        assert len(ref_paths) == len(set(ref_paths)) == len({key for _, key in drawn})
+        assert counts["entropy"] == counts["update"] + 1 == len(kept) + 1 < iterations
 
 
 class TestPolicyGradient:
