@@ -163,10 +163,13 @@ def cmd_kd(args: argparse.Namespace) -> int:
             pid = record.get("position_id")
             try:
                 topk = record["teacher_topk"]
-                raw = topk["indices"]  # a float or bool would truncate silently
-                if not isinstance(raw, list) or any(type(i) is not int for i in raw):
-                    raise ValueError(f"teacher indices {raw!r} are not all integers")
-                indices = np.asarray(raw, dtype=np.int64)
+                # numpy would truncate a float index and read a bool or string
+                for name, types, kind in (("indices", (int,), "integers"),
+                                          ("probs", (int, float), "numbers")):
+                    raw = topk[name]
+                    if not isinstance(raw, list) or any(type(x) not in types for x in raw):
+                        raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
+                indices = np.asarray(topk["indices"], dtype=np.int64)
                 probs = np.asarray(topk["probs"], dtype=np.float64)
                 if args.k is not None:
                     keep = np.argsort(-probs, kind="stable")[:args.k]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
@@ -34,10 +35,10 @@ from . import divergence as dv
 from .chat_format import ToolCall
 from .grpo import (
     GrpoConfig,
+    LengthMismatch,
     Rollout,
     RolloutGroup,
     filter_homogeneous,
-    grpo_objective,
     standardize_advantages,
 )
 from .reward import total_reward
@@ -132,7 +133,7 @@ class ToyPolicy:
     ``(prompt_id, "arg", function_name, param_name)`` for each value choice.
     Optional parameters carry one extra trailing action that omits them.
     Tables start at zero (a uniform policy); the initial tables are kept as
-    the frozen reference for the KL penalty.
+    the frozen reference for the KL penalty, with one view of them.
     """
 
     def __init__(self, task: ToyTask):
@@ -147,6 +148,7 @@ class ToyPolicy:
             for slot in [slot for slots in self.arg_slots[pid] for slot in slots]:
                 self.tables[slot] = np.zeros(len(self.actions(slot)))
         self.ref_tables = {k: v.copy() for k, v in self.tables.items()}
+        self.ref_view = SlotView(self.ref_tables)
 
     def actions(self, slot: tuple) -> list[Any]:
         """Domain values of a slot; optional-parameter slots end with OMIT."""
@@ -165,61 +167,50 @@ class ToyPolicy:
         fn = view.draw((prompt_id, "fn"), rng)
         return (fn, *[view.draw(slot, rng) for slot in self.arg_slots[prompt_id][fn]])
 
-    def mean_entropy(self) -> float:
-        """Mean softmax entropy of the tables, one softmax per table size;
-        bit-identical to the mean of ``dv.entropy(dv.softmax(z))`` over them."""
-        tables = list(self.tables.values())
-        out = np.empty(len(tables))
-        for size in {z.size for z in tables}:
-            positions = [i for i, z in enumerate(tables) if z.size == size]
-            q = dv.softmax(np.stack([tables[i] for i in positions]))
-            out[positions] = dv.entropy_rows(q)
-        return float(np.mean(out))
-
-
-def _logsumexp(z: np.ndarray) -> float:
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()))
-
 
 class SlotView:
-    """Softmax, CDF and log-normaliser of each slot table, derived on first use.
+    """Softmax, CDF and log-probabilities of every slot table, and the tables'
+    mean softmax entropy, derived at construction in one pass per table size.
 
-    A view caches what it derives, so it holds only while the tables do:
-    ``train_sim_rl`` keeps one until its next table update, others one a call.
+    Each is bit-identical to its per-table derivation (``dv.softmax``, its
+    normalised cumsum, ``z - logsumexp(z)``, ``dv.entropy``). A view holds only
+    while its tables do: ``train_sim_rl`` keeps one per table state, others one
+    a call. A table holding inf or NaN raises ``ValueError``.
     """
 
     def __init__(self, tables: dict[tuple, np.ndarray]):
         self.tables = tables
-        self._probs: dict[tuple, np.ndarray] = {}
-        self._cdf: dict[tuple, list[float]] = {}
-        self._lse: dict[tuple, float] = {}
+        self._rows: dict[tuple, tuple] = {}  # slot -> (probs, CDF, logps) as lists
+        slots, zs = list(tables), list(tables.values())
+        entropies = np.empty(len(zs))
+        for size in {z.size for z in zs}:
+            positions = [i for i, z in enumerate(zs) if z.size == size]
+            z = np.stack([zs[i] for i in positions])
+            m = z.max(axis=1, keepdims=True)
+            e = np.exp(z - m)
+            s = e.sum(axis=1, keepdims=True)
+            probs = e / s
+            logp = z - (m + np.log(s))
+            if not np.isfinite(logp).all():
+                raise ValueError("log-probabilities must be finite")
+            cdf = probs.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            entropies[positions] = dv.entropy_rows(probs)
+            self._rows.update(zip([slots[i] for i in positions],
+                                  zip(probs.tolist(), cdf.tolist(), logp.tolist())))
+        self.mean_entropy = float(np.mean(entropies))
 
-    def probs(self, slot: tuple) -> np.ndarray:
-        probs = self._probs.get(slot)
-        if probs is None:
-            probs = self._probs[slot] = dv.softmax(self.tables[slot])
-        return probs
+    def probs(self, slot: tuple) -> list[float]:
+        return self._rows[slot][0]
 
     def draw(self, slot: tuple, rng: np.random.Generator) -> int:
         """One action, the same draw as ``rng.choice(size, p=self.probs(slot))``:
         ``bisect_right`` makes the comparisons of ``searchsorted(side="right")``."""
-        cdf = self._cdf.get(slot)
-        if cdf is None:
-            cdf = self.probs(slot).cumsum()
-            cdf /= cdf[-1]
-            cdf = self._cdf[slot] = cdf.tolist()
-        return bisect_right(cdf, rng.random())
+        return bisect_right(self._rows[slot][1], rng.random())
 
     def logps(self, decisions: Iterable[Decision]) -> np.ndarray:
         """Per-decision log-probabilities."""
-        out = []
-        for d in decisions:
-            lse = self._lse.get(d.slot)
-            if lse is None:
-                lse = self._lse[d.slot] = _logsumexp(self.tables[d.slot])
-            out.append(self.tables[d.slot][d.action] - lse)
-        return np.array(out, dtype=np.float64)
+        return np.array([self._rows[d.slot][2][d.action] for d in decisions])
 
 
 def render_trajectory(call: ToolCall) -> str:
@@ -228,11 +219,12 @@ def render_trajectory(call: ToolCall) -> str:
 
 @dataclass
 class _Path:
-    """A ``_path`` memo entry; ``rollout`` is the path's under ``view``."""
+    """A ``_path`` memo entry; ``rollout`` is the path's under ``view``, a weak
+    reference, so that the memo keeps no old view's derived lists alive."""
 
     trajectory: Trajectory
     logp_ref: np.ndarray
-    view: SlotView | None = None
+    view: weakref.ref | None = None
     rollout: Rollout | None = None
 
 
@@ -241,7 +233,7 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
     """The path of ``actions`` under ``prompt_id``, memoised in ``paths``.
 
     Its decisions, text and rewards follow from the prompt, the actions and
-    the task, and its logp_ref also from the frozen reference tables. A memo
+    the task, and its logp_ref also from ``policy.ref_view``. A memo
     serves one policy, task and reward mode, and must not outlive the call
     that built it, since a ``ToyTask`` may be edited in place.
     """
@@ -259,7 +251,7 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
         path = paths[prompt_id, actions] = _Path(
             Trajectory(decisions, text, reward, graded),
-            SlotView(policy.ref_tables).logps(decisions))
+            policy.ref_view.logps(decisions))
     return path
 
 
@@ -281,9 +273,9 @@ def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
     for _ in range(group_size):
         path = _path(policy.task, policy, prompt_id,
                      policy.sample_trajectory(prompt_id, rng, view), reward_mode, paths)
-        if path.view is not view:
+        if path.view is None or path.view() is not view:
             logp = view.logps(path.trajectory.decisions)
-            path.view, path.rollout = view, Rollout(
+            path.view, path.rollout = weakref.ref(view), Rollout(
                 logp_new=logp, logp_old=logp.copy(), logp_ref=path.logp_ref,
                 reward=path.trajectory.reward)
         group.rollouts.append(path.rollout)
@@ -299,7 +291,8 @@ class GroupSample:
 
 
 def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
-                           cfg: GrpoConfig) -> tuple[float, dict[tuple, np.ndarray]]:
+                           cfg: GrpoConfig, view: SlotView | None = None
+                           ) -> tuple[float, dict[tuple, np.ndarray]]:
     """Mean clipped objective over groups and its exact slot-table gradient.
 
     Each token's contribution to the gradient of the objective J with respect
@@ -311,38 +304,51 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
 
     where the unclipped branch of min(r*A, clip(r)*A) is active for A >= 0
     when r <= 1 + eps and for A < 0 when r >= 1 - eps.
-    """
-    view = SlotView(policy.tables)
-    grads = {key: np.zeros_like(z) for key, z in policy.tables.items()}
-    value = 0.0
-    n_groups = len(samples)
-    current: dict = {}  # one rollout at the live tables per distinct sampled one
-    for sample in samples:
-        group_rollouts = []
-        for traj, rollout_rec in zip(sample.trajectories, sample.group.rollouts):
-            if (key := (id(traj), id(rollout_rec))) not in current:
-                current[key] = Rollout(
-                    logp_new=view.logps(traj.decisions), logp_old=rollout_rec.logp_old,
-                    logp_ref=rollout_rec.logp_ref, reward=rollout_rec.reward)
-            group_rollouts.append(current[key])
-        live = RolloutGroup(sample.group.prompt_id, group_rollouts)
-        report = grpo_objective(live, sample.advantages, cfg)
-        value += report.value / n_groups
 
-        for i, (traj, roll) in enumerate(zip(sample.trajectories, group_rollouts)):
-            adv = sample.advantages[i]
-            ratio = np.exp(roll.logp_new - roll.logp_old)
-            tokens = len(traj.decisions)
-            for t, decision in enumerate(traj.decisions):
-                r = ratio[t]
-                active = (adv >= 0 and r <= 1.0 + cfg.epsilon) or \
-                    (adv < 0 and r >= 1.0 - cfg.epsilon)
-                coef = (adv * r if active else 0.0) \
-                    - cfg.beta * (roll.logp_new[t] - roll.logp_ref[t])
+    ``view`` is a view of ``policy.tables``, fresh when None. Each distinct
+    (trajectory, rollout) pair takes its ratios and KL gaps once; the token
+    terms are Python floats folded into the gradient in member and token
+    order, the IEEE operations of a per-token numpy loop. The value is the
+    mean of ``grpo_objective`` over the groups up to rounding.
+    """
+    view = SlotView(policy.tables) if view is None else view
+    lo, hi = 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
+    terms: dict = {}  # (ratios, gaps) per distinct (trajectory, rollout)
+    acc: dict[tuple, list[float]] = {}  # the gradient of each touched slot
+    value, n_groups = 0.0, len(samples)
+    for sample in samples:
+        advantages = np.asarray(sample.advantages, dtype=np.float64)
+        if advantages.shape != (sample.group.size,):
+            raise LengthMismatch(
+                f"{advantages.size} advantages for {sample.group.size} rollouts")
+        group_value = 0.0
+        for traj, rollout, adv in zip(sample.trajectories, sample.group.rollouts,
+                                      advantages.tolist()):
+            if (key := (id(traj), id(rollout))) not in terms:
+                logp_new = view.logps(traj.decisions)
+                if not logp_new.shape == rollout.logp_old.shape == rollout.logp_ref.shape:
+                    raise ValueError("log-prob arrays must be 1-d and equally sized")
+                gaps = logp_new - np.array((rollout.logp_old, rollout.logp_ref))
+                if not np.isfinite(gaps).all():
+                    raise ValueError("log-probabilities must be finite")
+                terms[key] = np.exp(gaps[0]).tolist(), gaps[1].tolist()
+            ratios, gaps = terms[key]
+            tokens, member_value = len(ratios), 0.0
+            for decision, r, gap in zip(traj.decisions, ratios, gaps):
+                # a running sum: from Python 3.12 the builtin sum() compensates
+                member_value += min(r * adv, min(max(r, lo), hi) * adv) \
+                    - cfg.beta * (0.5 * gap * gap)
+                active = (adv >= 0 and r <= hi) or (adv < 0 and r >= lo)
+                coef = (adv * r if active else 0.0) - cfg.beta * gap
                 coef /= n_groups * len(sample.trajectories) * tokens
-                grads[decision.slot] -= coef * view.probs(decision.slot)
-                grads[decision.slot][decision.action] += coef
-    return value, grads
+                probs = view.probs(decision.slot)
+                grad = acc.setdefault(decision.slot, [0.0] * len(probs))
+                grad[:] = [g - coef * p for g, p in zip(grad, probs)]
+                grad[decision.action] += coef
+            group_value += member_value / tokens
+        value += group_value / sample.group.size / n_groups
+    return value, {key: np.array(acc[key]) if key in acc else np.zeros_like(z)
+                   for key, z in policy.tables.items()}
 
 
 def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
@@ -353,21 +359,15 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     seeded generator, drops homogeneous groups, standardizes the surviving
     rewards, and ascends the clipped objective. Identical (task, cfg, seed)
     reproduce the log exactly. The run keeps one path memo, and one
-    ``SlotView`` and mean entropy per table state, i.e. until an update.
+    ``SlotView`` per table state, i.e. until an update, whose mean entropy it
+    logs and whose probabilities the update takes.
     """
     if not _is_int(iterations) or iterations < 0:
         raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
-    rng = np.random.default_rng(seed)
-    policy = ToyPolicy(task)
-    grpo_cfg = cfg.grpo()
-    log = TrainLog()
-    paths: dict = {}
-    view, entropy = SlotView(policy.tables), policy.mean_entropy()
+    rng, policy, grpo_cfg = np.random.default_rng(seed), ToyPolicy(task), cfg.grpo()
+    log, paths, view = TrainLog(), {}, SlotView(policy.tables)
     for _ in range(iterations):
-        samples: list[GroupSample] = []
-        graded: list[float] = []
-        groups = []
-        by_id = {}
+        samples, graded, groups, by_id = [], [], [], {}
         for prompt in task.prompts:
             group, trajectories = sample_group(policy, prompt.prompt_id,
                                                cfg.group_size, rng, cfg.reward_mode,
@@ -382,18 +382,14 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
             # contributes only its KL term.
             advantages = (standardize_advantages(rewards)
                           if rewards.max() != rewards.min() else np.zeros(rewards.size))
-            samples.append(GroupSample(
-                group=group,
-                trajectories=by_id[group.prompt_id],
-                advantages=advantages,
-            ))
+            samples.append(GroupSample(group, by_id[group.prompt_id], advantages))
         if samples:
-            _, grads = objective_and_gradient(policy, samples, grpo_cfg)
+            _, grads = objective_and_gradient(policy, samples, grpo_cfg, view)
             for key, grad in grads.items():
                 policy.tables[key] += cfg.learning_rate * grad
-            view, entropy = SlotView(policy.tables), policy.mean_entropy()
+            view = SlotView(policy.tables)
         log.mean_reward.append(float(np.mean(graded)))
-        log.mean_entropy.append(entropy)
+        log.mean_entropy.append(view.mean_entropy)
         log.filtered_fraction.append(1.0 - len(survivors) / len(groups))
     return policy, log
 

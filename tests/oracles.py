@@ -16,7 +16,7 @@ from tooltrain.chat_format import (
     ToolCall,
     _parse_call_payload,
 )
-from tooltrain.grpo import Rollout, RolloutGroup
+from tooltrain.grpo import Rollout, RolloutGroup, grpo_objective
 from tooltrain.reward import total_reward
 
 
@@ -106,11 +106,15 @@ def parse_generation_four_find(raw: str) -> ParsedGeneration:
 
 class RecomputingSlotView:
     """``toy_trainer.SlotView`` that derives everything afresh on every use:
-    a softmax and ``Generator.choice`` per draw, a softmax per gradient token
-    and a log-normaliser per decision."""
+    a softmax and ``Generator.choice`` per draw, a softmax per gradient token,
+    a log-normaliser per decision and a softmax per table for the entropy."""
 
     def __init__(self, tables):
         self.tables = tables
+
+    @property
+    def mean_entropy(self):
+        return mean_entropy_per_table(self.tables)
 
     def probs(self, slot):
         return dv.softmax(self.tables[slot])
@@ -293,6 +297,44 @@ def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim
     return RolloutGroup(prompt_id=prompt_id, rollouts=rollouts), trajectories
 
 
-def mean_entropy_per_table(policy) -> float:
-    """``ToyPolicy.mean_entropy`` as one softmax and entropy call per table."""
-    return float(np.mean([dv.entropy(dv.softmax(z)) for z in policy.tables.values()]))
+def mean_entropy_per_table(tables) -> float:
+    """``SlotView.mean_entropy`` as one softmax and entropy call per table."""
+    return float(np.mean([dv.entropy(dv.softmax(z)) for z in tables.values()]))
+
+
+def objective_and_gradient_per_token(policy, samples, cfg, view=None):
+    """``toy_trainer.objective_and_gradient`` as a numpy loop over tokens: a
+    live ``Rollout`` per distinct sampled one and ``grpo_objective`` per group
+    for the value, and per token a softmax and a numpy update of the slot's
+    gradient. ``view`` is ignored; everything comes from ``policy.tables``."""
+    view = RecomputingSlotView(policy.tables)
+    grads = {key: np.zeros_like(z) for key, z in policy.tables.items()}
+    value = 0.0
+    n_groups = len(samples)
+    current = {}
+    for sample in samples:
+        group_rollouts = []
+        for traj, rollout_rec in zip(sample.trajectories, sample.group.rollouts):
+            if (key := (id(traj), id(rollout_rec))) not in current:
+                current[key] = Rollout(
+                    logp_new=view.logps(traj.decisions), logp_old=rollout_rec.logp_old,
+                    logp_ref=rollout_rec.logp_ref, reward=rollout_rec.reward)
+            group_rollouts.append(current[key])
+        live = RolloutGroup(sample.group.prompt_id, group_rollouts)
+        report = grpo_objective(live, sample.advantages, cfg)
+        value += report.value / n_groups
+
+        for i, (traj, roll) in enumerate(zip(sample.trajectories, group_rollouts)):
+            adv = sample.advantages[i]
+            ratio = np.exp(roll.logp_new - roll.logp_old)
+            tokens = len(traj.decisions)
+            for t, decision in enumerate(traj.decisions):
+                r = ratio[t]
+                active = (adv >= 0 and r <= 1.0 + cfg.epsilon) or \
+                    (adv < 0 and r >= 1.0 - cfg.epsilon)
+                coef = (adv * r if active else 0.0) \
+                    - cfg.beta * (roll.logp_new[t] - roll.logp_ref[t])
+                coef /= n_groups * len(sample.trajectories) * tokens
+                grads[decision.slot] -= coef * view.probs(decision.slot)
+                grads[decision.slot][decision.action] += coef
+    return value, grads

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
+import tooltrain.toy_trainer as toy_trainer
 from tooltrain.chat_format import ToolSchema
 from tooltrain.cli import _iter_jsonl, build_parser, main
 from tooltrain.toy_task import (
@@ -19,6 +20,7 @@ from tooltrain.toy_task import (
 )
 
 from golden import GOLDEN_RECORDS, GOLDEN_SCHEMA
+from oracles import RecomputingSlotView, objective_and_gradient_per_token
 
 
 @pytest.fixture
@@ -314,6 +316,33 @@ class TestKd:
         assert capsys.readouterr() == ("", f"error: position 'p': {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("probs, message", [
+        ([True, 0.0], "teacher probs [True, 0.0] are not all numbers"),
+        (["0.6", 0.4], "teacher probs ['0.6', 0.4] are not all numbers"),
+        ([0.6, None], "teacher probs [0.6, None] are not all numbers"),
+        ([[0.6], 0.4], "teacher probs [[0.6], 0.4] are not all numbers"),
+        (0.6, "teacher probs 0.6 are not all numbers"),
+    ])
+    def test_non_numeric_teacher_prob_is_format_error(self, probs, message,
+                                                      tmp_path, capsys):
+        inp, out = tmp_path / "kd.jsonl", tmp_path / "out.jsonl"
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": [0.5, 0.0, -0.5, 1.0],
+                 "teacher_topk": {"indices": [3, 0], "probs": probs}}]
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["kd", "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: position 'p': {message}\n")
+        assert not out.exists()
+
+    def test_integer_teacher_probs_are_numbers(self, tmp_path):
+        inp = tmp_path / "kd.jsonl"
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": [0.5, 0.0, -0.5, 1.0],
+                 "teacher_topk": {"indices": [3, 0], "probs": [1, 0]}}]
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["kd", "--input", str(inp), "--loss", "fkl",
+                     "--output", str(tmp_path / "out.jsonl")]) == 0
+
     def test_missing_header_is_format_error(self, tmp_path):
         inp = tmp_path / "kd.jsonl"
         inp.write_text(json.dumps({"position_id": "p"}) + "\n")
@@ -592,6 +621,28 @@ class TestTrainToy:
                      str(cfg_path), "--seed", "0", "--output", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[3] for row in rows] == ["0.0"] * 60
+
+    @pytest.mark.parametrize("make_task", [bundled_default_task,
+                                           bundled_optional_param_task])
+    @pytest.mark.parametrize("config", [{}, {"reward_mode": "binary"},
+                                        {"filter_groups": False},
+                                        {"reward_mode": "binary", "filter_groups": False}])
+    def test_csv_equals_the_per_token_oracle_run(self, make_task, config, tmp_path,
+                                                 monkeypatch):
+        task_path, cfg_path = tmp_path / "task.json", tmp_path / "cfg.json"
+        save_task(make_task(), task_path)
+        cfg_path.write_text(json.dumps({"iterations": 40, **config}))
+
+        def run(out):
+            assert main(["train-toy", "--task", str(task_path), "--config",
+                         str(cfg_path), "--seed", "3", "--output", str(out)]) == 0
+            return out.read_bytes()
+
+        csv = run(tmp_path / "fast.csv")
+        monkeypatch.setattr(toy_trainer, "SlotView", RecomputingSlotView)
+        monkeypatch.setattr(toy_trainer, "objective_and_gradient",
+                            objective_and_gradient_per_token)
+        assert run(tmp_path / "oracle.csv") == csv
 
     def test_missing_task_file(self, tmp_path, capsys):
         status = main(["train-toy", "--task", str(tmp_path / "gone.json")])

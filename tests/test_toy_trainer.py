@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tooltrain.divergence as dv
 import tooltrain.toy_trainer as toy_trainer
 from tooltrain import ToolSchema
-from tooltrain.grpo import Rollout, standardize_advantages
+from tooltrain.grpo import LengthMismatch, Rollout, RolloutGroup, standardize_advantages
 from tooltrain.toy_task import (
     ToyPrompt,
     ToyTask,
@@ -42,6 +42,7 @@ from oracles import (
     RecomputingSlotView,
     kd_fit_recording,
     mean_entropy_per_table,
+    objective_and_gradient_per_token,
     sample_group_unmemoised,
     sample_path,
 )
@@ -161,9 +162,9 @@ class TestRollouts:
 
 
 @st.composite
-def slot_tables(draw):
+def slot_tables(draw, min_size=1, max_size=11):
     """1-11-way logit tables: plain, scaled up to 50, and near-one-hot."""
-    size = draw(st.integers(1, 11))
+    size = draw(st.integers(min_size, max_size))
     z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
     z *= draw(st.sampled_from([1.0, 5.0, 50.0]))
     if draw(st.booleans()):
@@ -187,6 +188,29 @@ class TestSlotView:
                                           oracle.logps(decisions))
         np.testing.assert_array_equal(view.probs(slot), oracle.probs(slot))
 
+    @settings(max_examples=200, deadline=None)
+    @given(tables=st.lists(slot_tables(2, 6), min_size=1, max_size=24),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_batched_view_equals_the_recomputing_oracle(self, tables, seed, data):
+        # many tables of mixed sizes, so each view stacks several sizes
+        tables = {("p", "arg", "f", str(i)): z for i, z in enumerate(tables)}
+        view, oracle = SlotView(tables), RecomputingSlotView(tables)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for slot, z in tables.items():
+            assert np.array(view.probs(slot)).tobytes() == oracle.probs(slot).tobytes()
+            for _ in range(4):
+                assert view.draw(slot, rng) == oracle.draw(slot, oracle_rng)
+            decisions = [Decision(slot, action) for action in range(z.size)]
+            assert view.logps(decisions).tobytes() == oracle.logps(decisions).tobytes()
+        assert view.mean_entropy == mean_entropy_per_table(tables)
+
+        slot = data.draw(st.sampled_from(list(tables)))
+        poisoned = tables[slot].copy()
+        poisoned[data.draw(st.integers(0, poisoned.size - 1))] = \
+            data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            SlotView({**tables, slot: poisoned})
+
     @pytest.mark.parametrize("mode", ["sim", "binary"])
     @pytest.mark.parametrize("group_size", [4, 8])
     def test_training_equals_the_recomputing_oracle_path(self, mode, group_size,
@@ -205,8 +229,9 @@ class TestSlotView:
 
 
 def train_unmemoised(task, cfg, iterations, seed, monkeypatch, keys=None):
-    """``train_sim_rl`` through the unmemoised oracles; ``keys`` collects each
-    sampled trajectory's (prompt, actions) memo key."""
+    """``train_sim_rl`` through the oracles: unmemoised sampling, recomputing
+    views and the per-token update; ``keys`` collects each sampled
+    trajectory's (prompt, actions) memo key."""
     def sample_group(policy, prompt_id, group_size, rng, reward_mode, paths, view):
         group, trajectories = sample_group_unmemoised(policy, prompt_id,
                                                       group_size, rng, reward_mode)
@@ -217,7 +242,9 @@ def train_unmemoised(task, cfg, iterations, seed, monkeypatch, keys=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(toy_trainer, "sample_group", sample_group)
-        patch.setattr(ToyPolicy, "mean_entropy", mean_entropy_per_table)
+        patch.setattr(toy_trainer, "SlotView", RecomputingSlotView)
+        patch.setattr(toy_trainer, "objective_and_gradient",
+                      objective_and_gradient_per_token)
         return train_sim_rl(task, cfg, iterations, seed)
 
 
@@ -245,6 +272,18 @@ def table_families(draw):
     return tables
 
 
+def assert_training_equals_the_oracle_path(make_task, cfg, seed, monkeypatch):
+    task = make_task()
+    policy, log = train_sim_rl(task, cfg, iterations=40, seed=seed)
+    oracle_policy, oracle_log = train_unmemoised(task, cfg, 40, seed, monkeypatch)
+    for name in ("mean_reward", "mean_entropy", "filtered_fraction"):
+        assert np.array_equal(getattr(log, name), getattr(oracle_log, name))
+    for key, table in policy.tables.items():
+        assert np.array_equal(table, oracle_policy.tables[key])
+    assert evaluate_policy(policy, task, 16, seed=1) == \
+        evaluate_unmemoised(oracle_policy, task, 16, seed=1)
+
+
 class TestScoreMemo:
     @pytest.mark.parametrize("make_task", [bundled_default_task,
                                            bundled_optional_param_task])
@@ -253,18 +292,18 @@ class TestScoreMemo:
     @pytest.mark.parametrize("filter_groups", [True, False])
     def test_training_equals_the_unmemoised_oracle_path(
             self, make_task, mode, group_size, filter_groups, monkeypatch):
-        task = make_task()
         cfg = ToyTrainConfig(group_size=group_size, reward_mode=mode,
                              filter_groups=filter_groups)
-        policy, log = train_sim_rl(task, cfg, iterations=40, seed=group_size)
-        oracle_policy, oracle_log = train_unmemoised(task, cfg, 40, group_size,
-                                                     monkeypatch)
-        for name in ("mean_reward", "mean_entropy", "filtered_fraction"):
-            assert np.array_equal(getattr(log, name), getattr(oracle_log, name))
-        for key, table in policy.tables.items():
-            assert np.array_equal(table, oracle_policy.tables[key])
-        assert evaluate_policy(policy, task, 16, seed=1) == \
-            evaluate_unmemoised(oracle_policy, task, 16, seed=1)
+        assert_training_equals_the_oracle_path(make_task, cfg, group_size, monkeypatch)
+
+    @pytest.mark.parametrize("make_task", [bundled_default_task,
+                                           bundled_optional_param_task])
+    @pytest.mark.parametrize("mode", ["sim", "binary"])
+    def test_wide_kl_and_tight_clip_equal_the_oracle_path(self, make_task, mode,
+                                                          monkeypatch):
+        cfg = ToyTrainConfig(reward_mode=mode, filter_groups=False, beta=0.1,
+                             epsilon=0.05)
+        assert_training_equals_the_oracle_path(make_task, cfg, 6, monkeypatch)
 
     def test_each_distinct_trajectory_is_scored_once_per_run(self, monkeypatch):
         task, cfg = bundled_default_task(), ToyTrainConfig()
@@ -294,18 +333,15 @@ class TestScoreMemo:
     @settings(max_examples=200, deadline=None)
     @given(tables=table_families())
     def test_batched_entropy_equals_per_table_entropy(self, tables):
-        policy = ToyPolicy(tiny_task())
-        policy.tables = dict(enumerate(tables))
         expected = float(np.mean([dv.entropy(dv.softmax(z)) for z in tables]))
-        assert np.array_equal(policy.mean_entropy(), expected)
+        assert np.array_equal(SlotView(dict(enumerate(tables))).mean_entropy, expected)
 
     def test_batched_entropy_on_underflowed_rows(self):
         rows = [np.array([0.0, -800.0, 3.0, 1.0, -900.0, 2.0, 0.5, 0.25, 7.0]),
                 np.arange(9) * 100.0, np.linspace(-1, 1, 9)]
-        policy = ToyPolicy(tiny_task())
-        policy.tables = dict(enumerate(rows))
-        assert np.array_equal(policy.mean_entropy(),
-                              mean_entropy_per_table(policy))
+        tables = dict(enumerate(rows))
+        assert np.array_equal(SlotView(tables).mean_entropy,
+                              mean_entropy_per_table(tables))
 
 
 class FixedDraws:
@@ -342,21 +378,20 @@ class TestPathMemo:
     def test_paths_rollouts_and_entropies_are_derived_once_per_table_state(
             self, monkeypatch):
         task, cfg, iterations = bundled_default_task(), ToyTrainConfig(), 200
-        # the unmemoised oracle run: the paths drawn at each table state, the
-        # distinct paths of each update's kept groups, and the entropy of the
-        # tables each iteration starts from
+        # the oracle run: the paths drawn at each table state, the distinct
+        # paths of each update's kept groups, and the entropy of the tables
+        # each iteration starts from
         state, drawn, kept, entropies = [0], set(), [], []
-        objective = toy_trainer.objective_and_gradient
 
-        def oracle_objective(policy, samples, grpo_cfg):
+        def oracle_objective(policy, samples, grpo_cfg, view):
             kept.append(set().union(*(path_keys(s.group.prompt_id, s.trajectories)
                                       for s in samples)))
             state[0] += 1
-            return objective(policy, samples, grpo_cfg)
+            return objective_and_gradient_per_token(policy, samples, grpo_cfg, view)
 
         def oracle_sample_group(policy, prompt_id, group_size, rng, mode, paths, view):
             if prompt_id == task.prompts[0].prompt_id:
-                entropies.append(mean_entropy_per_table(policy))
+                entropies.append(mean_entropy_per_table(policy.tables))
             group, trajectories = sample_group_unmemoised(policy, prompt_id,
                                                           group_size, rng, mode)
             drawn.update((state[0], key) for key in path_keys(prompt_id, trajectories))
@@ -368,11 +403,12 @@ class TestPathMemo:
             oracle_policy, oracle_log = train_sim_rl(task, cfg, iterations, seed=0)
         # each iteration logs the entropy of the tables it leaves behind
         assert oracle_log.mean_entropy == \
-            entropies[1:] + [mean_entropy_per_table(oracle_policy)]
+            entropies[1:] + [mean_entropy_per_table(oracle_policy.tables)]
 
-        counts, policies, ref_paths = collections.Counter(), [], []
-        rollout_init, logps = Rollout.__post_init__, SlotView.logps
-        entropy = ToyPolicy.mean_entropy
+        counts, policies, views, ref_paths = collections.Counter(), [], [], []
+        rollout_init, view_init, logps = Rollout.__post_init__, SlotView.__init__, \
+            SlotView.logps
+        objective = toy_trainer.objective_and_gradient
 
         class RecordedPolicy(ToyPolicy):
             def __init__(self, task):
@@ -382,27 +418,40 @@ class TestPathMemo:
         def counted(name, fn):
             return lambda *args: counts.update([name]) or fn(*args)
 
+        def recorded_view(view, tables):
+            views.append(tables)
+            view_init(view, tables)
+
         def recorded_logps(view, decisions):
             if view.tables is policies[0].ref_tables:
                 ref_paths.append(tuple(decisions))
+            else:
+                counts.update(["live logps"])
             return logps(view, decisions)
 
         monkeypatch.setattr(toy_trainer, "ToyPolicy", RecordedPolicy)
         monkeypatch.setattr(Rollout, "__post_init__", counted("rollout", rollout_init))
+        monkeypatch.setattr(SlotView, "__init__", recorded_view)
         monkeypatch.setattr(SlotView, "logps", recorded_logps)
-        monkeypatch.setattr(ToyPolicy, "mean_entropy", counted("entropy", entropy))
         monkeypatch.setattr(toy_trainer, "objective_and_gradient",
                             counted("update", objective))
         log = train_sim_rl(task, cfg, iterations, seed=0)[1]
 
         assert log == oracle_log
         # one rollout per distinct path per table state while sampling, and
-        # one live rollout per distinct kept path per update
-        assert counts["rollout"] == len(drawn) + sum(map(len, kept)) < \
+        # none in the update
+        assert counts["rollout"] == len(drawn) < \
             iterations * len(task.prompts) * cfg.group_size
+        # live log-probs once per distinct path per table state while
+        # sampling, and once per distinct kept path in each update
+        assert counts["live logps"] == len(drawn) + sum(map(len, kept))
         # reference log-probs once per distinct path for the whole run
         assert len(ref_paths) == len(set(ref_paths)) == len({key for _, key in drawn})
-        assert counts["entropy"] == counts["update"] + 1 == len(kept) + 1 < iterations
+        # one view per table state and one of the reference tables per run
+        assert [tables is policies[0].ref_tables for tables in views].count(True) == 1
+        assert [tables is policies[0].tables for tables in views].count(True) == \
+            counts["update"] + 1 == len(kept) + 1 < iterations
+        assert len(views) == len(kept) + 2
 
 
 class TestPolicyGradient:
@@ -438,6 +487,88 @@ class TestPolicyGradient:
                 numeric = (up - down) / (2 * step)
                 assert abs(numeric - grads[key][idx]) <= 1e-5 * max(
                     1.0, abs(numeric)), (key, idx)
+
+
+def drifted_minibatch(make_task, seed, drift):
+    """One sampled group per prompt plus a copy of the first with every member
+    twice, zero advantages for a homogeneous group, and the live tables then
+    drifted by ``drift`` standard normals per entry."""
+    task = make_task()
+    policy = ToyPolicy(task)
+    rng = np.random.default_rng(seed)
+    samples = []
+    for prompt in task.prompts:
+        group, trajectories = sample_group(policy, prompt.prompt_id, 8, rng)
+        rewards = group.rewards()
+        advantages = standardize_advantages(rewards) \
+            if rewards.max() != rewards.min() else np.zeros(rewards.size)
+        samples.append(GroupSample(group, trajectories, advantages))
+    first = samples[0]
+    samples.append(GroupSample(
+        RolloutGroup(first.group.prompt_id, first.group.rollouts * 2),
+        first.trajectories * 2, np.concatenate([first.advantages] * 2)))
+    for key, table in policy.tables.items():
+        policy.tables[key] = table + drift * rng.normal(size=table.size)
+    return policy, samples
+
+
+class TestUpdateOracle:
+    @pytest.mark.parametrize("make_task", [bundled_default_task,
+                                           bundled_optional_param_task])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("drift", [0.05, 1.0])
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1])
+    def test_gradient_equals_the_per_token_oracle(self, make_task, seed, drift, beta):
+        policy, samples = drifted_minibatch(make_task, seed, drift)
+        cfg = ToyTrainConfig(beta=beta).grpo()
+        value, grads = objective_and_gradient(policy, samples, cfg)
+        oracle_value, oracle_grads = objective_and_gradient_per_token(policy, samples,
+                                                                      cfg)
+        assert grads.keys() == oracle_grads.keys()
+        for key, grad in grads.items():
+            assert grad.tobytes() == oracle_grads[key].tobytes(), key
+        # the oracle's value is the mean of grpo_objective over the groups
+        assert value == pytest.approx(oracle_value, rel=1e-12, abs=1e-15)
+
+    def test_minibatches_cover_both_clip_sides_and_both_advantage_signs(self):
+        view_ratios, advantages = [], []
+        for make_task in (bundled_default_task, bundled_optional_param_task):
+            for seed in range(4):
+                policy, samples = drifted_minibatch(make_task, seed, 1.0)
+                view = SlotView(policy.tables)
+                for sample in samples:
+                    advantages.extend(sample.advantages.tolist())
+                    for traj, rollout in zip(sample.trajectories,
+                                             sample.group.rollouts):
+                        view_ratios.extend(np.exp(view.logps(traj.decisions)
+                                                  - rollout.logp_old).tolist())
+        assert min(view_ratios) < 0.8 and max(view_ratios) > 1.2
+        assert min(advantages) < 0 < max(advantages) and 0.0 in advantages
+
+    @pytest.mark.parametrize("update", [objective_and_gradient,
+                                        objective_and_gradient_per_token])
+    @pytest.mark.parametrize("fault", ["advantage count", "length", "nan logp_ref",
+                                       "inf logp_old"])
+    def test_malformed_minibatches_raise(self, update, fault):
+        policy, samples = drifted_minibatch(bundled_default_task, 0, 0.05)
+        sample = samples[0]
+        rollouts, advantages = list(sample.group.rollouts), sample.advantages
+        first, error = rollouts[0], ValueError
+        if fault == "advantage count":
+            advantages, error = advantages[:-1], LengthMismatch
+        elif fault == "length":
+            longer = np.append(first.logp_old, 0.0)
+            rollouts[0] = Rollout(longer, longer, longer, first.reward)
+        else:
+            # Rollout checks only at construction, so spoil a copy afterwards
+            rollouts[0] = Rollout(first.logp_new, first.logp_old, first.logp_ref,
+                                  first.reward)
+            value, name = fault.split()
+            setattr(rollouts[0], name, np.full(first.logp_old.size, float(value)))
+        broken = GroupSample(RolloutGroup(sample.group.prompt_id, rollouts),
+                             sample.trajectories, advantages)
+        with pytest.raises(error, match="advantages|equally sized|finite"):
+            update(policy, [broken], ToyTrainConfig().grpo())
 
 
 class TestTraining:
