@@ -98,8 +98,12 @@ class ToolSchema:
         for entry in data:
             if not isinstance(entry, dict):
                 raise ValueError(f"schema entry {entry!r} is not a JSON object")
-            params = {}
-            for pname, pspec in (entry.get("parameters") or {}).items():
+            params, specs = {}, entry.get("parameters") or {}
+            if not isinstance(entry.get("name"), str) or not isinstance(specs, dict) \
+                    or not all(isinstance(spec or {}, dict) for spec in specs.values()):
+                raise ValueError(f"schema entry {entry!r} needs a string name and "
+                                 "a parameters object of objects")
+            for pname, pspec in specs.items():
                 pspec = pspec or {}
                 params[pname] = ParamSpec(
                     description=pspec.get("description", ""),

@@ -32,9 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
-KD_FILE_VERSION = 1
-
-
 def _iter_jsonl(path: str):
     """Yield the JSON object on each non-blank line, reading one line at a time.
 
@@ -57,16 +54,21 @@ def _iter_jsonl(path: str):
                 yield obj
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+def _dump(obj) -> str:  # a NaN or infinity, say an echoed id, is a ValueError
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False)
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+def _write(path: str | None, out_lines: list[str], notes: list[str]) -> int:
+    """The one tail of every JSONL command: held output lines to ``path``
+    (stdout when None or ``-``), then held notes to stderr, so a failed write
+    leaves only its error line. Exit 1 exactly when a record left a note."""
+    text = "".join(line + "\n" for line in out_lines)
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+    sys.stderr.write("".join(notes))
+    return EXIT_VALIDATION if notes else EXIT_OK
 
 
 def _load_schema_ref(ref, base_schema: ToolSchema | None,
@@ -87,31 +89,17 @@ def _load_schema_ref(ref, base_schema: ToolSchema | None,
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    try:
-        records = list(_iter_jsonl(args.input))
-        base_schema = None
-        if args.schema:
-            base_schema = ToolSchema.from_json(
-                Path(args.schema).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    seen_ids = set()
-    schemas: dict[str, ToolSchema] = {}
-    out_lines = []
-    totals = []
-    failures = 0
-    for record in records:
+    base_schema = (ToolSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
+                   if args.schema else None)
+    seen_ids, schemas = set(), {}
+    out_lines, notes, totals, n = [], [], [], 0
+    for n, record in enumerate(_iter_jsonl(args.input), 1):
         rid = record.get("id")
         if isinstance(rid, (list, dict)):
-            print(f"error: record {rid!r}: id must be a string, number or null",
-                  file=sys.stderr)
-            return EXIT_IO
+            raise ValueError(f"record {rid!r}: id must be a string, number or null")
         if rid is not None:
             if rid in seen_ids:
-                print(f"error: duplicate record id {rid!r}", file=sys.stderr)
-                return EXIT_IO
+                raise ValueError(f"duplicate record id {rid!r}")
             seen_ids.add(rid)
         try:
             schema = _load_schema_ref(record.get("schema_ref"), base_schema, schemas)
@@ -121,100 +109,85 @@ def cmd_score(args: argparse.Namespace) -> int:
             breakdown = total_reward(record["generation"],
                                      record["ground_truth"], schema)
         except MalformedGroundTruth as exc:
-            failures += 1
-            print(f"record {rid!r}: {exc}", file=sys.stderr)
+            notes.append(f"record {rid!r}: {exc}\n")
             out_lines.append(_dump({"id": rid, "error": str(exc)}))
             continue
         except (OSError, KeyError, ValueError) as exc:
-            print(f"error: record {rid!r}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise ValueError(f"record {rid!r}: {exc}") from None
         totals.append(breakdown.total)
         out_lines.append(_dump({"id": rid, **breakdown.to_dict()}))
 
-    _write_lines(args.output, out_lines)
+    status = _write(args.output, out_lines, notes)
     mean = float(np.mean(totals)) if totals else float("nan")
-    print(f"scored {len(totals)} of {len(records)} records, "
-          f"mean total reward {mean!r}", file=sys.stderr)
-    return EXIT_VALIDATION if failures else EXIT_OK
+    print(f"scored {len(totals)} of {n} records, mean total reward {mean!r}",
+          file=sys.stderr)
+    return status
 
 
 def cmd_kd(args: argparse.Namespace) -> int:
-    # The input is read one line at a time; output lines and per-position
-    # messages are held back until the last line is in, so an exit 2 anywhere
-    # writes nothing but its one error line.
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"k={args.k} must be at least 1")
+    if not np.isfinite(args.lambda_tail):
+        raise ValueError(f"lambda={args.lambda_tail} must be finite")
     out_lines, notes = [], []
     losses, escapes, entropies = [], [], []
     rows = _iter_jsonl(args.input)
+    header = next(rows, None)
+    if header is None or "vocab_size" not in header:
+        raise ValueError("first line must be a header with 'vocab_size'")
     try:
-        if args.k is not None and args.k < 1:
-            raise ValueError(f"k={args.k} must be at least 1")
-        header = next(rows, None)
-        if header is None or "vocab_size" not in header:
-            raise ValueError("first line must be a header with 'vocab_size'")
+        vocab_size = int(header["vocab_size"])
+    except (TypeError, OverflowError):
+        raise ValueError("header vocab_size must be an integer, "
+                         f"got {header['vocab_size']!r}") from None
+    m = args.m if args.m is not None else dv.default_truncation(vocab_size)[1]
+    if not 1 <= m <= vocab_size:
+        raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")
+    for record in rows:
+        pid = record.get("position_id")
         try:
-            vocab_size = int(header["vocab_size"])
-        except (TypeError, OverflowError):
-            raise ValueError("header vocab_size must be an integer, "
-                             f"got {header['vocab_size']!r}") from None
-        m = args.m if args.m is not None else dv.default_truncation(vocab_size)[1]
-        if not 1 <= m <= vocab_size:
-            raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")
-        for record in rows:
-            pid = record.get("position_id")
-            try:
-                topk = record["teacher_topk"]
-                # numpy would truncate a float index and read a bool or string
-                for name, types, kind in (("indices", (int,), "integers"),
-                                          ("probs", (int, float), "numbers")):
-                    raw = topk[name]
-                    if not isinstance(raw, list) or any(type(x) not in types for x in raw):
-                        raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
-                indices = np.asarray(topk["indices"], dtype=np.int64)
-                probs = np.asarray(topk["probs"], dtype=np.float64)
-                if args.k is not None:
-                    keep = np.argsort(-probs, kind="stable")[:args.k]
-                    indices, probs = indices[keep], probs[keep]
-                z = np.asarray(record["student_logits"], dtype=np.float64)
-                if z.size != vocab_size:
-                    raise ValueError(f"student_logits has length {z.size}, "
-                                     f"header declares {vocab_size}")
-                if indices.size and not 0 <= indices.min() <= indices.max() < vocab_size:
-                    bad = indices.max() if indices.max() >= vocab_size else indices.min()
-                    raise ValueError(f"teacher index {int(bad)} out of "
-                                     f"bounds for vocab_size {vocab_size}")
-                teacher = dv.TopKDistribution(indices=indices, probs=probs)
-                report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
-            except (dv.DegenerateStudent, dv.DegenerateTeacher) as exc:
-                notes.append(f"position {pid!r}: {exc}\n")
-                out_lines.append(_dump({"position_id": pid, "error": str(exc)}))
-                continue
-            except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
-                raise ValueError(f"position {pid!r}: {exc}") from None
-            losses.append(report.loss)
-            escapes.append(report.aux["escape_mass"])
-            entropies.append(report.aux["entropy"])
-            out_lines.append(_dump({
-                "position_id": pid,
-                "loss": report.loss,
-                "escape_mass": report.aux["escape_mass"],
-                "entropy": report.aux["entropy"],
-            }))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        rows.close()
+            topk = record["teacher_topk"]
+            # numpy would truncate a float index and read a bool or string
+            for name, types, kind in (("indices", (int,), "integers"),
+                                      ("probs", (int, float), "numbers")):
+                raw = topk[name]
+                if not isinstance(raw, list) or any(type(x) not in types for x in raw):
+                    raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
+            indices = np.asarray(topk["indices"], dtype=np.int64)
+            probs = np.asarray(topk["probs"], dtype=np.float64)
+            if args.k is not None:
+                keep = np.argsort(-probs, kind="stable")[:args.k]
+                indices, probs = indices[keep], probs[keep]
+            z = np.asarray(record["student_logits"], dtype=np.float64)
+            if z.size != vocab_size:
+                raise ValueError(f"student_logits has length {z.size}, "
+                                 f"header declares {vocab_size}")
+            if indices.size and not 0 <= indices.min() <= indices.max() < vocab_size:
+                bad = indices.max() if indices.max() >= vocab_size else indices.min()
+                raise ValueError(f"teacher index {int(bad)} out of "
+                                 f"bounds for vocab_size {vocab_size}")
+            teacher = dv.TopKDistribution(indices=indices, probs=probs)
+            report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
+        except (dv.DegenerateStudent, dv.DegenerateTeacher) as exc:
+            notes.append(f"position {pid!r}: {exc}\n")
+            out_lines.append(_dump({"position_id": pid, "error": str(exc)}))
+            continue
+        except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
+            raise ValueError(f"position {pid!r}: {exc}") from None
+        losses.append(report.loss)
+        escapes.append(report.aux["escape_mass"])
+        entropies.append(report.aux["entropy"])
+        out_lines.append(_dump({"position_id": pid, "loss": report.loss,
+                                "escape_mass": report.aux["escape_mass"],
+                                "entropy": report.aux["entropy"]}))
 
-    sys.stderr.write("".join(notes))
-    footer = {
+    out_lines.append(_dump({
         "records": len(losses),
         "mean_loss": float(np.mean(losses)) if losses else None,
         "mean_escape_mass": float(np.mean(escapes)) if escapes else None,
         "mean_entropy": float(np.mean(entropies)) if entropies else None,
-    }
-    out_lines.append(_dump(footer))
-    _write_lines(args.output, out_lines)
-    return EXIT_VALIDATION if notes else EXIT_OK
+    }))
+    return _write(args.output, out_lines, notes)
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
@@ -241,23 +214,21 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_train_toy(args: argparse.Namespace) -> int:
     try:
         task = load_task(args.task)
-        cfg_data = {}
-        if args.config:
-            cfg_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(cfg_data, dict):
-            raise ValueError("config must be a JSON object")
-        iterations = cfg_data.pop("iterations", 500)
-        if type(iterations) is not int or iterations < 1:  # bool is no count
-            raise ValueError(f"iterations must be an integer of at least 1, "
-                             f"got {iterations!r}")
-        if args.epsilon is not None:
-            cfg_data["epsilon"] = args.epsilon
-        if args.beta is not None:
-            cfg_data["beta"] = args.beta
-        cfg = ToyTrainConfig.from_dict(cfg_data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (KeyError, TypeError) as exc:  # a task document of the wrong shape
+        raise ValueError(exc) from None
+    cfg_data = (json.loads(Path(args.config).read_text(encoding="utf-8"))
+                if args.config else {})
+    if not isinstance(cfg_data, dict):
+        raise ValueError("config must be a JSON object")
+    iterations = cfg_data.pop("iterations", 500)
+    if type(iterations) is not int or iterations < 1:  # bool is no count
+        raise ValueError(f"iterations must be an integer of at least 1, "
+                         f"got {iterations!r}")
+    if args.epsilon is not None:
+        cfg_data["epsilon"] = args.epsilon
+    if args.beta is not None:
+        cfg_data["beta"] = args.beta
+    cfg = ToyTrainConfig.from_dict(cfg_data)
     _, log = train_sim_rl(task, cfg, iterations, seed=args.seed)
     if args.output:
         log.to_csv(args.output)
@@ -278,30 +249,24 @@ def _numeric_rewards(values: list) -> np.ndarray:
 
 
 def cmd_advantages(args: argparse.Namespace) -> int:
-    try:
-        records = list(_iter_jsonl(args.input))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    out_lines = []
-    for record in records:
+    out_lines, notes = [], []
+    for record in _iter_jsonl(args.input):
         pid = record.get("prompt_id")
         rewards = record.get("rewards")
         if not isinstance(rewards, list) or len(rewards) < 2:
-            print(f"error: group {pid!r} needs at least two rewards",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            error = "a group needs at least two rewards"
+            notes.append(f"group {pid!r}: {error}\n")
+            out_lines.append(_dump({"prompt_id": pid, "error": error}))
+            continue
         try:
             adv = standardize_advantages(_numeric_rewards(rewards))
         except ZeroVariance:
             out_lines.append(_dump({"prompt_id": pid, "filtered": True}))
             continue
         except (ValueError, OverflowError) as exc:
-            print(f"error: group {pid!r}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise ValueError(f"group {pid!r}: {exc}") from None
         out_lines.append(_dump({"prompt_id": pid, "advantages": adv.tolist()}))
-    _write_lines(args.output, out_lines)
-    return EXIT_OK
+    return _write(args.output, out_lines, notes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,8 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. This is the one place where an ``OSError`` or
+    ``ValueError`` (a missing file, a malformed line, a flag out of range)
+    becomes a single ``error:`` line and exit 2; commands raise, and hold
+    their output until the last record, so such an exit writes nothing else."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

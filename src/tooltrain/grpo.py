@@ -28,7 +28,6 @@ class LengthMismatch(ValueError):
 class GrpoConfig:
     epsilon: float = 0.2
     beta: float = 1e-3
-    filter_homogeneous: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -81,11 +80,14 @@ def standardize_advantages(rewards: Iterable[float]) -> np.ndarray:
     rewards = np.asarray(list(rewards), dtype=np.float64)
     if rewards.size < 2:
         raise ValueError("advantage standardization needs at least two rewards")
-    std = float(rewards.std())  # population: divide by G
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(rewards.std())  # population: divide by G
     # max == min is the homogeneity rule of ``filter_homogeneous``: the float
     # std of equal rewards such as 0.7 can be ~1e-16 rather than zero
     if rewards.max() == rewards.min() or std == 0.0:
         raise ZeroVariance(f"all {rewards.size} rewards equal {rewards[0]}")
+    if not np.isfinite(std):  # e.g. [1e308, -1e308] or a non-finite reward
+        raise ValueError("reward spread overflows float64")
     return (rewards - rewards.mean()) / std
 
 

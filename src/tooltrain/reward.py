@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from .chat_format import (
     FormatViolation,
@@ -75,25 +75,21 @@ def greedy_match(pred_calls: list[ToolCall], gt_calls: list[ToolCall]) -> MatchR
     return MatchResult(matches=matches, total_similarity=total)
 
 
-def tool_call_reward(
-    pred_calls: list[ToolCall],
-    gt_calls: list[ToolCall],
-    matcher: Callable[[list[ToolCall], list[ToolCall]], MatchResult] = greedy_match,
-) -> float:
+def tool_call_reward(pred_calls: list[ToolCall], gt_calls: list[ToolCall]) -> float:
     """IoU-style call reward: matched similarity over the union size.
 
     The denominator is |P| + |G| - |matches|, the size of the union induced
     by the matching. Two empty call lists score 1.0.
     """
-    return _call_reward(pred_calls, gt_calls, matcher)[0]
+    return _call_reward(pred_calls, gt_calls)[0]
 
 
-def _call_reward(pred_calls: list[ToolCall], gt_calls: list[ToolCall],
-                 matcher) -> tuple[float, list[CallMatch]]:
+def _call_reward(pred_calls: list[ToolCall],
+                 gt_calls: list[ToolCall]) -> tuple[float, list[CallMatch]]:
     """``tool_call_reward`` together with the matches it was computed from."""
     if not pred_calls and not gt_calls:
         return 1.0, []
-    result = matcher(pred_calls, gt_calls)
+    result = greedy_match(pred_calls, gt_calls)
     denom = len(pred_calls) + len(gt_calls) - len(result.matches)
     return result.total_similarity / denom, result.matches
 
@@ -149,12 +145,8 @@ def _checked_ground_truth(ground_truth: str, schema: ToolSchema) -> ParsedGenera
     return gt
 
 
-def total_reward(
-    raw_generation: str,
-    ground_truth: str,
-    schema: ToolSchema,
-    matcher: Callable[[list[ToolCall], list[ToolCall]], MatchResult] = greedy_match,
-) -> RewardBreakdown:
+def total_reward(raw_generation: str, ground_truth: str,
+                 schema: ToolSchema) -> RewardBreakdown:
     """Score a generation against a format-valid ground truth.
 
     Equivalent to R = (R_format - 1) + R_format * (R_fc + R_response) with
@@ -174,7 +166,7 @@ def total_reward(
                                total=-1.0, violations=check.violations)
 
     if gt.tool_calls:
-        r_fc, matches = _call_reward(parsed.tool_calls, gt.tool_calls, matcher)
+        r_fc, matches = _call_reward(parsed.tool_calls, gt.tool_calls)
         return RewardBreakdown(r_format=1, r_fc=r_fc, r_response=0.0,
                                total=r_fc, matches=matches)
 

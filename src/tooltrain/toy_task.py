@@ -42,14 +42,18 @@ class ToyTask:
 
     def __post_init__(self):
         for fdef in self.schema.functions:
-            fdom = self.domains.get(fdef.name)
-            if fdom is None or set(fdom) != set(fdef.parameters):
+            fdom = self.domains.get(fdef.name) if isinstance(self.domains, dict) else None
+            if not isinstance(fdom, dict) or set(fdom) != set(fdef.parameters):
                 raise ValueError(
                     f"domains for '{fdef.name}' must cover exactly its parameters")
             for pname, values in fdom.items():
+                if not isinstance(values, (list, tuple)):
+                    raise ValueError(f"value domain for {fdef.name}.{pname} is not a list")
                 if not values:
                     raise ValueError(f"empty value domain for {fdef.name}.{pname}")
         ids = [p.prompt_id for p in self.prompts]
+        if not ids or not all(isinstance(pid, str) for pid in ids):
+            raise ValueError("a task needs at least one prompt, each with a string id")
         if len(set(ids)) != len(ids):
             raise ValueError("prompt ids must be unique")
         for prompt in self.prompts:

@@ -74,9 +74,8 @@ class ToyTrainConfig:
         if self.reward_mode not in ("sim", "binary"):
             raise ValueError("reward_mode must be 'sim' or 'binary'")
         # built here so that its range checks surface with the config's own
-        object.__setattr__(self, "_grpo", GrpoConfig(
-            epsilon=self.epsilon, beta=self.beta,
-            filter_homogeneous=self.filter_groups))
+        object.__setattr__(self, "_grpo", GrpoConfig(epsilon=self.epsilon,
+                                                     beta=self.beta))
 
     def grpo(self) -> GrpoConfig:
         return self._grpo
@@ -309,7 +308,8 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
     (trajectory, rollout) pair takes its ratios and KL gaps once; the token
     terms are Python floats folded into the gradient in member and token
     order, the IEEE operations of a per-token numpy loop. The value is the
-    mean of ``grpo_objective`` over the groups up to rounding.
+    mean of ``grpo_objective`` over the groups up to rounding. The gradient
+    holds only the slots the minibatch touched; an absent slot's is zero.
     """
     view = SlotView(policy.tables) if view is None else view
     lo, hi = 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
@@ -347,8 +347,7 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
                 grad[decision.action] += coef
             group_value += member_value / tokens
         value += group_value / sample.group.size / n_groups
-    return value, {key: np.array(acc[key]) if key in acc else np.zeros_like(z)
-                   for key, z in policy.tables.items()}
+    return value, {key: np.array(g) for key, g in acc.items()}
 
 
 def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
@@ -375,7 +374,7 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
             graded.extend(t.graded_reward for t in trajectories)
             groups.append(group)
             by_id[prompt.prompt_id] = trajectories
-        survivors = filter_homogeneous(groups) if grpo_cfg.filter_homogeneous else groups
+        survivors = filter_homogeneous(groups) if cfg.filter_groups else groups
         for group in survivors:
             rewards = group.rewards()
             # An unfiltered homogeneous group has no advantage signal and

@@ -222,6 +222,16 @@ class TestSchema:
             ToolSchema.from_dict([{"name": "f", "parameters": {}},
                                   {"name": "f", "parameters": {}}])
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"parameters": {}}, "needs a string name"),
+        ({"name": ["f"]}, "needs a string name"),
+        ({"name": "f", "parameters": [1]}, "a parameters object of objects$"),
+        ({"name": "f", "parameters": {"p": 1.5}}, "a parameters object of objects$"),
+    ])
+    def test_malformed_entry_is_value_error(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            ToolSchema.from_dict([entry])
+
     def test_from_json_accepts_tools_block_lines(self):
         text = "\n".join(json.dumps(entry) for entry in [
             {"name": "a", "description": "", "parameters": {}},

@@ -35,7 +35,8 @@ def score_files(tmp_path):
     return schema_path, input_path
 
 
-def make_kd_file(path, vocab_size=16, positions=6, seed=0, teacher_equals_student=False):
+def kd_rows(vocab_size=16, positions=6, seed=0, teacher_equals_student=False):
+    """A valid ``kd`` input: the header, then one position per row."""
     rng = np.random.default_rng(seed)
     rows = [{"version": 1, "vocab_size": vocab_size}]
     for i in range(positions):
@@ -48,7 +49,11 @@ def make_kd_file(path, vocab_size=16, positions=6, seed=0, teacher_equals_studen
                              "probs": top.probs.tolist()},
             "student_logits": z.tolist(),
         })
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return rows
+
+
+def make_kd_file(path, **kwargs):
+    path.write_text("\n".join(json.dumps(r) for r in kd_rows(**kwargs)) + "\n")
 
 
 def write_three_entry_teacher(path):
@@ -240,6 +245,43 @@ class TestScore:
                      "--schema", str(schema_path)]) == 2
         assert capsys.readouterr().err == (
             f"error: record 'r': {field} must be a string, got {value!r}\n")
+
+
+    @pytest.mark.parametrize("invalid_first", [False, True])
+    def test_earliest_defect_in_file_order_is_reported(self, invalid_first,
+                                                        score_files, capsys):
+        schema_path, input_path = score_files
+        bad_record = json.dumps({**GOLDEN_RECORDS[0], "id": "r", "generation": 5})
+        lines = [json.dumps(GOLDEN_RECORDS[1]), bad_record, "{bad"]
+        if invalid_first:
+            lines[1], lines[2] = lines[2], lines[1]
+        input_path.write_text("\n".join(lines) + "\n")
+        assert main(["score", "--input", str(input_path),
+                     "--schema", str(schema_path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {input_path}:2: invalid JSON (Expecting property name enclosed "
+            "in double quotes)\n" if invalid_first else
+            "error: record 'r': generation must be a string, got 5\n"))
+
+    @pytest.mark.parametrize("rid", [float("nan"), float("inf")])
+    def test_non_finite_id_is_format_error(self, rid, score_files, tmp_path, capsys):
+        schema_path, input_path = score_files
+        input_path.write_text(json.dumps({**GOLDEN_RECORDS[0], "id": rid}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(input_path), "--schema",
+                     str(schema_path), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "error: Out of range float values are not JSON compliant")
+
+    def test_malformed_schema_file_is_format_error(self, score_files, capsys):
+        schema_path, input_path = score_files
+        schema_path.write_text(json.dumps([{"parameters": {}}]))
+        assert main(["score", "--input", str(input_path),
+                     "--schema", str(schema_path)]) == 2
+        assert capsys.readouterr() == ("", "error: schema entry {'parameters': {}} "
+                                           "needs a string name and a parameters "
+                                           "object of objects\n")
 
 
 class TestKd:
@@ -502,6 +544,25 @@ class TestKd:
         assert capsys.readouterr() == (
             "", "error: position 'pos0': lambda_tail must be non-negative\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_is_format_error(self, value, tmp_path, capsys):
+        inp = tmp_path / "kd.jsonl"
+        make_kd_file(inp)
+        assert main(["kd", "--input", str(inp), "--lambda", value]) == 2
+        assert capsys.readouterr() == ("", f"error: lambda={float(value)} must be finite\n")
+
+    def test_unwritable_output_writes_only_its_error(self, tmp_path, capsys):
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text(json.dumps({"vocab_size": 4}) + "\n" + json.dumps(
+            {"position_id": "dead", "teacher_topk": {"indices": [0, 1], "probs": [0.6, 0.3]},
+             "student_logits": [0.0, -900.0, 0.0, 0.0]}) + "\n")
+        out = tmp_path / "missing" / "out.jsonl"
+        assert main(["kd", "--input", str(inp), "--loss", "fkl",
+                     "--output", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: [Errno 2] ")
+        assert err.count("\n") == 1
+
     def test_reader_is_lazy(self, tmp_path):
         inp = tmp_path / "kd.jsonl"
         inp.write_text(json.dumps({"vocab_size": 4}) + "\n{bad\n")
@@ -714,6 +775,42 @@ class TestAdvantages:
         inp.write_text(json.dumps({"prompt_id": "g", "rewards": [1]}) + "\n")
         assert main(["advantages", "--input", str(inp)]) == 1
 
+    @pytest.mark.parametrize("short", [{"rewards": [1]}, {"rewards": []}, {},
+                                       {"rewards": "ab"}])
+    def test_short_group_is_a_per_record_failure(self, short, tmp_path, capsys):
+        inp, out = tmp_path / "groups.jsonl", tmp_path / "out.jsonl"
+        inp.write_text("".join(json.dumps(r) + "\n" for r in (
+            {"prompt_id": "a", "rewards": [1, 0]}, {"prompt_id": "s", **short},
+            {"prompt_id": "h", "rewards": [2, 2]})))
+        assert main(["advantages", "--input", str(inp), "--output", str(out)]) == 1
+        assert out.read_text() == (
+            '{"advantages": [1.0, -1.0], "prompt_id": "a"}\n'
+            '{"error": "a group needs at least two rewards", "prompt_id": "s"}\n'
+            '{"filtered": true, "prompt_id": "h"}\n')
+        assert capsys.readouterr() == (
+            "", "group 's': a group needs at least two rewards\n")
+
+    @pytest.mark.parametrize("invalid_first", [False, True])
+    def test_earliest_defect_in_file_order_is_reported(self, invalid_first,
+                                                        tmp_path, capsys):
+        inp = tmp_path / "groups.jsonl"
+        lines = [json.dumps({"prompt_id": "s", "rewards": [1]}),
+                 json.dumps({"prompt_id": "a", "rewards": ["x", 1]}), "[1, 2]"]
+        if invalid_first:
+            lines[1], lines[2] = lines[2], lines[1]
+        inp.write_text("\n".join(lines) + "\n")
+        assert main(["advantages", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {inp}:2: expected a JSON object per line\n" if invalid_first
+            else "error: group 'a': reward 'x' is not a number\n"))
+
+    def test_reward_spread_past_float64_is_format_error(self, tmp_path, capsys):
+        inp = tmp_path / "groups.jsonl"
+        inp.write_text(json.dumps({"prompt_id": "a", "rewards": [1e308, -1e308]}) + "\n")
+        assert main(["advantages", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: group 'a': reward spread overflows float64\n")
+
     @pytest.mark.parametrize("rewards, message", [
         (["x", "y"], "reward 'x' is not a number"),
         ([1, None], "reward None is not a number"),
@@ -792,3 +889,112 @@ def test_kd_rejects_malformed_teacher_indices(data):
     assert "Traceback" not in stderr
     if isinstance(bad, int) and not isinstance(bad, bool) and bad < 0:
         assert f"teacher index {bad} out of bounds" in stderr
+
+
+BIG = "<1e999>"  # written as the JSON number 1e999, which parses to inf
+ODD_VALUES = [None, True, "x", [], {}, [1], 1.5, 0, -1, -3,
+              float("nan"), float("inf"), float("-inf"), BIG]
+HUGE_INTS = [2**63, 10**400]  # not for train-toy, whose counts would run on
+FLAG_VALUES = ["0", "-1", "-3", "1.5", "x", "nan", "inf", "-inf", "1e999"]
+
+
+def _fuzz_case(command):
+    """A valid run of ``command``: (input documents by file name, each a JSON
+    document or, for ``.jsonl``, a list of lines; argv; its numeric flags)."""
+    if command == "score":
+        lines = [{k: r[k] for k in ("id", "generation", "ground_truth")}
+                 for r in GOLDEN_RECORDS]
+        lines[0]["schema_ref"] = GOLDEN_SCHEMA
+        return ({"in.jsonl": lines, "schema.json": GOLDEN_SCHEMA},
+                ["score", "--input", "in.jsonl", "--schema", "schema.json"], [])
+    if command == "kd":
+        return ({"in.jsonl": kd_rows(vocab_size=8, positions=2)},
+                ["kd", "--input", "in.jsonl", "--m", "4"], ["--k", "--m", "--lambda"])
+    if command == "advantages":
+        lines = [{"prompt_id": "a", "rewards": [1, 0, 0.5]},
+                 {"prompt_id": "b", "rewards": [0.2, 0.2]}]
+        return {"in.jsonl": lines}, ["advantages", "--input", "in.jsonl"], []
+    cfg = {"iterations": 2, "group_size": 2, "learning_rate": 2.0, "epsilon": 0.2,
+           "beta": 1e-3, "filter_groups": False, "reward_mode": "sim"}
+    return ({"task.json": bundled_default_task().to_dict(), "cfg.json": cfg},
+            ["train-toy", "--task", "task.json", "--config", "cfg.json"],
+            ["--epsilon", "--beta", "--seed"])
+
+
+def _paths(doc, path=()):
+    """The path of every value inside a JSON document, outermost first."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _mutate(data, doc, values):
+    """``doc`` with one value swapped for one of ``values``, or one key dropped;
+    on a ``.jsonl`` line list, a whole line may become a non-object."""
+    doc = json.loads(json.dumps(doc))
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans(), label="drop"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(values), label="value")
+    return doc
+
+
+def _reject_constant(constant):
+    raise ValueError(f"not valid JSON: {constant}")
+
+
+@pytest.mark.parametrize("command", ["score", "kd", "advantages", "train-toy"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exit_contract_holds_on_one_mutation(command, data):
+    """One mutation of a valid run -- a value's JSON type, a missing key, NaN,
+    an infinity, 1e999, a zero or negative count, a line that is no object or
+    no JSON, or a flag out of range -- keeps the 0/1/2 contract: no traceback,
+    every output line a strict JSON object, and an exit 2 writes nothing but
+    its error."""
+    docs, argv, flags = _fuzz_case(command)
+    values = ODD_VALUES + (HUGE_INTS if command != "train-toy" else [])
+    raw = {name: None for name in docs}
+    target = data.draw(st.sampled_from(sorted(docs) + flags), label="target")
+    if target in flags:
+        argv = argv + [target, data.draw(st.sampled_from(FLAG_VALUES), label="flag")]
+    elif target.endswith(".jsonl") and data.draw(st.booleans(), label="raw line"):
+        lines = [json.dumps(line).encode() for line in docs[target]]
+        lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(
+            st.sampled_from([b"{bad", b"\xff", b"[1, 2]", b'"x"']))
+        raw[target] = b"\n".join(lines) + b"\n"
+    else:
+        docs[target] = _mutate(data, docs[target], values)
+    to_file = data.draw(st.booleans(), label="--output")
+    jsonl = command != "train-toy"
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            if raw[name] is None:
+                lines = doc if name.endswith(".jsonl") else [doc]
+                raw[name] = "".join(json.dumps(line).replace(json.dumps(BIG), "1e999")
+                                    + "\n" for line in lines).encode()
+            (Path(tmp) / name).write_bytes(raw[name])
+        out = Path(tmp) / ("out.jsonl" if jsonl else "log.csv")
+        argv = [str(Path(tmp) / a) if a in docs else a for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:  # any other exception escapes and fails the test
+                status = main(argv + (["--output", str(out)] if to_file else []))
+            except SystemExit as exc:  # argparse rejects a flag's type
+                status = exc.code
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+    stdout, stderr = stdout.getvalue(), stderr.getvalue()
+    assert status in (0, 1, 2)
+    assert "Traceback" not in stderr
+    if jsonl:
+        for line in ((written or "") if to_file else stdout).splitlines():
+            assert isinstance(json.loads(line, parse_constant=_reject_constant), dict)
+    if status == 2:
+        assert written is None and stdout == ""
+        assert "error: " in stderr

@@ -42,6 +42,14 @@ class TestAdvantages:
         with pytest.raises(ZeroVariance):
             standardize_advantages([value] * 3)
 
+    @pytest.mark.parametrize("rewards", [[1e308, -1e308, 0.0], [1e308, 1.7e308],
+                                         [0.0, float("inf")], [1.0, float("nan")]])
+    def test_spread_past_float64_raises(self, rewards):
+        with pytest.raises(ValueError, match="^reward spread overflows float64$"):
+            standardize_advantages(rewards)
+        with pytest.raises(ZeroVariance):
+            standardize_advantages([1.7e308] * 2)
+
     def test_needs_at_least_two(self):
         with pytest.raises(ValueError):
             standardize_advantages([1.0])
@@ -195,4 +203,4 @@ class TestValidation:
         with pytest.raises(ValueError):
             GrpoConfig(beta=-1.0)
         cfg = GrpoConfig()
-        assert cfg.epsilon == 0.2 and cfg.beta == 1e-3 and cfg.filter_homogeneous
+        assert cfg.epsilon == 0.2 and cfg.beta == 1e-3

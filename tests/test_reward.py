@@ -232,15 +232,3 @@ def test_matches_form_partial_injection():
         assert len(set(pred_indices)) == len(pred_indices)
         assert len(set(gt_indices)) == len(gt_indices)
 
-
-def test_custom_matcher_seam():
-    # a matcher that refuses to match anything drives the call reward to zero
-    from tooltrain.reward import MatchResult
-
-    def no_match(pred, gt):
-        return MatchResult(matches=[], total_similarity=0.0)
-
-    record = GOLDEN_RECORDS[0]
-    b = total_reward(record["generation"], record["ground_truth"],
-                     golden_schema(), matcher=no_match)
-    assert b.total == 0.0
