@@ -8,9 +8,10 @@ A generation is plain text carrying up to three kinds of content:
 * free text anywhere outside those blocks (the direct answer).
 
 ``parse_generation`` is total: malformed input never raises, it is decomposed
-best-effort in one linear-time pass over the tags, and every structural
-defect is recorded as a :class:`FormatViolation`. ``validate_format`` then
-adds the schema-dependent checks and produces the binary format reward.
+best-effort in one linear-time pass over the block openers, and every
+structural defect is recorded as a :class:`FormatViolation`.
+``validate_format`` then adds the schema-dependent checks and produces the
+binary format reward.
 
 The five format rules, by ``rule_id``:
 
@@ -33,8 +34,8 @@ THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
 TOOL_OPEN = "<tool_call>"
 TOOL_CLOSE = "</tool_call>"
-_TAG_RE = re.compile("|".join(map(re.escape,
-                                   (THINK_OPEN, THINK_CLOSE, TOOL_OPEN, TOOL_CLOSE))))
+_OPEN_RE = re.compile(f"{re.escape(THINK_OPEN)}|{re.escape(TOOL_OPEN)}")
+_CLOSE_RE = re.compile(f"{re.escape(THINK_CLOSE)}|{re.escape(TOOL_CLOSE)}")
 
 _NO_DEFAULT = object()
 
@@ -151,6 +152,14 @@ class FormatViolation:
     detail: str
 
 
+# A stray closer or unclosed opener always gives the same violation, so each
+# kind shares one instance (frozen, so no caller can change it).
+_STRAY = {THINK_CLOSE: FormatViolation(1, "stray </think> without opener"),
+          TOOL_CLOSE: FormatViolation(2, "stray </tool_call> without opener")}
+_UNCLOSED = {THINK_OPEN: FormatViolation(1, "unclosed <think> tag"),
+             TOOL_OPEN: FormatViolation(2, "unclosed <tool_call> tag")}
+
+
 @dataclass(frozen=True)
 class ToolCall:
     name: str
@@ -176,43 +185,31 @@ def parse_generation(raw: str) -> ParsedGeneration:
     Complete blocks are removed from the response text; stray or unclosed
     tags stay in it and are reported as rule-1/rule-2 violations.
     """
-    violations: list[FormatViolation] = []
     think_blocks: list[str] = []
     payloads: list[str] = []
-    response_parts: list[str] = []
-    think_stray = False
+    outside: list[str] = []  # the text between complete blocks
+    tail = ""  # an unclosed block's opener and everything after it
 
-    i = 0
-    while (hit := _TAG_RE.search(raw, i)) is not None:
-        pos, tag = hit.start(), hit.group()
-        response_parts.append(raw[i:pos])
-        i = hit.end()
-        if tag == THINK_CLOSE:
-            violations.append(FormatViolation(1, "stray </think> without opener"))
-            think_stray = True
-            response_parts.append(tag)
-        elif tag == TOOL_CLOSE:
-            violations.append(FormatViolation(2, "stray </tool_call> without opener"))
-            response_parts.append(tag)
-        elif tag == THINK_OPEN:
-            end = raw.find(THINK_CLOSE, i)
-            if end < 0:
-                violations.append(FormatViolation(1, "unclosed <think> tag"))
-                think_stray = True
-                response_parts.append(raw[pos:])
-                break
-            think_blocks.append(raw[i:end])
-            i = end + len(THINK_CLOSE)
-        else:  # TOOL_OPEN
-            end = raw.find(TOOL_CLOSE, i)
-            if end < 0:
-                violations.append(FormatViolation(2, "unclosed <tool_call> tag"))
-                response_parts.append(raw[pos:])
-                break
-            payloads.append(raw[i:end])
-            i = end + len(TOOL_CLOSE)
-    else:  # no tag left: the rest is response text
-        response_parts.append(raw[i:])
+    i = 0  # only an opener changes the state, so the search skips closers
+    while (hit := _OPEN_RE.search(raw, i)) is not None:
+        opener, start = hit.group(), hit.end()
+        closer = THINK_CLOSE if opener == THINK_OPEN else TOOL_CLOSE
+        outside.append(raw[i:hit.start()])
+        end = raw.find(closer, start)
+        if end < 0:
+            tail = raw[hit.start():]
+            break
+        (think_blocks if opener == THINK_OPEN else payloads).append(raw[start:end])
+        i = end + len(closer)
+    else:  # no opener left: the rest is response text
+        outside.append(raw[i:])
+
+    # Every closer outside a block is a stray; joining on NUL, which no tag
+    # contains, keeps a closer from being pieced together across a block.
+    violations, think_stray = _stray_closers("\0".join(outside))
+    if tail:
+        violations.append(_UNCLOSED[opener])
+        think_stray = think_stray or opener == THINK_OPEN
 
     if not think_stray and len(think_blocks) != 1:
         violations.append(FormatViolation(
@@ -229,9 +226,21 @@ def parse_generation(raw: str) -> ParsedGeneration:
     return ParsedGeneration(
         think=think_blocks[0] if think_blocks else None,
         tool_calls=tool_calls,
-        response_text="".join(response_parts).strip(),
+        response_text=("".join(outside) + tail).strip(),
         raw_errors=violations,
     )
+
+
+def _stray_closers(text: str) -> tuple[list[FormatViolation], bool]:
+    """The violations of the closers in ``text``, in order, and whether one
+    is ``</think>``. One kind alone is a run of its shared violation, which
+    costs no Python step per tag."""
+    if "</" not in text:
+        return [], False
+    n_think, n_tool = text.count(THINK_CLOSE), text.count(TOOL_CLOSE)
+    if n_think and n_tool:
+        return list(map(_STRAY.__getitem__, _CLOSE_RE.findall(text))), True
+    return [_STRAY[THINK_CLOSE]] * n_think + [_STRAY[TOOL_CLOSE]] * n_tool, n_think > 0
 
 
 def _parse_call_payload(payload: str) -> tuple[ToolCall | None, str]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import divergence as dv
 from . import gradcheck
 from .chat_format import ToolSchema
 from .grpo import ZeroVariance, standardize_advantages
-from .reward import MalformedGroundTruth, total_reward
+from .reward import MalformedGroundTruth, RewardBreakdown, total_reward
 from .toy_task import load_task
 from .toy_trainer import ToyTrainConfig, train_sim_rl
 
@@ -56,6 +57,21 @@ def _iter_jsonl(path: str):
 
 def _dump(obj) -> str:  # a NaN or infinity, say an echoed id, is a ValueError
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False)
+
+
+def _score_line(rid, breakdown: RewardBreakdown) -> str:
+    """``_dump({"id": rid, **breakdown.to_dict()})``, with each distinct
+    violation encoded once: a degenerate generation repeats one shared
+    instance thousands of times. ``"violations"`` is the last sorted key, so
+    the encoded list goes in place of the ``[]}`` that ends the rest."""
+    violations = breakdown.violations
+    if not violations:
+        return _dump({"id": rid, **breakdown.to_dict()})
+    head = _dump({"id": rid, **replace(breakdown, violations=[]).to_dict()})
+    ids = list(map(id, violations))  # identity, not the dataclass's __hash__
+    encoded = {key: _dump({"rule_id": v.rule_id, "detail": v.detail})
+               for key, v in dict(zip(ids, violations)).items()}
+    return head[:-len("[]}")] + "[" + ", ".join(map(encoded.__getitem__, ids)) + "]}"
 
 
 def _write(path: str | None, out_lines: list[str], notes: list[str]) -> int:
@@ -115,7 +131,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         except (OSError, KeyError, ValueError) as exc:
             raise ValueError(f"record {rid!r}: {exc}") from None
         totals.append(breakdown.total)
-        out_lines.append(_dump({"id": rid, **breakdown.to_dict()}))
+        out_lines.append(_score_line(rid, breakdown))
 
     status = _write(args.output, out_lines, notes)
     mean = float(np.mean(totals)) if totals else float("nan")
@@ -191,14 +207,19 @@ def cmd_kd(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.trials == 0:
-        print("warning: 0 trials requested; the check is vacuous", file=sys.stderr)
-        print("gradcheck: vacuous pass (0 trials)")
-        return EXIT_OK
+    if args.trials < 1:
+        raise ValueError(f"trials={args.trials} must be at least 1")
+    if args.dims < 1:
+        raise ValueError(f"dims={args.dims} must be at least 1")
+    k = args.k if args.k is not None else 8
+    m = args.m if args.m is not None else 16
+    for name, value in (("k", k), ("m", m)):
+        if not 1 <= value <= args.dims:
+            raise ValueError(f"{name}={value} out of range [1, dims={args.dims}]")
+    if not np.isfinite(args.lambda_tail):
+        raise ValueError(f"lambda={args.lambda_tail} must be finite")
     results = gradcheck.run_gradient_suite(
-        seed=args.seed, trials=args.trials, vocab_size=args.dims,
-        k=args.k if args.k is not None else 8,
-        m=args.m if args.m is not None else 16,
+        seed=args.seed, trials=args.trials, vocab_size=args.dims, k=k, m=m,
         lambda_tail=args.lambda_tail)
     ok = True
     for name, result in results.items():

@@ -10,6 +10,7 @@ the mean contribution over the union of argument keys.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
@@ -21,18 +22,38 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
-def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
-    Hyyrö 2004). Bit j of ``v`` is clear where the LCS grows from ``b[:j]`` to
-    ``b[:j+1]``; cost O(|a| * |b| / 64) word operations, not the DP's O(|a| * |b|)."""
+def _masks(b: list[str]) -> dict[str, int]:
+    """Bit j of ``masks[y]`` is set where ``b[j] == y``."""
     masks: dict[str, int] = {}
     for j, y in enumerate(b):
         masks[y] = masks.get(y, 0) | (1 << j)
-    v = full = (1 << len(b)) - 1
+    return masks
+
+
+def _lcs(a: list[str], masks: dict[str, int], n: int) -> int:
+    """LCS length of ``a`` and the n tokens ``masks`` was built from. Bit j of
+    ``v`` is clear where the LCS grows from ``b[:j]`` to ``b[:j+1]``."""
+    v = full = (1 << n) - 1
     for x in a:
         u = v & masks.get(x, 0)
         v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    return n - v.bit_count()
+
+
+def lcs_length(a: list[str], b: list[str]) -> int:
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
+    Hyyrö 2004): O(|a| * |b| / 64) word operations, not the DP's O(|a| * |b|)."""
+    return _lcs(a, _masks(b), len(b))
+
+
+@functools.lru_cache(maxsize=16)
+def _reference(ref: str) -> tuple[dict[str, int], int]:
+    """A reference's token masks and token count, built once per distinct
+    reference: the generations of a group share one, and a few entries
+    suffice because callers score a group's generations one after another.
+    The cached masks are shared; callers must not mutate them."""
+    tokens = tokenize(ref)
+    return _masks(tokens), len(tokens)
 
 
 def rouge_l_f1(pred: str, ref: str) -> float:
@@ -42,14 +63,14 @@ def rouge_l_f1(pred: str, ref: str) -> float:
     common subsequence at all, scores 0.0.
     """
     pred_tokens = tokenize(pred)
-    ref_tokens = tokenize(ref)
-    if not pred_tokens and not ref_tokens:
+    masks, n_ref = _reference(ref)
+    if not pred_tokens and not n_ref:
         return 1.0
-    lcs = lcs_length(pred_tokens, ref_tokens)
+    lcs = _lcs(pred_tokens, masks, n_ref)
     if lcs == 0:
         return 0.0
     precision = lcs / len(pred_tokens)
-    recall = lcs / len(ref_tokens)
+    recall = lcs / n_ref
     return 2 * precision * recall / (precision + recall)
 
 

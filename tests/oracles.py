@@ -36,6 +36,18 @@ def lcs_length_dp(a: list[str], b: list[str]) -> int:
     return prev[len(b)]
 
 
+def rouge_l_f1_dp(pred: str, ref: str) -> float:
+    """``rouge_l_f1`` with its LCS from ``lcs_length_dp`` and no cached reference."""
+    a, b = pred.lower().split(), ref.lower().split()
+    if not a and not b:
+        return 1.0
+    lcs = lcs_length_dp(a, b)
+    if lcs == 0:
+        return 0.0
+    precision, recall = lcs / len(a), lcs / len(b)
+    return 2 * precision * recall / (precision + recall)
+
+
 def parse_generation_four_find(raw: str) -> ParsedGeneration:
     """``parse_generation`` as four ``str.find`` scans per tag hit (quadratic)."""
     violations: list[FormatViolation] = []

@@ -4,7 +4,7 @@ import string
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tooltrain import (
@@ -179,6 +179,31 @@ def test_parse_matches_four_find_oracle_on_fuzz_corpus():
     max_size=40).map("".join))
 def test_parse_matches_four_find_oracle_on_tag_soup(text):
     assert parse_generation(text) == parse_generation_four_find(text)
+
+
+BLOCKS = ["<think>a</think>", "<think>a", "<tool_call>{}</tool_call>",
+          '<tool_call>{"name":"f","arguments":{}}</tool_call>', "<tool_call>x",
+          " words ", "</thi", "nk>", "</tool_", "call>", "<"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(BLOCKS),
+    st.lists(st.sampled_from(["</think>", "</tool_call>", " ", "x"]),
+             min_size=100, max_size=400).map("".join)), max_size=8).map("".join))
+@example("</thi<think>a</think>nk>" + "</tool_call>" * 200)
+@example("</tool_<tool_call>{}</tool_call>call></thi<think>a</think>nk><tool_call>x")
+def test_parse_matches_four_find_oracle_on_long_closer_runs(text):
+    # runs of hundreds of stray closers between blocks, and closers split
+    # across a block, which must not be pieced together
+    assert parse_generation(text) == parse_generation_four_find(text)
+
+
+def test_stray_closers_share_one_violation_per_tag():
+    text = "</think>" * 50 + "<think>x</think>" + "</tool_call>" * 50
+    parsed = parse_generation(text)
+    assert parsed.raw_errors == parse_generation_four_find(text).raw_errors
+    assert len(parsed.raw_errors) == 100 and len(set(map(id, parsed.raw_errors))) == 2
 
 
 def test_parse_is_linear_in_stray_tags():

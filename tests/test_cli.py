@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
 import tooltrain.toy_trainer as toy_trainer
-from tooltrain.chat_format import ToolSchema
-from tooltrain.cli import _iter_jsonl, build_parser, main
+from tooltrain.chat_format import FormatViolation, ToolSchema
+from tooltrain.cli import _dump, _iter_jsonl, _score_line, build_parser, main
+from tooltrain.reward import CallMatch, RewardBreakdown, total_reward
 from tooltrain.toy_task import (
     bundled_default_task,
     bundled_optional_param_task,
@@ -263,6 +264,23 @@ class TestScore:
             "in double quotes)\n" if invalid_first else
             "error: record 'r': generation must be a string, got 5\n"))
 
+    def test_degenerate_generation_line_equals_the_dump_of_to_dict(
+            self, score_files, tmp_path):
+        schema_path, input_path = score_files
+        gt = GOLDEN_RECORDS[0]["ground_truth"]
+        generation = ("<think>x</think>" + "</tool_call>" * 300 + "é\"</thi"
+                      + "<tool_call>{}</tool_call>nk>" + "</think>" * 200 + "<think>")
+        input_path.write_text(json.dumps({"id": "dégénéré", "generation": generation,
+                                          "ground_truth": gt}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(input_path), "--schema",
+                     str(schema_path), "--output", str(out)]) == 0
+        breakdown = total_reward(generation, gt, ToolSchema.from_dict(GOLDEN_SCHEMA))
+        assert len(breakdown.violations) == 502
+        assert out.read_text(encoding="utf-8") == json.dumps(
+            {"id": "dégénéré", **breakdown.to_dict()}, sort_keys=True,
+            ensure_ascii=False) + "\n"
+
     @pytest.mark.parametrize("rid", [float("nan"), float("inf")])
     def test_non_finite_id_is_format_error(self, rid, score_files, tmp_path, capsys):
         schema_path, input_path = score_files
@@ -282,6 +300,36 @@ class TestScore:
         assert capsys.readouterr() == ("", "error: schema entry {'parameters': {}} "
                                            "needs a string name and a parameters "
                                            "object of objects\n")
+
+
+VIOLATION_POOL = [FormatViolation(1, "stray </think> without opener"),
+                  FormatViolation(2, "unclosed <tool_call> tag")]
+violations_st = st.lists(st.one_of(
+    st.sampled_from(VIOLATION_POOL),  # repeats of one instance, as a parse shares them
+    st.builds(FormatViolation, st.integers(1, 5), st.text())), max_size=30)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rid=st.one_of(st.none(), st.text(), st.integers(-2**70, 2**70), finite),
+       r_format=st.integers(0, 1), parts=st.tuples(finite, finite, finite),
+       matches=st.lists(st.builds(CallMatch, st.integers(0, 9), st.integers(0, 9),
+                                  finite), max_size=4),
+       violations=violations_st)
+def test_score_line_equals_the_dump_of_to_dict(rid, r_format, parts, matches,
+                                               violations):
+    breakdown = RewardBreakdown(r_format, *parts, matches=matches,
+                                violations=violations)
+    assert _score_line(rid, breakdown) == _dump({"id": rid, **breakdown.to_dict()})
+
+
+@pytest.mark.parametrize("rid", [float("nan"), float("-inf")])
+@given(violations=violations_st)
+@settings(max_examples=20, deadline=None)
+def test_score_line_rejects_a_non_finite_id(rid, violations):
+    breakdown = RewardBreakdown(0, 0.0, 0.0, -1.0, violations=violations)
+    with pytest.raises(ValueError, match="Out of range float"):
+        _score_line(rid, breakdown)
 
 
 class TestKd:
@@ -638,11 +686,42 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "max_rel_err" in out and "FAIL" not in out
 
-    def test_zero_trials_is_vacuous_pass(self, capsys):
-        assert main(["gradcheck", "--trials", "0"]) == 0
+    @pytest.mark.parametrize("argv, message", [
+        (["--trials", "0"], "trials=0 must be at least 1"),
+        (["--trials", "-1"], "trials=-1 must be at least 1"),
+        (["--dims", "0"], "dims=0 must be at least 1"),
+        (["--m", "0"], "m=0 out of range [1, dims=32]"),
+        (["--m", "33"], "m=33 out of range [1, dims=32]"),
+        (["--dims", "8"], "m=16 out of range [1, dims=8]"),
+        (["--k", "0"], "k=0 out of range [1, dims=32]"),
+        (["--lambda", "nan"], "lambda=nan must be finite"),
+        (["--lambda=-inf"], "lambda=-inf must be finite"),
+    ])
+    def test_out_of_range_flag_is_one_error_line(self, capsys, argv, message):
+        # --trials 0 was once a vacuous pass with exit 0
+        assert main(["gradcheck", *argv]) == 2
         captured = capsys.readouterr()
-        assert "vacuous" in captured.out
-        assert "warning" in captured.err
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_unreachable_boundary_margin_is_one_error_line(self, capsys):
+        # once a RuntimeError traceback: mid-vocabulary top-m gaps of V=4,096
+        # logits are far below the 1e-4 margin
+        assert main(["gradcheck", "--dims", "4096", "--m", "2048", "--trials", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: no draw in 200 cleared the top-m "
+                                           "boundary by 0.0001 at V=4096, m=2048\n")
+
+    def test_nan_gradient_prints_fail_and_exits_one(self, capsys, monkeypatch):
+        kind = dv.LOSSES["ckd"]
+
+        def nan_grad(teacher, z, m, lambda_tail):
+            report = kind.kernel(teacher, z, m, lambda_tail)
+            return dv.LossReport(report.loss, np.full_like(z, np.nan), report.aux)
+
+        monkeypatch.setitem(dv.LOSSES, "ckd", kind._replace(kernel=nan_grad))
+        assert main(["gradcheck", "--trials", "2", "--dims", "16", "--m", "8"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines if line.endswith("FAIL")] == ["ckd"]
 
 
 class TestTrainToy:
@@ -910,6 +989,9 @@ def _fuzz_case(command):
     if command == "kd":
         return ({"in.jsonl": kd_rows(vocab_size=8, positions=2)},
                 ["kd", "--input", "in.jsonl", "--m", "4"], ["--k", "--m", "--lambda"])
+    if command == "gradcheck":  # no input file: every mutation is a flag
+        return ({}, ["gradcheck", "--trials", "1", "--dims", "8", "--k", "3", "--m", "4"],
+                ["--trials", "--dims", "--k", "--m", "--lambda", "--seed"])
     if command == "advantages":
         lines = [{"prompt_id": "a", "rewards": [1, 0, 0.5]},
                  {"prompt_id": "b", "rewards": [0.2, 0.2]}]
@@ -949,7 +1031,8 @@ def _reject_constant(constant):
     raise ValueError(f"not valid JSON: {constant}")
 
 
-@pytest.mark.parametrize("command", ["score", "kd", "advantages", "train-toy"])
+@pytest.mark.parametrize("command", ["score", "kd", "advantages", "train-toy",
+                                     "gradcheck"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_exit_contract_holds_on_one_mutation(command, data):
@@ -971,8 +1054,8 @@ def test_exit_contract_holds_on_one_mutation(command, data):
         raw[target] = b"\n".join(lines) + b"\n"
     else:
         docs[target] = _mutate(data, docs[target], values)
-    to_file = data.draw(st.booleans(), label="--output")
-    jsonl = command != "train-toy"
+    to_file = command != "gradcheck" and data.draw(st.booleans(), label="--output")
+    jsonl = command not in ("train-toy", "gradcheck")
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs.items():
             if raw[name] is None:

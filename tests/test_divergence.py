@@ -539,6 +539,21 @@ class TestGradientSuite:
             assert result.max_rel_err <= REL_TOL, name
             assert result.max_grad_sum <= 1e-8, name
 
+    def test_nan_gradient_fails_the_suite(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a running Python max once passed this kernel
+        kind = dv.LOSSES["fkl"]
+
+        def nan_grad(teacher, z, m, lambda_tail):
+            report = kind.kernel(teacher, z, m, lambda_tail)
+            return dv.LossReport(report.loss, np.full_like(z, np.nan), report.aux)
+
+        monkeypatch.setitem(dv.LOSSES, "fkl", kind._replace(kernel=nan_grad))
+        results = run_gradient_suite(seed=0, trials=3, vocab_size=16, k=4, m=8)
+        assert math.isnan(results["fkl"].max_rel_err)
+        assert math.isnan(results["fkl"].max_grad_sum)
+        assert not results["fkl"].passed
+        assert all(r.passed for name, r in results.items() if name != "fkl")
+
     def test_zero_teacher_probability_is_its_limit(self):
         # 0 * log 0 counts as 0: the loss is finite and the gradient still checks
         rng = np.random.default_rng(4)

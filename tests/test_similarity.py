@@ -13,7 +13,7 @@ import tooltrain
 from tooltrain import ToolCall, call_similarity, lcs_length, rouge_l_f1, value_similarity
 from tooltrain.similarity import canonical_str, tokenize
 
-from oracles import lcs_length_dp
+from oracles import lcs_length_dp, rouge_l_f1_dp
 
 
 def lcs_by_enumeration(a: list[str], b: list[str]) -> int:
@@ -101,6 +101,24 @@ class TestRougeL:
             st, ts = rouge_l_f1(s, t), rouge_l_f1(t, s)
             assert st == pytest.approx(ts)
             assert 0.0 <= st <= 1.0
+
+    def test_shared_and_many_references_against_dynamic_program(self):
+        # a group's generations share one reference, whose masks are built
+        # once; 40 other references between its uses evict it from the cache
+        rng = random.Random(8)
+        words = ["a", "b", "c", "dd", "EE", "f"]
+
+        def text(n):
+            return " ".join(rng.choices(words, k=n))
+
+        shared = text(150)
+        others = [text(rng.randint(0, 70)) for _ in range(40)]
+        for ref in [shared] * 8 + others + [shared] * 8 + others[:3]:
+            for _ in range(3):
+                pred = text(rng.randint(0, 70))
+                assert rouge_l_f1(pred, ref) == rouge_l_f1_dp(pred, ref)
+                assert lcs_length(tokenize(pred), tokenize(ref)) == \
+                    lcs_length_dp(tokenize(pred), tokenize(ref))
 
 
 def structurally_equal(a, b) -> bool:
