@@ -92,12 +92,19 @@ def standardize_advantages(rewards: Iterable[float]) -> np.ndarray:
 
 
 def filter_homogeneous(groups: Iterable[RolloutGroup]) -> list[RolloutGroup]:
-    """Drop zero-reward-variance groups, preserving the order of survivors."""
+    """Drop zero-reward-variance groups, preserving the order of survivors.
+
+    A group is kept when some reward differs from its first, which for floats
+    is ``max != min``; an empty group is dropped, and one holding a NaN is
+    kept, since NaN != NaN.
+    """
     kept = []
     for group in groups:
-        rewards = group.rewards()
-        if rewards.size and rewards.max() != rewards.min():
-            kept.append(group)
+        rollouts = group.rollouts
+        if rollouts:
+            first = rollouts[0].reward
+            if any(r.reward != first for r in rollouts):
+                kept.append(group)
     return kept
 
 

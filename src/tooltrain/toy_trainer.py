@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -159,29 +159,50 @@ class ToyPolicy:
             values.append(OMIT)
         return values
 
-    def sample_trajectory(self, prompt_id: str, rng: np.random.Generator,
-                          view: SlotView) -> tuple[int, ...]:
-        """Draw one path's actions from ``view``, a view of ``self.tables``:
-        a function index, then a value index for each of its parameters."""
-        fn = view.draw((prompt_id, "fn"), rng)
-        return (fn, *[view.draw(slot, rng) for slot in self.arg_slots[prompt_id][fn]])
+    def sample_paths(self, prompt_id: str, n: int, uniforms: Iterator[float],
+                     view: SlotView) -> list[tuple[int, ...]]:
+        """Draw ``n`` paths' actions from ``view``, a view of ``self.tables``:
+        per path a function index, then a value index for each of its
+        parameters. Each decision is ``bisect_right`` of the slot's CDF and the
+        next of ``uniforms``, the draw of ``SlotView.draw``; the prompt's CDF
+        lists are bound once per call."""
+        fn_cdf = view.cdf((prompt_id, "fn"))
+        arg_cdfs = [[view.cdf(slot) for slot in slots]
+                    for slots in self.arg_slots[prompt_id]]
+        draw, paths = uniforms.__next__, []
+        for _ in range(n):
+            fn = bisect_right(fn_cdf, draw())
+            # map pulls from its arguments in order and stops at the first
+            # exhausted one: one uniform per parameter, and none past them
+            paths.append((fn, *map(bisect_right, arg_cdfs[fn], uniforms)))
+        return paths
 
 
 class SlotView:
     """Softmax, CDF and log-probabilities of every slot table, and the tables'
-    mean softmax entropy, derived at construction in one pass per table size.
+    mean softmax entropy, derived in one stacked pass per table size.
 
     Each is bit-identical to its per-table derivation (``dv.softmax``, its
     normalised cumsum, ``z - logsumexp(z)``, ``dv.entropy``). A view holds only
     while its tables do: ``train_sim_rl`` keeps one per table state, others one
-    a call. A table holding inf or NaN raises ``ValueError``.
+    a call. Given ``previous``, a view of the same tables before the slots in
+    ``changed`` were edited, only those slots are derived and the rest are
+    taken from it; the result equals a fresh view bit for bit, and
+    ``mean_entropy`` is still the mean over every slot in table order. A
+    derived table holding inf or NaN raises ``ValueError``.
     """
 
-    def __init__(self, tables: dict[tuple, np.ndarray]):
+    def __init__(self, tables: dict[tuple, np.ndarray], previous: SlotView | None = None,
+                 changed: Iterable[tuple] = ()):
         self.tables = tables
-        self._rows: dict[tuple, tuple] = {}  # slot -> (probs, CDF, logps) as lists
-        slots, zs = list(tables), list(tables.values())
-        entropies = np.empty(len(zs))
+        if previous is None:
+            # slot -> (probs, CDF, logps, entropy), the lists in table order
+            self._rows: dict[tuple, tuple] = dict.fromkeys(tables)
+            changed = tables
+        else:
+            self._rows = dict(previous._rows)
+        slots = list(changed)
+        zs = [tables[slot] for slot in slots]
         for size in {z.size for z in zs}:
             positions = [i for i, z in enumerate(zs) if z.size == size]
             z = np.stack([zs[i] for i in positions])
@@ -194,13 +215,18 @@ class SlotView:
                 raise ValueError("log-probabilities must be finite")
             cdf = probs.cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            entropies[positions] = dv.entropy_rows(probs)
             self._rows.update(zip([slots[i] for i in positions],
-                                  zip(probs.tolist(), cdf.tolist(), logp.tolist())))
-        self.mean_entropy = float(np.mean(entropies))
+                                  zip(probs.tolist(), cdf.tolist(), logp.tolist(),
+                                      dv.entropy_rows(probs).tolist())))
+        self.mean_entropy = float(np.mean([row[3] for row in self._rows.values()]))
 
     def probs(self, slot: tuple) -> list[float]:
         return self._rows[slot][0]
+
+    def cdf(self, slot: tuple) -> list[float]:
+        """The normalised cumulative sum of ``probs(slot)``, as ``Generator.choice``
+        builds it."""
+        return self._rows[slot][1]
 
     def draw(self, slot: tuple, rng: np.random.Generator) -> int:
         """One action, the same draw as ``rng.choice(size, p=self.probs(slot))``:
@@ -210,6 +236,18 @@ class SlotView:
     def logps(self, decisions: Iterable[Decision]) -> np.ndarray:
         """Per-decision log-probabilities."""
         return np.array([self._rows[d.slot][2][d.action] for d in decisions])
+
+
+# Uniforms drawn from the generator per block of a run's stream.
+UNIFORM_BLOCK = 1024
+
+
+def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
+    """The doubles that successive ``rng.random()`` calls return, in order,
+    drawn ``UNIFORM_BLOCK`` at a time. The stream runs ahead of its reader by
+    up to a block, so ``rng`` belongs to it once it is read."""
+    while True:
+        yield from rng.random(UNIFORM_BLOCK).tolist()
 
 
 def render_trajectory(call: ToolCall) -> str:
@@ -256,22 +294,27 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
 
 def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
                  rng: np.random.Generator, reward_mode: str = "sim",
-                 paths: dict | None = None,
-                 view: SlotView | None = None) -> tuple[RolloutGroup, list[Trajectory]]:
+                 paths: dict | None = None, view: SlotView | None = None,
+                 uniforms: Iterator[float] | None = None
+                 ) -> tuple[RolloutGroup, list[Trajectory]]:
     """Sample a rollout group and keep the decision paths for the update.
 
     At sampling time logp_old equals logp_new; logp_ref comes from the frozen
-    initial tables. ``paths`` memoises each distinct path (see ``_path``), so a
-    draw costs only its random numbers; members that drew one path from one
-    ``view`` share its ``Rollout``, which dies when a draw from another view
-    replaces it. ``paths`` and ``view`` are fresh for the call when None.
+    initial tables. The members are drawn by ``ToyPolicy.sample_paths`` from
+    ``uniforms``, a ``uniform_stream`` of ``rng`` that the caller keeps across
+    calls, or from one ``rng.random()`` call per decision when None. ``paths``
+    memoises each distinct path (see ``_path``), so a draw costs only its
+    random numbers; members that drew one path from one ``view`` share its
+    ``Rollout``, which dies when a draw from another view replaces it.
+    ``paths`` and ``view`` are fresh for the call when None.
     """
     paths = {} if paths is None else paths
     view = SlotView(policy.tables) if view is None else view
+    # a callable iterator: rng.random() never returns the sentinel
+    uniforms = iter(rng.random, None) if uniforms is None else uniforms
     group, trajectories = RolloutGroup(prompt_id), []
-    for _ in range(group_size):
-        path = _path(policy.task, policy, prompt_id,
-                     policy.sample_trajectory(prompt_id, rng, view), reward_mode, paths)
+    for actions in policy.sample_paths(prompt_id, group_size, uniforms, view):
+        path = _path(policy.task, policy, prompt_id, actions, reward_mode, paths)
         if path.view is None or path.view() is not view:
             logp = view.logps(path.trajectory.decisions)
             path.view, path.rollout = weakref.ref(view), Rollout(
@@ -357,20 +400,23 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     Each iteration samples one group per prompt from a single sequential
     seeded generator, drops homogeneous groups, standardizes the surviving
     rewards, and ascends the clipped objective. Identical (task, cfg, seed)
-    reproduce the log exactly. The run keeps one path memo, and one
-    ``SlotView`` per table state, i.e. until an update, whose mean entropy it
-    logs and whose probabilities the update takes.
+    reproduce the log exactly. The run reads its generator's doubles through
+    one ``uniform_stream``, and keeps one path memo and one ``SlotView`` per
+    table state, i.e. until an update, whose mean entropy it logs and whose
+    probabilities the update takes. The next view re-derives only the tables
+    the update touched.
     """
     if not _is_int(iterations) or iterations < 0:
         raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
     rng, policy, grpo_cfg = np.random.default_rng(seed), ToyPolicy(task), cfg.grpo()
+    uniforms = uniform_stream(rng)
     log, paths, view = TrainLog(), {}, SlotView(policy.tables)
     for _ in range(iterations):
         samples, graded, groups, by_id = [], [], [], {}
         for prompt in task.prompts:
             group, trajectories = sample_group(policy, prompt.prompt_id,
                                                cfg.group_size, rng, cfg.reward_mode,
-                                               paths, view)
+                                               paths, view, uniforms)
             graded.extend(t.graded_reward for t in trajectories)
             groups.append(group)
             by_id[prompt.prompt_id] = trajectories
@@ -386,7 +432,7 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
             _, grads = objective_and_gradient(policy, samples, grpo_cfg, view)
             for key, grad in grads.items():
                 policy.tables[key] += cfg.learning_rate * grad
-            view = SlotView(policy.tables)
+            view = SlotView(policy.tables, view, grads)
         log.mean_reward.append(float(np.mean(graded)))
         log.mean_entropy.append(view.mean_entropy)
         log.filtered_fraction.append(1.0 - len(survivors) / len(groups))
@@ -395,14 +441,15 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
 
 def evaluate_policy(policy: ToyPolicy, task: ToyTask, samples_per_prompt: int,
                     seed: int) -> float:
-    """Mean graded reward of freshly sampled trajectories."""
-    rng = np.random.default_rng(seed)
-    view = SlotView(policy.tables)
-    paths: dict = {}
-    graded = [_path(task, policy, prompt.prompt_id,
-                    policy.sample_trajectory(prompt.prompt_id, rng, view), "sim",
+    """Mean graded reward of freshly sampled trajectories, drawn as
+    ``sample_group`` draws them from one ``uniform_stream``."""
+    uniforms = uniform_stream(np.random.default_rng(seed))
+    view, paths = SlotView(policy.tables), {}
+    graded = [_path(task, policy, prompt.prompt_id, actions, "sim",
                     paths).trajectory.graded_reward
-              for prompt in task.prompts for _ in range(samples_per_prompt)]
+              for prompt in task.prompts
+              for actions in policy.sample_paths(prompt.prompt_id, samples_per_prompt,
+                                                 uniforms, view)]
     return float(np.mean(graded))
 
 

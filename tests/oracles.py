@@ -16,6 +16,7 @@ from tooltrain.chat_format import (
     ToolCall,
     _parse_call_payload,
 )
+from tooltrain.gradcheck import FD_STEP
 from tooltrain.grpo import Rollout, RolloutGroup, grpo_objective
 from tooltrain.reward import total_reward
 
@@ -118,10 +119,11 @@ def parse_generation_four_find(raw: str) -> ParsedGeneration:
 
 class RecomputingSlotView:
     """``toy_trainer.SlotView`` that derives everything afresh on every use:
-    a softmax and ``Generator.choice`` per draw, a softmax per gradient token,
-    a log-normaliser per decision and a softmax per table for the entropy."""
+    a softmax and ``Generator.choice`` per draw, a softmax and cumsum per CDF,
+    a softmax per gradient token, a log-normaliser per decision and a softmax
+    per table for the entropy. It ignores a previous view."""
 
-    def __init__(self, tables):
+    def __init__(self, tables, previous=None, changed=()):
         self.tables = tables
 
     @property
@@ -130,6 +132,10 @@ class RecomputingSlotView:
 
     def probs(self, slot):
         return dv.softmax(self.tables[slot])
+
+    def cdf(self, slot):
+        cdf = dv.softmax(self.tables[slot]).cumsum()
+        return (cdf / cdf[-1]).tolist()
 
     def draw(self, slot, rng):
         probs = dv.softmax(self.tables[slot])
@@ -142,6 +148,20 @@ class RecomputingSlotView:
             m = z.max()
             out.append(z[d.action] - float(m + np.log(np.exp(z - m).sum())))
         return np.array(out, dtype=np.float64)
+
+
+def central_difference(loss_fn, z, step=FD_STEP):
+    """Two-sided difference quotient of a scalar function, one coordinate at a
+    time: ``gradcheck.central_differences`` with a loss call per probe."""
+    z = np.asarray(z, dtype=np.float64)
+    grad = np.zeros_like(z)
+    for j in range(z.size):
+        zp = z.copy()
+        zp[j] += step
+        zm = z.copy()
+        zm[j] -= step
+        grad[j] = (loss_fn(zp) - loss_fn(zm)) / (2.0 * step)
+    return grad
 
 
 def topk_indices_argsort(p: np.ndarray, k: int) -> np.ndarray:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
+import tooltrain.gradcheck as gradcheck
 from tooltrain.gradcheck import (
     REL_TOL,
-    central_difference,
+    central_differences,
     random_instance,
     relative_error,
     run_gradient_suite,
@@ -16,7 +17,12 @@ from tooltrain.gradcheck import (
 )
 from tooltrain.toy_trainer import collapse_witness
 
-from oracles import LOSSES_PER_ROW, confident_setdiff, topk_indices_argsort
+from oracles import (
+    LOSSES_PER_ROW,
+    central_difference,
+    confident_setdiff,
+    topk_indices_argsort,
+)
 
 
 class TestSoftmax:
@@ -538,6 +544,28 @@ class TestGradientSuite:
             assert result.instances == 50
             assert result.max_rel_err <= REL_TOL, name
             assert result.max_grad_sum <= 1e-8, name
+
+    def test_wide_vocabulary_matches_finite_differences(self):
+        # V above FULL_SORT_MAX_SIZE: the probes' top-m goes through _select_smallest
+        results = run_gradient_suite(seed=0, trials=3, vocab_size=1024, k=8, m=16)
+        for name, result in results.items():
+            assert result.instances == 3
+            assert result.max_rel_err <= REL_TOL, name
+            assert result.max_grad_sum <= 1e-8, name
+
+    @pytest.mark.parametrize("vocab_size, k, m", [(16, 4, 8), (32, 8, 16), (300, 8, 16)])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_batched_quotients_equal_the_per_coordinate_oracle(self, vocab_size, k, m,
+                                                               blocked, monkeypatch):
+        if blocked:  # calls of a third of the coordinates; at V=16 and 32 a short last
+            monkeypatch.setattr(gradcheck, "PROBE_CELLS", 2 * vocab_size * (vocab_size // 3))
+        rng = np.random.default_rng(vocab_size)
+        for _ in range(2):
+            teacher, z = random_instance(rng, vocab_size, k, m)
+            for name, loss in dv.LOSSES.items():
+                batched = central_differences(loss, teacher, z, m, 10.0)
+                oracle = central_difference(lambda zz: loss(teacher, zz, m, 10.0).loss, z)
+                assert batched.tobytes() == oracle.tobytes(), name
 
     def test_nan_gradient_fails_the_suite(self, monkeypatch):
         # max(0.0, nan) is 0.0, so a running Python max once passed this kernel

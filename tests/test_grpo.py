@@ -94,6 +94,16 @@ class TestFilter:
         assert kept == [mixed[1], mixed[3]]
         assert kept[0] is mixed[1]  # survivors are untouched, not copies
 
+    nan = float("nan")
+
+    @pytest.mark.parametrize("rewards, kept", [
+        ([nan, 1.0], True), ([1.0, nan], True),  # NaN != NaN: a NaN group has spread
+        ([nan, nan], True), ([-0.0, 0.0], False), ([0.7] * 8, False), ([], False),
+    ])
+    def test_edge_cases(self, rewards, kept):
+        group = group_of(rewards)
+        assert filter_homogeneous([group]) == ([group] if kept else [])
+
 
 class TestKlK2:
     def test_equal_logps(self):

@@ -22,6 +22,7 @@ from tooltrain.toy_task import (
 )
 from tooltrain.toy_trainer import (
     OMIT,
+    UNIFORM_BLOCK,
     Decision,
     GroupSample,
     SlotView,
@@ -34,6 +35,7 @@ from tooltrain.toy_trainer import (
     objective_and_gradient,
     sample_group,
     train_sim_rl,
+    uniform_stream,
 )
 from tooltrain.chat_format import ToolCall
 from tooltrain.reward import total_reward
@@ -226,6 +228,31 @@ class TestSlotView:
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
             SlotView({**tables, slot: poisoned})
 
+    @settings(max_examples=100, deadline=None)
+    @given(tables=st.lists(slot_tables(2, 6), min_size=1, max_size=24), data=st.data())
+    def test_incremental_view_equals_a_fresh_view(self, tables, data):
+        tables = {("p", "arg", "f", str(i)): z for i, z in enumerate(tables)}
+        previous = SlotView(tables)
+        changed = data.draw(st.lists(st.sampled_from(list(tables)), unique=True))
+        for slot in changed:  # in place, as an update edits the policy's tables
+            tables[slot] += data.draw(slot_tables(tables[slot].size, tables[slot].size))
+
+        def derived(v):
+            return [np.array(x).tobytes() for slot, z in tables.items()
+                    for x in (v.probs(slot), v.cdf(slot),
+                              v.logps([Decision(slot, a) for a in range(z.size)]))] \
+                + [np.array(v.mean_entropy).tobytes()]
+        view = SlotView(tables, previous, changed)
+        assert derived(view) == derived(SlotView(tables))
+
+        slot = data.draw(st.sampled_from(list(tables)))
+        tables[slot] = tables[slot].copy()
+        tables[slot][data.draw(st.integers(0, tables[slot].size - 1))] = \
+            data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        with pytest.raises(ValueError, match="^log-probabilities must be finite$"), \
+                np.errstate(invalid="ignore"):
+            SlotView(tables, view, [slot])
+
     @pytest.mark.parametrize("mode", ["sim", "binary"])
     @pytest.mark.parametrize("group_size", [4, 8])
     def test_training_equals_the_recomputing_oracle_path(self, mode, group_size,
@@ -246,8 +273,10 @@ class TestSlotView:
 def train_unmemoised(task, cfg, iterations, seed, monkeypatch, keys=None):
     """``train_sim_rl`` through the oracles: unmemoised sampling, recomputing
     views and the per-token update; ``keys`` collects each sampled
-    trajectory's (prompt, actions) memo key."""
-    def sample_group(policy, prompt_id, group_size, rng, reward_mode, paths, view):
+    trajectory's (prompt, actions) memo key. The oracle draws from ``rng`` one
+    ``random()`` call per decision and leaves the run's uniform stream unread."""
+    def sample_group(policy, prompt_id, group_size, rng, reward_mode, paths, view,
+                     uniforms):
         group, trajectories = sample_group_unmemoised(policy, prompt_id,
                                                       group_size, rng, reward_mode)
         if keys is not None:
@@ -297,6 +326,26 @@ def assert_training_equals_the_oracle_path(make_task, cfg, seed, monkeypatch):
         assert np.array_equal(table, oracle_policy.tables[key])
     assert evaluate_policy(policy, task, 16, seed=1) == \
         evaluate_unmemoised(oracle_policy, task, 16, seed=1)
+
+
+class TestUniformStream:
+    def test_stream_equals_scalar_random_calls(self):
+        n = 3 * UNIFORM_BLOCK + 1
+        stream = itertools.islice(uniform_stream(np.random.default_rng(11)), n)
+        scalar = np.random.default_rng(11)
+        assert np.array(list(stream)).tobytes() == \
+            np.array([scalar.random() for _ in range(n)]).tobytes()
+
+    def test_group_from_the_stream_equals_the_group_from_scalar_calls(self):
+        task = bundled_default_task()
+        policy = ToyPolicy(task)
+        stream_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        stream = uniform_stream(stream_rng)
+        for prompt in task.prompts * 3:
+            _, from_stream = sample_group(policy, prompt.prompt_id, 8, stream_rng,
+                                          uniforms=stream)
+            _, from_rng = sample_group(policy, prompt.prompt_id, 8, rng)
+            assert [t.decisions for t in from_stream] == [t.decisions for t in from_rng]
 
 
 class TestScoreMemo:
@@ -404,7 +453,8 @@ class TestPathMemo:
             state[0] += 1
             return objective_and_gradient_per_token(policy, samples, grpo_cfg, view)
 
-        def oracle_sample_group(policy, prompt_id, group_size, rng, mode, paths, view):
+        def oracle_sample_group(policy, prompt_id, group_size, rng, mode, paths, view,
+                                uniforms):
             if prompt_id == task.prompts[0].prompt_id:
                 entropies.append(mean_entropy_per_table(policy.tables))
             group, trajectories = sample_group_unmemoised(policy, prompt_id,
@@ -433,9 +483,9 @@ class TestPathMemo:
         def counted(name, fn):
             return lambda *args: counts.update([name]) or fn(*args)
 
-        def recorded_view(view, tables):
+        def recorded_view(view, tables, *previous_and_changed):
             views.append(tables)
-            view_init(view, tables)
+            view_init(view, tables, *previous_and_changed)
 
         def recorded_logps(view, decisions):
             if view.tables is policies[0].ref_tables:
