@@ -120,9 +120,11 @@ def _row_sums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 def entropy_rows(q: np.ndarray) -> np.ndarray:
     """``entropy`` of each row of a 2-d stack, bit for bit."""
+    if q.min() > 0:  # no log of zero, so nothing to silence
+        return -(q * np.log(q)).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = q * np.log(q)
-    return -(terms.sum(axis=1) if q.min() > 0 else _row_sums(terms, q > 0))
+    return -_row_sums(terms, q > 0)
 
 
 # Up to this size a full sort of the vector beats selecting the top k first.

@@ -25,6 +25,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain, repeat
 from operator import add
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -148,6 +149,8 @@ class ToyPolicy:
                 self.tables[slot] = np.zeros(len(self.actions(slot)))
         self.ref_tables = {k: v.copy() for k, v in self.tables.items()}
         self.ref_view = SlotView(self.ref_tables)
+        # the CDF lists of each prompt sampled from the last view, by prompt
+        self._bound_view, self._bound = weakref.ref(self.ref_view), {}
 
     def actions(self, slot: tuple) -> list[Any]:
         """Domain values of a slot; optional-parameter slots end with OMIT."""
@@ -164,11 +167,15 @@ class ToyPolicy:
         """Draw ``n`` paths' actions from ``view``, a view of ``self.tables``:
         per path a function index, then a value index for each of its
         parameters. Each decision is ``bisect_right`` of the slot's CDF and the
-        next of ``uniforms``, the draw of ``SlotView.draw``; the prompt's CDF
-        lists are bound once per call."""
-        fn_cdf = view.cdf((prompt_id, "fn"))
-        arg_cdfs = [[view.cdf(slot) for slot in slots]
-                    for slots in self.arg_slots[prompt_id]]
+        next of ``uniforms``, the draw of ``SlotView.draw``. A prompt's CDF
+        lists are bound once per view and kept while the policy's last view
+        lives; a weak reference tells a later view from it."""
+        if self._bound_view() is not view:
+            self._bound_view, self._bound = weakref.ref(view), {}
+        if prompt_id not in self._bound:
+            self._bound[prompt_id] = view.cdf((prompt_id, "fn")), [
+                [view.cdf(slot) for slot in slots] for slots in self.arg_slots[prompt_id]]
+        fn_cdf, arg_cdfs = self._bound[prompt_id]
         draw, paths = uniforms.__next__, []
         for _ in range(n):
             fn = bisect_right(fn_cdf, draw())
@@ -201,11 +208,11 @@ class SlotView:
             changed = tables
         else:
             self._rows = dict(previous._rows)
-        slots = list(changed)
-        zs = [tables[slot] for slot in slots]
-        for size in {z.size for z in zs}:
-            positions = [i for i, z in enumerate(zs) if z.size == size]
-            z = np.stack([zs[i] for i in positions])
+        by_size: dict[int, list[tuple]] = {}
+        for slot in changed:
+            by_size.setdefault(tables[slot].size, []).append(slot)
+        for slots in by_size.values():
+            z = np.array([tables[slot] for slot in slots])
             m = z.max(axis=1, keepdims=True)
             e = np.exp(z - m)
             s = e.sum(axis=1, keepdims=True)
@@ -215,9 +222,8 @@ class SlotView:
                 raise ValueError("log-probabilities must be finite")
             cdf = probs.cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            self._rows.update(zip([slots[i] for i in positions],
-                                  zip(probs.tolist(), cdf.tolist(), logp.tolist(),
-                                      dv.entropy_rows(probs).tolist())))
+            self._rows.update(zip(slots, zip(probs.tolist(), cdf.tolist(), logp.tolist(),
+                                             dv.entropy_rows(probs).tolist())))
         self.mean_entropy = float(np.mean([row[3] for row in self._rows.values()]))
 
     def probs(self, slot: tuple) -> list[float]:
@@ -244,10 +250,10 @@ UNIFORM_BLOCK = 1024
 
 def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
     """The doubles that successive ``rng.random()`` calls return, in order,
-    drawn ``UNIFORM_BLOCK`` at a time. The stream runs ahead of its reader by
-    up to a block, so ``rng`` belongs to it once it is read."""
-    while True:
-        yield from rng.random(UNIFORM_BLOCK).tolist()
+    drawn ``UNIFORM_BLOCK`` at a time as the last block runs out. The stream
+    runs ahead of its reader, so ``rng`` belongs to it once it is read."""
+    return chain.from_iterable(map(np.ndarray.tolist,
+                                   map(rng.random, repeat(UNIFORM_BLOCK))))
 
 
 def render_trajectory(call: ToolCall) -> str:
@@ -314,7 +320,8 @@ def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
     uniforms = iter(rng.random, None) if uniforms is None else uniforms
     group, trajectories = RolloutGroup(prompt_id), []
     for actions in policy.sample_paths(prompt_id, group_size, uniforms, view):
-        path = _path(policy.task, policy, prompt_id, actions, reward_mode, paths)
+        path = paths.get((prompt_id, actions)) or \
+            _path(policy.task, policy, prompt_id, actions, reward_mode, paths)
         if path.view is None or path.view() is not view:
             logp = view.logps(path.trajectory.decisions)
             path.view, path.rollout = weakref.ref(view), Rollout(
@@ -348,49 +355,72 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
     when r <= 1 + eps and for A < 0 when r >= 1 - eps.
 
     ``view`` is a view of ``policy.tables``, fresh when None. Each distinct
-    (trajectory, rollout) pair takes its ratios and KL gaps once; the token
-    terms are Python floats folded into the gradient in member and token
-    order, the IEEE operations of a per-token numpy loop. The value is the
-    mean of ``grpo_objective`` over the groups up to rounding. The gradient
-    holds only the slots the minibatch touched; an absent slot's is zero.
+    (trajectory, rollout) pair takes its ratios and KL gaps once, and each
+    distinct member (that pair, its advantage's bits, as 0.0 == -0.0, and its
+    group size) its token coefficients and value term once, in Python floats.
+    Each touched slot's (coefficient, action) terms are folded into its
+    gradient once at the end, in member and token order: the IEEE operations
+    of a per-token numpy loop. The value is the mean of ``grpo_objective`` over
+    the groups up to rounding. The gradient holds only the touched slots.
     """
     view = SlotView(policy.tables) if view is None else view
     lo, hi = 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
     terms: dict = {}  # (ratios, gaps) per distinct (trajectory, rollout)
-    acc: dict[tuple, list[float]] = {}  # the gradient of each touched slot
+    members: dict = {}  # (value term, [(slot, (coef, action))]) per distinct member
+    folds: dict[tuple, list] = {}  # the (coef, action) terms of each touched slot
     value, n_groups = 0.0, len(samples)
     for sample in samples:
         advantages = np.asarray(sample.advantages, dtype=np.float64)
         if advantages.shape != (sample.group.size,):
             raise LengthMismatch(
                 f"{advantages.size} advantages for {sample.group.size} rollouts")
-        group_value = 0.0
-        for traj, rollout, adv in zip(sample.trajectories, sample.group.rollouts,
-                                      advantages.tolist()):
-            if (key := (id(traj), id(rollout))) not in terms:
+        size, group_value = len(sample.trajectories), 0.0
+        for traj, rollout, adv, bits in zip(sample.trajectories, sample.group.rollouts,
+                                            advantages.tolist(),
+                                            advantages.view(np.int64).tolist()):
+            if (pair := (id(traj), id(rollout))) not in terms:
                 logp_new = view.logps(traj.decisions)
                 if not logp_new.shape == rollout.logp_old.shape == rollout.logp_ref.shape:
                     raise ValueError("log-prob arrays must be 1-d and equally sized")
                 gaps = logp_new - np.array((rollout.logp_old, rollout.logp_ref))
                 if not np.isfinite(gaps).all():
                     raise ValueError("log-probabilities must be finite")
-                terms[key] = np.exp(gaps[0]).tolist(), gaps[1].tolist()
-            ratios, gaps = terms[key]
-            tokens, member_value = len(ratios), 0.0
-            for decision, r, gap in zip(traj.decisions, ratios, gaps):
-                # a running sum: from Python 3.12 the builtin sum() compensates
-                member_value += min(r * adv, min(max(r, lo), hi) * adv) \
-                    - cfg.beta * (0.5 * gap * gap)
-                active = (adv >= 0 and r <= hi) or (adv < 0 and r >= lo)
-                coef = (adv * r if active else 0.0) - cfg.beta * gap
-                coef /= n_groups * len(sample.trajectories) * tokens
-                probs = view.probs(decision.slot)
-                grad = acc.setdefault(decision.slot, [0.0] * len(probs))
-                grad[:] = [g - coef * p for g, p in zip(grad, probs)]
-                grad[decision.action] += coef
-            group_value += member_value / tokens
+                terms[pair] = np.exp(gaps[0]).tolist(), gaps[1].tolist()
+            if (member := members.get((pair, bits, size))) is None:
+                ratios, gaps = terms[pair]
+                tokens, member_value, token_terms = len(ratios), 0.0, []
+                for decision, r, gap in zip(traj.decisions, ratios, gaps):
+                    # a running sum: from Python 3.12 the builtin sum() compensates
+                    member_value += min(r * adv, min(max(r, lo), hi) * adv) \
+                        - cfg.beta * (0.5 * gap * gap)
+                    active = (adv >= 0 and r <= hi) or (adv < 0 and r >= lo)
+                    coef = (adv * r if active else 0.0) - cfg.beta * gap
+                    coef /= n_groups * size * tokens
+                    token_terms.append((decision.slot, (coef, decision.action)))
+                member = members[pair, bits, size] = member_value / tokens, token_terms
+            group_value += member[0]
+            for slot, term in member[1]:
+                folds.setdefault(slot, []).append(term)
         value += group_value / sample.group.size / n_groups
-    return value, {key: np.array(g) for key, g in acc.items()}
+    grads = {}
+    for slot, slot_terms in folds.items():
+        probs = view.probs(slot)
+        grad = [0.0] * len(probs)
+        for coef, action in slot_terms:
+            grad = [g - coef * p for g, p in zip(grad, probs)]
+            grad[action] += coef
+        grads[slot] = np.array(grad)
+    return value, grads
+
+
+def _advantages(rewards: np.ndarray, memo: dict) -> np.ndarray:
+    """Standardized ``rewards``, memoised in ``memo`` by their bytes. An
+    unfiltered homogeneous group has no advantage signal and gets zeros."""
+    key = rewards.tobytes()
+    if key not in memo:
+        memo[key] = standardize_advantages(rewards) if rewards.max() != rewards.min() \
+            else np.zeros(rewards.size)
+    return memo[key]
 
 
 def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
@@ -404,15 +434,16 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     one ``uniform_stream``, and keeps one path memo and one ``SlotView`` per
     table state, i.e. until an update, whose mean entropy it logs and whose
     probabilities the update takes. The next view re-derives only the tables
-    the update touched.
+    the update touched. Each distinct reward vector is standardized once per
+    run (see ``_advantages``).
     """
     if not _is_int(iterations) or iterations < 0:
         raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
     rng, policy, grpo_cfg = np.random.default_rng(seed), ToyPolicy(task), cfg.grpo()
     uniforms = uniform_stream(rng)
-    log, paths, view = TrainLog(), {}, SlotView(policy.tables)
+    log, paths, view, advantages = TrainLog(), {}, SlotView(policy.tables), {}
     for _ in range(iterations):
-        samples, graded, groups, by_id = [], [], [], {}
+        graded, groups, by_id = [], [], {}
         for prompt in task.prompts:
             group, trajectories = sample_group(policy, prompt.prompt_id,
                                                cfg.group_size, rng, cfg.reward_mode,
@@ -421,13 +452,9 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
             groups.append(group)
             by_id[prompt.prompt_id] = trajectories
         survivors = filter_homogeneous(groups) if cfg.filter_groups else groups
-        for group in survivors:
-            rewards = group.rewards()
-            # An unfiltered homogeneous group has no advantage signal and
-            # contributes only its KL term.
-            advantages = (standardize_advantages(rewards)
-                          if rewards.max() != rewards.min() else np.zeros(rewards.size))
-            samples.append(GroupSample(group, by_id[group.prompt_id], advantages))
+        samples = [GroupSample(group, by_id[group.prompt_id],
+                               _advantages(group.rewards(), advantages))
+                   for group in survivors]
         if samples:
             _, grads = objective_and_gradient(policy, samples, grpo_cfg, view)
             for key, grad in grads.items():

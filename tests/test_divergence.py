@@ -146,6 +146,22 @@ class TestEntropy:
         assert expected == pytest.approx(0.5623, abs=5e-5)
         assert dv.entropy(p) == pytest.approx(expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 6), width=st.integers(1, 40), data=st.data())
+    def test_rows_equal_per_row_entropy(self, rows, width, data):
+        # stacks without zeros take the unguarded path, the rest the masked one;
+        # the warnings gate fails the test on any RuntimeWarning
+        positive = data.draw(st.booleans())
+        entries = st.floats(1e-300 if positive else 0.0, 1.0)
+        q = np.array(data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                                        min_size=rows, max_size=rows)))
+        if data.draw(st.booleans()):
+            q[data.draw(st.integers(0, rows - 1))] = np.nan
+        if not positive and data.draw(st.booleans()):
+            q[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, width - 1))] = 0.0
+        assert dv.entropy_rows(q).tobytes() == \
+            np.array([dv.entropy(row) for row in q]).tobytes()
+
 
 def uniform_teacher(vocab_size, k):
     """Teacher whose top-k covers all mass, student can match exactly."""

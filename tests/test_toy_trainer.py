@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tooltrain.divergence as dv
@@ -439,6 +439,32 @@ class TestPathMemo:
             assert [view.draw("slot", FixedDraws([u])) for u in draws] == \
                 cdf.searchsorted(draws, side="right").tolist()
 
+    def test_bindings_follow_the_view(self):
+        task, rng = bundled_default_task(), np.random.default_rng(8)
+        policy, oracle_policy = ToyPolicy(task), ToyPolicy(task)
+        uniforms = rng.random(64).tolist()  # 16 paths of at most 3 decisions
+        changed = [slot for slot in policy.tables if slot[0] == "p0"]
+
+        def update():
+            for slot in changed:
+                policy.tables[slot] += 3.0 * rng.normal(size=policy.tables[slot].size)
+
+        def oracle_paths():
+            return oracle_policy.sample_paths("p0", 16, iter(uniforms),
+                                              RecomputingSlotView(policy.tables))
+
+        view_a = SlotView(policy.tables)
+        drawn_a = policy.sample_paths("p0", 16, iter(uniforms), view_a)
+        update()
+        view_b = SlotView(policy.tables, view_a, changed)
+        drawn_b = policy.sample_paths("p0", 16, iter(uniforms), view_b)
+        assert drawn_b == oracle_paths() != drawn_a
+        # a view made per call dies with it, and the next may take its address
+        for _ in range(3):
+            update()
+            assert policy.sample_paths("p0", 16, iter(uniforms),
+                                       SlotView(policy.tables)) == oracle_paths()
+
     def test_paths_rollouts_and_entropies_are_derived_once_per_table_state(
             self, monkeypatch):
         task, cfg, iterations = bundled_default_task(), ToyTrainConfig(), 200
@@ -577,6 +603,20 @@ def drifted_minibatch(make_task, seed, drift):
     return policy, samples
 
 
+advantage_values = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-3.0, 3.0)
+
+
+def member_pool(drift):
+    """The six (trajectory, rollout) members of a group sampled on the
+    optional-parameter task, and its policy with each table entry then
+    drifted by ``drift`` standard normals."""
+    policy, rng = ToyPolicy(bundled_optional_param_task()), np.random.default_rng(2)
+    group, trajectories = sample_group(policy, "opt0", 6, rng)
+    for key, table in policy.tables.items():
+        policy.tables[key] = table + drift * rng.normal(size=table.size)
+    return policy, list(zip(trajectories, group.rollouts))
+
+
 class TestUpdateOracle:
     @pytest.mark.parametrize("make_task", [bundled_default_task,
                                            bundled_optional_param_task])
@@ -597,6 +637,36 @@ class TestUpdateOracle:
                 assert oracle_grad.tobytes() == np.zeros_like(oracle_grad).tobytes(), key
         # the oracle's value is the mean of grpo_objective over the groups
         assert value == pytest.approx(oracle_value, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups=st.lists(st.lists(st.tuples(st.integers(0, 5), advantage_values),
+                                    min_size=2, max_size=7), min_size=1, max_size=5),
+           drift=st.sampled_from([0.0, 0.05, 1.0]), beta=st.sampled_from([0.0, 1e-3, 0.1]))
+    # one member shared by groups of sizes 2 and 3
+    @example(groups=[[(0, 1.0), (1, -1.0)], [(0, 1.0), (1, -1.0), (2, 0.5)]],
+             drift=0.05, beta=1e-3)
+    # one member repeated within groups, with equal and with unequal advantages
+    @example(groups=[[(0, 1.0), (0, 1.0), (1, -2.0)], [(0, 0.7), (0, -0.7), (1, 0.0)]],
+             drift=1.0, beta=0.1)
+    # one member with a 0.0 and a -0.0 advantage in one call
+    @example(groups=[[(0, 0.0), (1, 1.0)], [(0, -0.0), (1, -1.0)]], drift=0.0, beta=0.0)
+    def test_shared_members_equal_the_per_token_oracle(self, groups, drift, beta):
+        # groups of fewer than 8, where numpy's sums in grpo_objective run left
+        # to right, so the oracle's value is exact as well
+        policy, pool = member_pool(drift)
+        samples = [GroupSample(RolloutGroup("p", [pool[i][1] for i, _ in members]),
+                               [pool[i][0] for i, _ in members],
+                               np.array([adv for _, adv in members]))
+                   for members in groups]
+        cfg = ToyTrainConfig(beta=beta).grpo()
+        value, grads = objective_and_gradient(policy, samples, cfg)
+        oracle_value, oracle_grads = objective_and_gradient_per_token(policy, samples,
+                                                                      cfg)
+        assert np.array(value).tobytes() == np.array(oracle_value).tobytes()
+        assert grads.keys() <= oracle_grads.keys()
+        for key, oracle_grad in oracle_grads.items():
+            got = grads.get(key, np.zeros_like(oracle_grad))
+            assert got.tobytes() == oracle_grad.tobytes(), key
 
     def test_minibatches_cover_both_clip_sides_and_both_advantage_signs(self):
         view_ratios, advantages = [], []
@@ -678,6 +748,33 @@ class TestTraining:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,mean_reward,mean_entropy,filtered_fraction"
         assert len(lines) == 8
+
+    def test_each_distinct_reward_vector_is_standardized_once(self, monkeypatch):
+        task, cfg, memoised = bundled_default_task(), ToyTrainConfig(), \
+            toy_trainer._advantages
+
+        def run(advantages):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(toy_trainer, "standardize_advantages",
+                              lambda r: calls.append(r.tobytes()) or standardize_advantages(r))
+                patch.setattr(toy_trainer, "_advantages", advantages)
+                return calls, *train_sim_rl(task, cfg, 200, 3)
+
+        calls, policy, log = run(memoised)
+        # the memo patched out: a fresh one per group
+        unmemoised_calls, oracle_policy, oracle_log = run(
+            lambda rewards, memo: memoised(rewards, {}))
+        assert len(calls) == len(set(calls)) < len(unmemoised_calls)
+        assert set(calls) == set(unmemoised_calls)
+        assert log == oracle_log
+        for key, table in policy.tables.items():
+            assert table.tobytes() == oracle_policy.tables[key].tobytes()
+
+        memo = {}
+        with pytest.raises(ValueError, match="overflows"):
+            memoised(np.array([1e308, -1e308]), memo)
+        assert memo == {}
 
     def test_unfiltered_homogeneous_groups_do_not_crash(self):
         # uniform-reward groups appear within 60 iterations at this seed
