@@ -174,7 +174,11 @@ def cmd_kd(args: argparse.Namespace) -> int:
             if args.k is not None:
                 keep = np.argsort(-probs, kind="stable")[:args.k]
                 indices, probs = indices[keep], probs[keep]
-            z = np.asarray(record["student_logits"], dtype=np.float64)
+            logits = record["student_logits"]
+            z = np.asarray(logits, dtype=np.float64)
+            # as for probs; a nested list is left to the kernel's 1-d check
+            if z.ndim == 1 and not set(map(type, logits)) <= {int, float}:
+                raise ValueError("student_logits are not all numbers")
             if z.size != vocab_size:
                 raise ValueError(f"student_logits has length {z.size}, "
                                  f"header declares {vocab_size}")

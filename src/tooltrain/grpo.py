@@ -10,6 +10,8 @@ averaged per rollout over its tokens and then over the group.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -24,12 +26,22 @@ class LengthMismatch(ValueError):
     """Advantage count disagrees with the rollout count."""
 
 
+def check_finite_real(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number, not a bool, within
+    the finite float range (so NaN, infinities and an int such as 10**400 fail)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GrpoConfig:
     epsilon: float = 0.2
     beta: float = 1e-3
 
     def __post_init__(self):
+        for name in ("epsilon", "beta"):
+            check_finite_real(name, getattr(self, name))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.beta < 0:

@@ -19,9 +19,7 @@ with respect to the slot tables exact.
 
 from __future__ import annotations
 
-import math
 import numbers
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
@@ -39,6 +37,7 @@ from .grpo import (
     LengthMismatch,
     Rollout,
     RolloutGroup,
+    check_finite_real,
     filter_homogeneous,
     standardize_advantages,
 )
@@ -66,10 +65,7 @@ class ToyTrainConfig:
             raise ValueError(f"group_size must be an integer of at least 2, "
                              f"got {self.group_size!r}")
         for name in ("learning_rate", "epsilon", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            check_finite_real(name, getattr(self, name))
         if not isinstance(self.filter_groups, bool):
             raise ValueError(f"filter_groups must be a bool, got {self.filter_groups!r}")
         if self.reward_mode not in ("sim", "binary"):
@@ -118,12 +114,13 @@ class Decision:
     action: int
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity, as ``SlotView.rollouts`` keys it
 class Trajectory:
     decisions: list[Decision]
     text: str
     reward: float            # training reward (graded or binary)
     graded_reward: float     # graded reward regardless of mode
+    logp_ref: np.ndarray     # per-decision log-probabilities of the reference tables
 
 
 class ToyPolicy:
@@ -149,8 +146,6 @@ class ToyPolicy:
                 self.tables[slot] = np.zeros(len(self.actions(slot)))
         self.ref_tables = {k: v.copy() for k, v in self.tables.items()}
         self.ref_view = SlotView(self.ref_tables)
-        # the CDF lists of each prompt sampled from the last view, by prompt
-        self._bound_view, self._bound = weakref.ref(self.ref_view), {}
 
     def actions(self, slot: tuple) -> list[Any]:
         """Domain values of a slot; optional-parameter slots end with OMIT."""
@@ -167,15 +162,9 @@ class ToyPolicy:
         """Draw ``n`` paths' actions from ``view``, a view of ``self.tables``:
         per path a function index, then a value index for each of its
         parameters. Each decision is ``bisect_right`` of the slot's CDF and the
-        next of ``uniforms``, the draw of ``SlotView.draw``. A prompt's CDF
-        lists are bound once per view and kept while the policy's last view
-        lives; a weak reference tells a later view from it."""
-        if self._bound_view() is not view:
-            self._bound_view, self._bound = weakref.ref(view), {}
-        if prompt_id not in self._bound:
-            self._bound[prompt_id] = view.cdf((prompt_id, "fn")), [
-                [view.cdf(slot) for slot in slots] for slots in self.arg_slots[prompt_id]]
-        fn_cdf, arg_cdfs = self._bound[prompt_id]
+        next of ``uniforms``, the draw of ``SlotView.draw``, from the prompt's
+        CDF lists as ``view.bind`` gives them."""
+        fn_cdf, arg_cdfs = view.bind(prompt_id, self.arg_slots[prompt_id])
         draw, paths = uniforms.__next__, []
         for _ in range(n):
             fn = bisect_right(fn_cdf, draw())
@@ -191,12 +180,13 @@ class SlotView:
 
     Each is bit-identical to its per-table derivation (``dv.softmax``, its
     normalised cumsum, ``z - logsumexp(z)``, ``dv.entropy``). A view holds only
-    while its tables do: ``train_sim_rl`` keeps one per table state, others one
-    a call. Given ``previous``, a view of the same tables before the slots in
-    ``changed`` were edited, only those slots are derived and the rest are
-    taken from it; the result equals a fresh view bit for bit, and
-    ``mean_entropy`` is still the mean over every slot in table order. A
-    derived table holding inf or NaN raises ``ValueError``.
+    while its tables do, and so does what it derives from them: each prompt's
+    CDF lists (``bind``) and, in ``rollouts``, the ``Rollout`` of each path
+    ``sample_group`` drew from it, by ``Trajectory``. Given ``previous``, a
+    view of the same tables before the slots in ``changed`` were edited, only
+    those slots are derived and the rest are taken from it; the result equals
+    a fresh view bit for bit, and ``mean_entropy`` is still the mean over
+    every slot in table order. A table holding inf or NaN raises ``ValueError``.
     """
 
     def __init__(self, tables: dict[tuple, np.ndarray], previous: SlotView | None = None,
@@ -225,6 +215,15 @@ class SlotView:
             self._rows.update(zip(slots, zip(probs.tolist(), cdf.tolist(), logp.tolist(),
                                              dv.entropy_rows(probs).tolist())))
         self.mean_entropy = float(np.mean([row[3] for row in self._rows.values()]))
+        self._bound: dict[str, tuple] = {}
+        self.rollouts: dict[Trajectory, Rollout] = {}
+
+    def bind(self, prompt_id: str, arg_slots: list[list[tuple]]) -> tuple[list, list]:
+        """A prompt's function CDF and its ``arg_slots``' CDFs, bound once per view."""
+        if prompt_id not in self._bound:
+            self._bound[prompt_id] = self.cdf((prompt_id, "fn")), [
+                [self.cdf(slot) for slot in slots] for slots in arg_slots]
+        return self._bound[prompt_id]
 
     def probs(self, slot: tuple) -> list[float]:
         return self._rows[slot][0]
@@ -260,19 +259,8 @@ def render_trajectory(call: ToolCall) -> str:
     return render_call_text("select the matching tool", [call])
 
 
-@dataclass
-class _Path:
-    """A ``_path`` memo entry; ``rollout`` is the path's under ``view``, a weak
-    reference, so that the memo keeps no old view's derived lists alive."""
-
-    trajectory: Trajectory
-    logp_ref: np.ndarray
-    view: weakref.ref | None = None
-    rollout: Rollout | None = None
-
-
 def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, ...],
-          reward_mode: str, paths: dict) -> _Path:
+          reward_mode: str, paths: dict) -> Trajectory:
     """The path of ``actions`` under ``prompt_id``, memoised in ``paths``.
 
     Its decisions, text and rewards follow from the prompt, the actions and
@@ -292,9 +280,8 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
         graded = total_reward(text, task.prompt(prompt_id).ground_truth,
                               task.schema).total
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
-        path = paths[prompt_id, actions] = _Path(
-            Trajectory(decisions, text, reward, graded),
-            policy.ref_view.logps(decisions))
+        path = paths[prompt_id, actions] = Trajectory(
+            decisions, text, reward, graded, policy.ref_view.logps(decisions))
     return path
 
 
@@ -309,10 +296,9 @@ def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
     initial tables. The members are drawn by ``ToyPolicy.sample_paths`` from
     ``uniforms``, a ``uniform_stream`` of ``rng`` that the caller keeps across
     calls, or from one ``rng.random()`` call per decision when None. ``paths``
-    memoises each distinct path (see ``_path``), so a draw costs only its
-    random numbers; members that drew one path from one ``view`` share its
-    ``Rollout``, which dies when a draw from another view replaces it.
-    ``paths`` and ``view`` are fresh for the call when None.
+    memoises each distinct path (see ``_path``) and ``view.rollouts`` its
+    ``Rollout`` under ``view``, so a repeated draw costs only its random
+    numbers. ``paths`` and ``view`` are fresh for the call when None.
     """
     paths = {} if paths is None else paths
     view = SlotView(policy.tables) if view is None else view
@@ -322,13 +308,13 @@ def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
     for actions in policy.sample_paths(prompt_id, group_size, uniforms, view):
         path = paths.get((prompt_id, actions)) or \
             _path(policy.task, policy, prompt_id, actions, reward_mode, paths)
-        if path.view is None or path.view() is not view:
-            logp = view.logps(path.trajectory.decisions)
-            path.view, path.rollout = weakref.ref(view), Rollout(
+        if (rollout := view.rollouts.get(path)) is None:
+            logp = view.logps(path.decisions)
+            rollout = view.rollouts[path] = Rollout(
                 logp_new=logp, logp_old=logp.copy(), logp_ref=path.logp_ref,
-                reward=path.trajectory.reward)
-        group.rollouts.append(path.rollout)
-        trajectories.append(path.trajectory)
+                reward=path.reward)
+        group.rollouts.append(rollout)
+        trajectories.append(path)
     return group, trajectories
 
 
@@ -355,9 +341,9 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
     when r <= 1 + eps and for A < 0 when r >= 1 - eps.
 
     ``view`` is a view of ``policy.tables``, fresh when None. Each distinct
-    (trajectory, rollout) pair takes its ratios and KL gaps once, and each
-    distinct member (that pair, its advantage's bits, as 0.0 == -0.0, and its
-    group size) its token coefficients and value term once, in Python floats.
+    member (its trajectory and rollout, its advantage's bits, as 0.0 ==
+    -0.0, and its group size) takes its ratios, KL gaps, token coefficients
+    and value term once, in Python floats.
     Each touched slot's (coefficient, action) terms are folded into its
     gradient once at the end, in member and token order: the IEEE operations
     of a per-token numpy loop. The value is the mean of ``grpo_objective`` over
@@ -365,7 +351,6 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
     """
     view = SlotView(policy.tables) if view is None else view
     lo, hi = 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
-    terms: dict = {}  # (ratios, gaps) per distinct (trajectory, rollout)
     members: dict = {}  # (value term, [(slot, (coef, action))]) per distinct member
     folds: dict[tuple, list] = {}  # the (coef, action) terms of each touched slot
     value, n_groups = 0.0, len(samples)
@@ -378,16 +363,15 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
         for traj, rollout, adv, bits in zip(sample.trajectories, sample.group.rollouts,
                                             advantages.tolist(),
                                             advantages.view(np.int64).tolist()):
-            if (pair := (id(traj), id(rollout))) not in terms:
+            key = id(traj), id(rollout), bits, size
+            if (member := members.get(key)) is None:
                 logp_new = view.logps(traj.decisions)
                 if not logp_new.shape == rollout.logp_old.shape == rollout.logp_ref.shape:
                     raise ValueError("log-prob arrays must be 1-d and equally sized")
                 gaps = logp_new - np.array((rollout.logp_old, rollout.logp_ref))
                 if not np.isfinite(gaps).all():
                     raise ValueError("log-probabilities must be finite")
-                terms[pair] = np.exp(gaps[0]).tolist(), gaps[1].tolist()
-            if (member := members.get((pair, bits, size))) is None:
-                ratios, gaps = terms[pair]
+                ratios, gaps = np.exp(gaps[0]).tolist(), gaps[1].tolist()
                 tokens, member_value, token_terms = len(ratios), 0.0, []
                 for decision, r, gap in zip(traj.decisions, ratios, gaps):
                     # a running sum: from Python 3.12 the builtin sum() compensates
@@ -397,7 +381,7 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
                     coef = (adv * r if active else 0.0) - cfg.beta * gap
                     coef /= n_groups * size * tokens
                     token_terms.append((decision.slot, (coef, decision.action)))
-                member = members[pair, bits, size] = member_value / tokens, token_terms
+                member = members[key] = member_value / tokens, token_terms
             group_value += member[0]
             for slot, term in member[1]:
                 folds.setdefault(slot, []).append(term)
@@ -472,8 +456,7 @@ def evaluate_policy(policy: ToyPolicy, task: ToyTask, samples_per_prompt: int,
     ``sample_group`` draws them from one ``uniform_stream``."""
     uniforms = uniform_stream(np.random.default_rng(seed))
     view, paths = SlotView(policy.tables), {}
-    graded = [_path(task, policy, prompt.prompt_id, actions, "sim",
-                    paths).trajectory.graded_reward
+    graded = [_path(task, policy, prompt.prompt_id, actions, "sim", paths).graded_reward
               for prompt in task.prompts
               for actions in policy.sample_paths(prompt.prompt_id, samples_per_prompt,
                                                  uniforms, view)]

@@ -120,11 +120,13 @@ def parse_generation_four_find(raw: str) -> ParsedGeneration:
 class RecomputingSlotView:
     """``toy_trainer.SlotView`` that derives everything afresh on every use:
     a softmax and ``Generator.choice`` per draw, a softmax and cumsum per CDF,
-    a softmax per gradient token, a log-normaliser per decision and a softmax
-    per table for the entropy. It ignores a previous view."""
+    a softmax per gradient token, a log-normaliser per decision, a softmax
+    per table for the entropy and a CDF per slot on every ``bind``. It ignores
+    a previous view; ``rollouts`` starts empty, as on a fresh view."""
 
     def __init__(self, tables, previous=None, changed=()):
         self.tables = tables
+        self.rollouts = {}
 
     @property
     def mean_entropy(self):
@@ -136,6 +138,10 @@ class RecomputingSlotView:
     def cdf(self, slot):
         cdf = dv.softmax(self.tables[slot]).cumsum()
         return (cdf / cdf[-1]).tolist()
+
+    def bind(self, prompt_id, arg_slots):
+        return self.cdf((prompt_id, "fn")), [[self.cdf(slot) for slot in slots]
+                                             for slots in arg_slots]
 
     def draw(self, slot, rng):
         probs = dv.softmax(self.tables[slot])
@@ -321,11 +327,12 @@ def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim
         graded = total_reward(text, task.prompt(prompt_id).ground_truth,
                               task.schema).total
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
-        logp = view.logps(decisions)
+        logp, logp_ref = view.logps(decisions), ref_view.logps(decisions)
         rollouts.append(Rollout(logp_new=logp, logp_old=logp.copy(),
-                                logp_ref=ref_view.logps(decisions), reward=reward))
+                                logp_ref=logp_ref, reward=reward))
         trajectories.append(toy_trainer.Trajectory(
-            decisions=decisions, text=text, reward=reward, graded_reward=graded))
+            decisions=decisions, text=text, reward=reward, graded_reward=graded,
+            logp_ref=logp_ref))
     return RolloutGroup(prompt_id=prompt_id, rollouts=rollouts), trajectories
 
 

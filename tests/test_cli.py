@@ -433,6 +433,30 @@ class TestKd:
         assert main(["kd", "--input", str(inp), "--loss", "fkl",
                      "--output", str(tmp_path / "out.jsonl")]) == 0
 
+    @pytest.mark.parametrize("logits", [["0.5", True, -0.5, 1], [0.5, True, -0.5, 1.0],
+                                        [0.5, None, -0.5, 1.0], ["0.5", 0.0, -0.5, 1.0]])
+    def test_non_numeric_student_logit_is_format_error(self, logits, tmp_path, capsys):
+        inp, out = tmp_path / "kd.jsonl", tmp_path / "out.jsonl"
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": logits,
+                 "teacher_topk": {"indices": [3, 0], "probs": [0.6, 0.3]}}]
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["kd", "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: position 'p': student_logits are not all numbers\n")
+        assert not out.exists()
+
+    def test_integer_student_logits_are_numbers(self, tmp_path):
+        inp, out = tmp_path / "kd.jsonl", tmp_path / "out.jsonl"
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": [1, 0, -1, 2],
+                 "teacher_topk": {"indices": [3, 0], "probs": [0.6, 0.3]}}]
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["kd", "--input", str(inp), "--loss", "fkl", "--output", str(out)]) == 0
+        teacher = dv.TopKDistribution(np.array([3, 0]), np.array([0.6, 0.3]))
+        assert json.loads(out.read_text().splitlines()[0])["loss"] == \
+            dv.fkl_topk(teacher, np.array([1.0, 0.0, -1.0, 2.0])).loss
+
     def test_missing_header_is_format_error(self, tmp_path):
         inp = tmp_path / "kd.jsonl"
         inp.write_text(json.dumps({"position_id": "p"}) + "\n")

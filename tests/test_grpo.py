@@ -214,3 +214,11 @@ class TestValidation:
             GrpoConfig(beta=-1.0)
         cfg = GrpoConfig()
         assert cfg.epsilon == 0.2 and cfg.beta == 1e-3
+
+    @pytest.mark.parametrize("field", ["epsilon", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       10**400, True, False, "x", None, [0.1]])
+    def test_config_rejects_non_finite_or_non_real(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+            GrpoConfig(**{field: value})
+        assert getattr(GrpoConfig(**{field: np.float64(0.5)}), field) == 0.5

@@ -1,6 +1,8 @@
 import collections
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -465,6 +467,36 @@ class TestPathMemo:
             assert policy.sample_paths("p0", 16, iter(uniforms),
                                        SlotView(policy.tables)) == oracle_paths()
 
+    def test_one_view_keeps_each_memos_rollouts_apart(self):
+        # the same draws under both modes: equal paths whose rewards differ
+        policy = ToyPolicy(bundled_default_task())
+        view, groups = SlotView(policy.tables), {}
+        for mode in ("sim", "binary"):
+            groups[mode] = sample_group(policy, "p0", 16, np.random.default_rng(4), mode,
+                                        {}, view)
+            fresh, _ = sample_group(policy, "p0", 16, np.random.default_rng(4), mode)
+            assert groups[mode][0].rewards().tolist() == fresh.rewards().tolist()
+        for group, trajectories in groups.values():
+            assert group.rewards().tolist() == [t.reward for t in trajectories]
+        (sim, _), (binary, _) = groups.values()
+        assert sim.rewards().tolist() != binary.rewards().tolist()
+
+    def test_a_view_dies_with_its_last_reference(self):
+        task = bundled_default_task()
+        policy, paths, rng = ToyPolicy(task), {}, np.random.default_rng(0)
+        gc.disable()  # only reference counting may free the view
+        try:
+            for _ in range(2):
+                view = SlotView(policy.tables)
+                for prompt in task.prompts:
+                    sample_group(policy, prompt.prompt_id, 8, rng, "sim", paths, view)
+                assert paths
+                dead = weakref.ref(view)
+                del view
+                assert dead() is None
+        finally:
+            gc.enable()
+
     def test_paths_rollouts_and_entropies_are_derived_once_per_table_state(
             self, monkeypatch):
         task, cfg, iterations = bundled_default_task(), ToyTrainConfig(), 200
@@ -810,6 +842,10 @@ class TestToyTrainConfig:
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ToyTrainConfig(**{field: value})
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="^learning_rate must be a finite number"):
+            ToyTrainConfig(learning_rate=10**400)
 
     @pytest.mark.parametrize("iterations", [-3, 2.5, True, "5"])
     def test_train_rejects_bad_iterations(self, iterations):
