@@ -25,16 +25,20 @@ T = sum of q over J'_m, S = sum over I_k of q_i * (log(q_i/p_i) + 1)):
 and the composites add linearly. Every gradient sums to zero over the
 vocabulary because each loss depends on z only through the softmax.
 
-One body computes every loss on N stacked positions: teacher indices and
-probabilities (N, k) and student logits (N, V) give per-row losses, the
-(N, V) gradient and per-row aux: ``escape_mass``, ``entropy``, ``kl_part``,
-``tail_part`` and ``confident_size`` (|J'_m|, 0 without a tail term). The
-public kernels are its one-row calls and ``LOSSES[name].rows`` its batched
-entry; row r of a batch equals the one-row call on row r bit for bit.
+One body computes every loss on N stacked positions: a ``TopKRows`` of
+teacher indices and probabilities (N, k) and student logits (N, V) give
+per-row losses, the (N, V) gradient and per-row aux: ``escape_mass``,
+``entropy``, ``kl_part``, ``tail_part`` and ``confident_size`` (|J'_m|, 0
+without a tail term). ``TopKRows`` derives what depends on the teacher alone
+once, so a caller that steps students against fixed teachers builds it once.
+The public kernels are the body's one-row calls and ``LOSSES[name].rows`` its
+batched entry; row r of a batch equals the one-row call on row r bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -93,6 +97,43 @@ class TopKDistribution:
         return float(self.probs.sum())
 
 
+class TopKRows:
+    """Teacher top-k entries at N positions, indices and probabilities (N, k),
+    with what every loss derives from the teacher alone: the row-index column,
+    the smallest and largest index, P per row, log p, the ``p > 0`` mask and
+    the rows where it fails. It holds read-only copies, so a later change to
+    the caller's arrays cannot reach it."""
+
+    def __init__(self, indices: np.ndarray, probs: np.ndarray):
+        self.indices = np.array(indices, dtype=np.int64)
+        self.probs = np.array(probs, dtype=np.float64)
+        if self.indices.ndim != 2 or self.probs.shape != self.indices.shape \
+                or self.indices.size == 0:
+            raise ValueError("teacher indices and probs must be non-empty (N, k) "
+                             "arrays of equal shape")
+        if (np.diff(np.sort(self.indices, axis=1), axis=1) == 0).any():
+            raise ValueError("top-k indices must be distinct within a row")
+        self.row_index = np.arange(len(self.indices))[:, None]
+        self.low, self.high = int(self.indices.min()), int(self.indices.max())
+        self.mass = self.probs.sum(axis=1, keepdims=True)
+        self.live = self.probs > 0.0
+        self.dead_rows = np.flatnonzero(~self.live.all(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_probs = np.log(self.probs)
+        # a dead entry's term is left out of every sum; a finite log there
+        # keeps 0 * log 0 from warning
+        self.log_probs[~self.live] = 0.0
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, rows: slice) -> TopKRows:
+        return TopKRows(self.indices[rows], self.probs[rows])
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Max-subtracted stable softmax along the last axis."""
     z = np.asarray(z, dtype=np.float64)
@@ -108,12 +149,16 @@ def entropy(q: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def _row_sums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _row_sums(terms: np.ndarray, live: np.ndarray,
+              dead_rows: np.ndarray | None = None) -> np.ndarray:
     """Row sums of ``terms`` over its ``live`` entries. A row with a dead entry
-    sums its live ones packed together, as the 1-d masked sum does; a zero
-    left in place would change numpy's pairwise summation order."""
+    (one of ``dead_rows``, found from ``live`` if not given) sums its live ones
+    packed together, as the 1-d masked sum does; a zero left in place would
+    change numpy's pairwise summation order."""
     sums = terms.sum(axis=1)
-    for row in np.flatnonzero(~live.all(axis=1)):
+    if dead_rows is None:
+        dead_rows = np.flatnonzero(~live.all(axis=1))
+    for row in dead_rows:
         sums[row] = terms[row][live[row]].sum()
     return sums
 
@@ -185,26 +230,33 @@ def _check_live(dead: np.ndarray, indices: np.ndarray, error: type, what: str) -
         raise error(f"{what} at top-k indices {indices[r][dead[r]].tolist()}")
 
 
-def _fkl(indices, p, q, q_top, rows) -> tuple[np.ndarray, np.ndarray]:
-    _check_live(q_top == 0.0, indices, DegenerateStudent,
-                "student probability underflowed")
-    grad = q * p.sum(axis=1, keepdims=True)
-    grad[rows, indices] -= p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * (np.log(p) - np.log(q_top))
-    return _row_sums(terms, p > 0.0), grad  # 0 * log 0 is taken at its limit, 0
+def _fkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
+    if q_top.min() == 0.0:
+        _check_live(q_top == 0.0, teacher.indices, DegenerateStudent,
+                    "student probability underflowed")
+    grad = q * teacher.mass
+    grad[teacher.row_index, teacher.indices] -= teacher.probs
+    terms = teacher.probs * (teacher.log_probs - np.log(q_top))
+    # 0 * log 0 is taken at its limit, 0
+    return _row_sums(terms, teacher.live, teacher.dead_rows), grad
 
 
-def _rkl(indices, p, q, q_top, rows) -> tuple[np.ndarray, np.ndarray]:
-    _check_live(p == 0.0, indices, DegenerateTeacher, "teacher probability is zero")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(q_top / p)
+def _rkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
+    if teacher.dead_rows.size:
+        _check_live(teacher.probs == 0.0, teacher.indices, DegenerateTeacher,
+                    "teacher probability is zero")
+    underflow = q_top.min() == 0.0  # an underflowed entry is taken at its limit, 0
+    with np.errstate(divide="ignore", invalid="ignore") if underflow else nullcontext():
+        log_ratio = np.log(q_top / teacher.probs)
         terms = q_top * log_ratio
-    live = q_top > 0.0
-    ratio_term = np.where(live, log_ratio + 1.0, 0.0)
-    grad = q * -np.sum(q_top * ratio_term, axis=1, keepdims=True)
-    grad[rows, indices] += q_top * ratio_term
-    return _row_sums(terms, live), grad
+    ratio_term = log_ratio + 1.0
+    if underflow:
+        live = q_top > 0.0
+        ratio_term = np.where(live, ratio_term, 0.0)
+    weighted = q_top * ratio_term
+    grad = q * -weighted.sum(axis=1, keepdims=True)
+    grad[teacher.row_index, teacher.indices] += weighted
+    return _row_sums(terms, live) if underflow else terms.sum(axis=1), grad
 
 
 def _confident(indices: np.ndarray, q: np.ndarray,
@@ -232,14 +284,16 @@ def _tail(indices, q, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tail_mass, grad, size
 
 
-def _rows(indices: np.ndarray, probs: np.ndarray, student_logits: np.ndarray,
-          kl=None, m: int | None = None, lambda_tail: float = 1.0) -> LossReport:
+def _rows(teacher: TopKRows, student_logits: np.ndarray, kl=None,
+          m: int | None = None, lambda_tail: float = 1.0) -> LossReport:
     """Body of every kernel: ``kl + lambda_tail * tail`` at N positions, from
-    teacher indices and probabilities (N, k) and student logits (N, V), with
-    one softmax. ``kl`` is ``_fkl``, ``_rkl`` or None; the tail term is present
-    when ``m`` is given. Each row equals the body on that row alone, bit for
-    bit: numpy reduces a row as it reduces a 1-d vector, and sums over sets
-    whose size differs between rows are taken row by row."""
+    a teacher (N, k) and student logits (N, V), with one softmax. ``kl`` is
+    ``_fkl``, ``_rkl`` or None; the tail term is present when ``m`` is given.
+    Each row equals the body on that row alone, bit for bit: numpy reduces a
+    row as it reduces a 1-d vector, and sums over sets whose size differs
+    between rows are taken row by row."""
+    if not math.isfinite(lambda_tail):
+        raise ValueError("lambda_tail must be finite")
     if lambda_tail < 0:
         raise ValueError("lambda_tail must be non-negative")
     z = np.asarray(student_logits, dtype=np.float64)
@@ -247,18 +301,17 @@ def _rows(indices: np.ndarray, probs: np.ndarray, student_logits: np.ndarray,
         raise ValueError("student logits must be a 1-d vector")
     if not np.isfinite(z).all():
         raise ValueError("student logits must be finite")
-    if indices.max() >= z.shape[1] or indices.min() < 0:
-        top = indices.max(axis=1)  # a bad row names its largest index if too large
-        end = np.where(top >= z.shape[1], top, indices.min(axis=1))
+    if teacher.high >= z.shape[1] or teacher.low < 0:
+        top = teacher.indices.max(axis=1)  # a bad row names its largest index if too large
+        end = np.where(top >= z.shape[1], top, teacher.indices.min(axis=1))
         raise IndexError(f"teacher index {int(end[(end < 0) | (end >= z.shape[1])][0])} "
                          f"out of bounds for vocabulary of size {z.shape[1]}")
     q = softmax(z)
-    rows = np.arange(len(q))[:, None]
-    q_top = q[rows, indices]
-    loss, grad = kl(indices, probs, q, q_top, rows) if kl else (np.zeros(len(q)), 0.0)
+    q_top = q[teacher.row_index, teacher.indices]
+    loss, grad = kl(teacher, q, q_top) if kl else (np.zeros(len(q)), 0.0)
     kl_part, tail_part, size = loss, np.zeros(len(q)), np.zeros(len(q))
     if m is not None:
-        tail_part, tail_grad, size = _tail(indices, q, m)
+        tail_part, tail_grad, size = _tail(teacher.indices, q, m)
         loss, grad = loss + lambda_tail * tail_part, grad + lambda_tail * tail_grad
     aux = {"escape_mass": 1.0 - q_top.sum(axis=1), "entropy": entropy_rows(q),
            "kl_part": kl_part, "tail_part": tail_part, "confident_size": size}
@@ -276,24 +329,25 @@ class LossKind(NamedTuple):
     def __call__(self, teacher, student_logits, m, lambda_tail) -> LossReport:
         return self.kernel(teacher, student_logits, m, lambda_tail)
 
-    def rows(self, indices, probs, student_logits, m, lambda_tail) -> LossReport:
-        """The loss at N positions: teacher indices and probabilities (N, k),
-        student logits (N, V). It raises what one-row calls in row order would."""
+    def rows(self, teacher: TopKRows, student_logits, m, lambda_tail) -> LossReport:
+        """The loss at N positions: a teacher (N, k), student logits (N, V).
+        It raises what one-row calls in row order would."""
         weighted = self.kl is not None and self.tail  # only composites take lambda
         terms = self.kl, m if self.tail else None, lambda_tail if weighted else 1.0
         try:
-            return _rows(indices, probs, student_logits, *terms)
+            return _rows(teacher, student_logits, *terms)
         except (ValueError, IndexError):
             # a later row may fail an earlier check than the first failing row
             # does; alone, that row raises its own (the last row's is this one)
-            for r in range(len(indices) - 1):
-                _rows(indices[r:r + 1], probs[r:r + 1], student_logits[r:r + 1], *terms)
+            for r in range(len(teacher) - 1):
+                _rows(teacher[r:r + 1], student_logits[r:r + 1], *terms)
             raise
 
     def row(self, teacher, student_logits, m, lambda_tail) -> LossReport:
         """The loss at one position: ``rows`` on a single row."""
         z = np.asarray(student_logits, dtype=np.float64)[None]
-        report = self.rows(teacher.indices[None], teacher.probs[None], z, m, lambda_tail)
+        report = self.rows(TopKRows(teacher.indices[None], teacher.probs[None]), z, m,
+                           lambda_tail)
         return LossReport(loss=float(report.loss[0]), grad=report.grad[0],
                           aux={key: float(value[0]) for key, value in report.aux.items()})
 

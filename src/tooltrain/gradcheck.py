@@ -32,13 +32,16 @@ def central_differences(loss: dv.LossKind, teacher: dv.TopKDistribution,
     """Two-sided difference quotient of ``loss`` at ``z`` per coordinate.
 
     The 2V probes are copies of ``z`` with one coordinate shifted by +-step,
-    taken through ``loss.rows`` (one call up to ``PROBE_CELLS``); each row
-    equals the loss at that probe alone, so every quotient is bit-identical
-    to probing the coordinate by itself. A shifted copy, not ``z + step * I``,
-    leaves the other coordinates as they are (-0.0 + 0.0 would be +0.0).
+    taken through ``loss.rows`` (one call up to ``PROBE_CELLS``) against one
+    ``TopKRows`` of the teacher built per instance; each row equals the loss
+    at that probe alone, so every quotient is bit-identical to probing the
+    coordinate by itself. A shifted copy, not ``z + step * I``, leaves the
+    other coordinates as they are (-0.0 + 0.0 would be +0.0).
     """
     z = np.asarray(z, dtype=np.float64)
-    per_call = max(1, PROBE_CELLS // (2 * z.size))
+    per_call = min(z.size, max(1, PROBE_CELLS // (2 * z.size)))
+    teachers = dv.TopKRows(np.tile(teacher.indices, (2 * per_call, 1)),
+                           np.tile(teacher.probs, (2 * per_call, 1)))
     quotients = []
     for start in range(0, z.size, per_call):
         coords = np.arange(start, min(start + per_call, z.size))
@@ -46,9 +49,8 @@ def central_differences(loss: dv.LossKind, teacher: dv.TopKDistribution,
         probes = np.tile(z, (2 * n, 1))
         probes[np.arange(n), coords] += step
         probes[np.arange(n, 2 * n), coords] -= step
-        losses = loss.rows(np.tile(teacher.indices, (2 * n, 1)),
-                           np.tile(teacher.probs, (2 * n, 1)), probes, m,
-                           lambda_tail).loss
+        block = teachers if n == per_call else teachers[:2 * n]  # the last may be short
+        losses = loss.rows(block, probes, m, lambda_tail).loss
         quotients.append((losses[:n] - losses[n:]) / (2.0 * step))
     return np.concatenate(quotients)
 

@@ -505,6 +505,11 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
     if loss_kind not in dv.KD_LOSS_KINDS:
         raise ValueError(
             f"unknown loss kind '{loss_kind}', expected one of {dv.KD_LOSS_KINDS}")
+    if not _is_int(steps) or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    check_finite_real("step_size", step_size)
+    if not teachers:
+        raise ValueError("kd_fit needs at least one teacher position")
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(len(teachers), vocab_size))
     escape = np.zeros(steps + 1)
@@ -513,21 +518,21 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
     # one block of stacked teachers when all share k, else a block per position
     cuts = [0, len(teachers)] if len({t.k for t in teachers}) == 1 \
         else range(len(teachers) + 1)
-    blocks = [(slice(a, b), np.stack([t.indices for t in teachers[a:b]]),
-               np.stack([t.probs for t in teachers[a:b]]))
+    blocks = [(slice(a, b), dv.TopKRows(np.stack([t.indices for t in teachers[a:b]]),
+                                        np.stack([t.probs for t in teachers[a:b]])))
               for a, b in zip(cuts, cuts[1:])]
 
     for step in range(steps + 1):
         escapes, entropies = [], []
-        for rows, indices, probs in blocks:
+        for rows, teacher in blocks:
             if step < steps:
                 # aux holds the softmax statistics of the logits before this step
-                report = loss.rows(indices, probs, logits[rows], m, lambda_tail)
+                report = loss.rows(teacher, logits[rows], m, lambda_tail)
                 logits[rows] -= step_size * report.grad
                 e, h = report.aux["escape_mass"], report.aux["entropy"]
             else:
                 q = dv.softmax(logits[rows])
-                e = 1.0 - np.take_along_axis(q, indices, axis=1).sum(axis=1)
+                e = 1.0 - np.take_along_axis(q, teacher.indices, axis=1).sum(axis=1)
                 h = dv.entropy_rows(q)
             escapes += e.tolist()
             entropies += h.tolist()

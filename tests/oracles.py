@@ -234,6 +234,8 @@ def kernel_per_row(teacher: dv.TopKDistribution, student_logits: np.ndarray, kl=
     ``kl + lambda_tail * tail`` where ``kl`` is ``_fkl_per_row``,
     ``_rkl_per_row`` or None and the tail term is present when ``m`` is given.
     Its aux has no ``confident_size``."""
+    if not np.isfinite(lambda_tail):
+        raise ValueError("lambda_tail must be finite")
     if lambda_tail < 0:
         raise ValueError("lambda_tail must be non-negative")
     z = np.asarray(student_logits, dtype=np.float64)

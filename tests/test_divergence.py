@@ -413,7 +413,7 @@ class TestOneBody:
         for name, loss in dv.LOSSES.items():
             singles = [_outcome(loss, t, zz, m, 2.0) for t, zz in zip(teachers, z)]
             try:
-                batch = loss.rows(indices, probs, z, m, 2.0)
+                batch = loss.rows(dv.TopKRows(indices, probs), z, m, 2.0)
             except (ValueError, IndexError) as exc:
                 first_error = next(o for o in singles if not isinstance(o[0], bytes))
                 assert (type(exc), str(exc)) == first_error, name
@@ -433,7 +433,7 @@ class TestOneBody:
         n = len(indices)
         for name, loss in dv.LOSSES.items():
             with pytest.raises(IndexError) as exc:
-                loss.rows(np.array(indices), np.full((n, 2), 0.4), np.zeros((n, 4)),
+                loss.rows(dv.TopKRows(indices, np.full((n, 2), 0.4)), np.zeros((n, 4)),
                           2, 1.0)
             assert str(exc.value) == \
                 f"teacher index {named} out of bounds for vocabulary of size 4", name
@@ -451,9 +451,65 @@ class TestOneBody:
         # in a batch the first degenerate row is the one named
         fine = np.array([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(dv.DegenerateStudent) as exc:
-            dv.LOSSES["ckd"].rows(np.array([[0, 1, 2], [3, 1, 2], [1, 2, 3]]),
-                                  np.full((3, 3), 0.3), np.stack([fine, z, z]), 2, 1.0)
+            dv.LOSSES["ckd"].rows(dv.TopKRows([[0, 1, 2], [3, 1, 2], [1, 2, 3]],
+                                              np.full((3, 3), 0.3)),
+                                  np.stack([fine, z, z]), 2, 1.0)
         assert str(exc.value) == "student probability underflowed at top-k indices [3, 1]"
+
+
+class TestTopKRows:
+    def test_reused_teacher_equals_a_fresh_one_per_call(self):
+        """One teacher stepped against many student batches, as ``kd_fit``
+        does, gives what a teacher built for each call gives, bit for bit; a
+        change to the caller's arrays after the build reaches neither."""
+        teachers = [_instance(seed, 40, 6)[0] for seed in range(4)]
+        indices = np.stack([t.indices for t in teachers])
+        probs = np.stack([t.probs for t in teachers])
+        shared = dv.TopKRows(indices, probs)
+        built_from = indices.copy(), probs.copy()
+        indices[:, 0], probs[:] = 39, 0.0
+        for name, loss in dv.LOSSES.items():
+            for batch, logits in enumerate(["normal", "underflow", "ties", "wide"] * 2):
+                z = np.stack([_instance(100 * batch + r, 40, 6, logits)[1]
+                              for r in range(4)])
+                assert _outcome(loss.rows, shared, z, 5, 2.0) == \
+                    _outcome(loss.rows, dv.TopKRows(*built_from), z, 5, 2.0), (name, batch)
+
+    def test_arrays_are_read_only(self):
+        teacher = dv.TopKRows([[0, 1]], [[0.5, 0.0]])
+        for array in (teacher.indices, teacher.probs, teacher.log_probs, teacher.live):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
+    @pytest.mark.parametrize("indices, probs", [
+        ([0, 1], [0.5, 0.5]), ([[0, 1]], [[0.5, 0.5, 0.0]]),
+        (np.zeros((2, 0)), np.zeros((2, 0))),
+    ])
+    def test_rejects_shapes_other_than_equal_non_empty_n_by_k(self, indices, probs):
+        with pytest.raises(ValueError, match="non-empty"):
+            dv.TopKRows(indices, probs)
+
+    def test_rejects_a_repeated_index_within_a_row(self):
+        """A repeated index would take one of its two -p_j gradient terms."""
+        dv.TopKRows([[0, 1], [1, 0]], np.full((2, 2), 0.3))
+        with pytest.raises(ValueError, match="distinct within a row"):
+            dv.TopKRows([[0, 1], [2, 2]], np.full((2, 2), 0.3))
+
+    @pytest.mark.parametrize("lam, message", [
+        (math.nan, "lambda_tail must be finite"), (math.inf, "lambda_tail must be finite"),
+        (-1.0, "lambda_tail must be non-negative"),
+    ])
+    def test_bad_lambda_is_rejected_where_it_weights_a_term(self, lam, message):
+        """A composite rejects a NaN, infinite or negative lambda, at one row
+        and in a batch, as the oracle does; the other losses ignore it."""
+        teacher, z = random_instance(np.random.default_rng(3), 32, 8, 16)
+        batch = dv.TopKRows(teacher.indices[None], teacher.probs[None])
+        for name, loss in dv.LOSSES.items():
+            expected = (ValueError, message) if loss.kl and loss.tail \
+                else _outcome(LOSSES_PER_ROW[name], teacher, z, 16, 1.0)
+            assert _outcome(loss, teacher, z, 16, lam) == expected, name
+            assert _outcome(LOSSES_PER_ROW[name], teacher, z, 16, lam) == expected, name
+            assert _outcome(loss.rows, batch, z[None], 16, lam)[0] == expected[0], name
 
 
 class TestRegistry:

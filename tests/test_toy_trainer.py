@@ -927,3 +927,20 @@ class TestKdFit:
         with pytest.raises(ValueError, match="loss kind"):
             kd_fit(adversarial_teacher_family(positions=1), "nope",
                    steps=1, step_size=0.1, seed=0)
+
+    @pytest.mark.parametrize("arguments, message", [
+        ({"steps": -1}, "steps must be a non-negative integer, got -1"),
+        ({"steps": -3}, "steps must be a non-negative integer, got -3"),
+        ({"steps": 2.5}, "steps must be a non-negative integer, got 2.5"),
+        ({"steps": True}, "steps must be a non-negative integer, got True"),
+        ({"step_size": math.nan}, "step_size must be a finite number, got nan"),
+        ({"step_size": -math.inf}, "step_size must be a finite number, got -inf"),
+        ({"teachers": []}, "kd_fit needs at least one teacher position"),
+        ({"lambda_tail": math.nan}, "lambda_tail must be finite"),
+    ])
+    def test_rejects_bad_arguments(self, arguments, message):
+        arguments = {"teachers": adversarial_teacher_family(positions=2), "steps": 2,
+                     "step_size": 0.1, **arguments}
+        with pytest.raises(ValueError) as exc:
+            kd_fit(loss_kind="ckd", seed=0, **arguments)
+        assert str(exc.value) == message
