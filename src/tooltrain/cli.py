@@ -156,7 +156,7 @@ def cmd_kd(args: argparse.Namespace) -> int:
     except (TypeError, OverflowError):
         raise ValueError("header vocab_size must be an integer, "
                          f"got {header['vocab_size']!r}") from None
-    m = args.m if args.m is not None else dv.default_truncation(vocab_size)[1]
+    m = args.m if args.m is not None else min(dv.DEFAULT_TOPM, vocab_size)
     if not 1 <= m <= vocab_size:
         raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")
     for record in rows:

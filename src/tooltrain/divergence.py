@@ -29,22 +29,23 @@ One body computes every loss on N stacked positions: a ``TopKRows`` of
 teacher indices and probabilities (N, k) and student logits (N, V) give
 per-row losses, the (N, V) gradient and per-row aux: ``escape_mass``,
 ``entropy``, ``kl_part``, ``tail_part`` and ``confident_size`` (|J'_m|, 0
-without a tail term). ``TopKRows`` derives what depends on the teacher alone
-once, so a caller that steps students against fixed teachers builds it once.
-The public kernels are the body's one-row calls and ``LOSSES[name].rows`` its
-batched entry; row r of a batch equals the one-row call on row r bit for bit.
+without a tail term). ``TopKRows`` is where a teacher is validated, and it
+derives what depends on the teacher alone once, so a caller that steps
+students against fixed teachers builds it once. ``TopKDistribution`` is its
+one-row form, with read-only arrays. The public kernels are the body's
+one-row calls and ``LOSSES[name].rows`` its batched entry; row r of a batch
+equals the one-row call on row r bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-DEFAULT_TOPK = 100
 DEFAULT_TOPM = 100
 DEFAULT_LAMBDA_TAIL = 10.0
 
@@ -58,51 +59,15 @@ class DegenerateTeacher(ValueError):
     this, so it flags a corrupted teacher file."""
 
 
-def default_truncation(vocab_size: int) -> tuple[int, int]:
-    """Default (k, m), capped by the working vocabulary."""
-    return min(DEFAULT_TOPK, vocab_size), min(DEFAULT_TOPM, vocab_size)
-
-
-@dataclass(frozen=True)
-class TopKDistribution:
-    """Teacher top-k entries: parallel index/probability arrays of length k."""
-
-    indices: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "probs", probs)
-        if indices.ndim != 1 or probs.shape != indices.shape:
-            raise ValueError("indices and probs must be 1-d arrays of equal length")
-        if indices.size == 0:
-            raise ValueError("top-k set must be non-empty")
-        if indices.min() < 0:
-            raise ValueError(f"teacher index {int(indices.min())} is negative")
-        if len(np.unique(indices)) != indices.size:
-            raise ValueError("top-k indices must be distinct")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0) or np.any(probs > 1):
-            raise ValueError("top-k probabilities must be finite and within [0, 1]")
-        if probs.sum() > 1.0 + 1e-9:
-            raise ValueError(f"top-k probabilities sum to {probs.sum()} > 1")
-
-    @property
-    def k(self) -> int:
-        return int(self.indices.size)
-
-    @property
-    def mass(self) -> float:
-        return float(self.probs.sum())
-
-
 class TopKRows:
     """Teacher top-k entries at N positions, indices and probabilities (N, k),
     with what every loss derives from the teacher alone: the row-index column,
     the smallest and largest index, P per row, log p, the ``p > 0`` mask and
     the rows where it fails. It holds read-only copies, so a later change to
-    the caller's arrays cannot reach it."""
+    the caller's arrays cannot reach it. Its indices are distinct within a
+    row, its probabilities finite and within [0, 1], and each row sums to at
+    most one; a negative index is left to the loss, which raises
+    ``IndexError`` for it as for one past the vocabulary."""
 
     def __init__(self, indices: np.ndarray, probs: np.ndarray):
         self.indices = np.array(indices, dtype=np.int64)
@@ -113,12 +78,17 @@ class TopKRows:
                              "arrays of equal shape")
         if (np.diff(np.sort(self.indices, axis=1), axis=1) == 0).any():
             raise ValueError("top-k indices must be distinct within a row")
+        if not ((self.probs >= 0.0) & (self.probs <= 1.0)).all():  # NaN fails both
+            raise ValueError("top-k probabilities must be finite and within [0, 1]")
+        self.mass = self.probs.sum(axis=1, keepdims=True)
+        over = self.mass[self.mass > 1.0 + 1e-9]
+        if over.size:  # name the first row that sums past one
+            raise ValueError(f"top-k probabilities sum to {over[0]} > 1")
         self.row_index = np.arange(len(self.indices))[:, None]
         self.low, self.high = int(self.indices.min()), int(self.indices.max())
-        self.mass = self.probs.sum(axis=1, keepdims=True)
         self.live = self.probs > 0.0
         self.dead_rows = np.flatnonzero(~self.live.all(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore"):
             self.log_probs = np.log(self.probs)
         # a dead entry's term is left out of every sum; a finite log there
         # keeps 0 * log 0 from warning
@@ -132,6 +102,39 @@ class TopKRows:
 
     def __getitem__(self, rows: slice) -> TopKRows:
         return TopKRows(self.indices[rows], self.probs[rows])
+
+
+@dataclass(frozen=True)
+class TopKDistribution:
+    """Teacher top-k entries at one position: parallel index/probability
+    arrays of length k, the read-only row 0 of ``rows``, the one-row
+    ``TopKRows`` that validates them."""
+
+    indices: np.ndarray
+    probs: np.ndarray
+    rows: TopKRows = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        indices = np.asarray(self.indices, dtype=np.int64)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if indices.ndim != 1 or probs.shape != indices.shape:
+            raise ValueError("indices and probs must be 1-d arrays of equal length")
+        if indices.size == 0:
+            raise ValueError("top-k set must be non-empty")
+        if indices.min() < 0:
+            raise ValueError(f"teacher index {int(indices.min())} is negative")
+        rows = TopKRows(indices[None], probs[None])
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "indices", rows.indices[0])
+        object.__setattr__(self, "probs", rows.probs[0])
+
+    @property
+    def k(self) -> int:
+        return int(self.indices.size)
+
+    @property
+    def mass(self) -> float:
+        return float(self.probs.sum())
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -243,7 +246,7 @@ def _fkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
 
 def _rkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
     if teacher.dead_rows.size:
-        _check_live(teacher.probs == 0.0, teacher.indices, DegenerateTeacher,
+        _check_live(~teacher.live, teacher.indices, DegenerateTeacher,
                     "teacher probability is zero")
     underflow = q_top.min() == 0.0  # an underflowed entry is taken at its limit, 0
     with np.errstate(divide="ignore", invalid="ignore") if underflow else nullcontext():
@@ -343,11 +346,10 @@ class LossKind(NamedTuple):
                 _rows(teacher[r:r + 1], student_logits[r:r + 1], *terms)
             raise
 
-    def row(self, teacher, student_logits, m, lambda_tail) -> LossReport:
-        """The loss at one position: ``rows`` on a single row."""
+    def row(self, teacher: TopKDistribution, student_logits, m, lambda_tail) -> LossReport:
+        """The loss at one position: ``rows`` on the teacher's one-row form."""
         z = np.asarray(student_logits, dtype=np.float64)[None]
-        report = self.rows(TopKRows(teacher.indices[None], teacher.probs[None]), z, m,
-                           lambda_tail)
+        report = self.rows(teacher.rows, z, m, lambda_tail)
         return LossReport(loss=float(report.loss[0]), grad=report.grad[0],
                           aux={key: float(value[0]) for key, value in report.aux.items()})
 

@@ -162,8 +162,9 @@ class ToyPolicy:
         """Draw ``n`` paths' actions from ``view``, a view of ``self.tables``:
         per path a function index, then a value index for each of its
         parameters. Each decision is ``bisect_right`` of the slot's CDF and the
-        next of ``uniforms``, the draw of ``SlotView.draw``, from the prompt's
-        CDF lists as ``view.bind`` gives them."""
+        next of ``uniforms``, from the prompt's CDF lists as ``view.bind`` gives
+        them: the comparisons that ``Generator.choice`` makes with that uniform
+        in ``searchsorted(side="right")``."""
         fn_cdf, arg_cdfs = view.bind(prompt_id, self.arg_slots[prompt_id])
         draw, paths = uniforms.__next__, []
         for _ in range(n):
@@ -232,11 +233,6 @@ class SlotView:
         """The normalised cumulative sum of ``probs(slot)``, as ``Generator.choice``
         builds it."""
         return self._rows[slot][1]
-
-    def draw(self, slot: tuple, rng: np.random.Generator) -> int:
-        """One action, the same draw as ``rng.choice(size, p=self.probs(slot))``:
-        ``bisect_right`` makes the comparisons of ``searchsorted(side="right")``."""
-        return bisect_right(self._rows[slot][1], rng.random())
 
     def logps(self, decisions: Iterable[Decision]) -> np.ndarray:
         """Per-decision log-probabilities."""
@@ -515,12 +511,12 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
     escape = np.zeros(steps + 1)
     ent = np.zeros(steps + 1)
     loss = dv.LOSSES[loss_kind]
-    # one block of stacked teachers when all share k, else a block per position
-    cuts = [0, len(teachers)] if len({t.k for t in teachers}) == 1 \
-        else range(len(teachers) + 1)
-    blocks = [(slice(a, b), dv.TopKRows(np.stack([t.indices for t in teachers[a:b]]),
-                                        np.stack([t.probs for t in teachers[a:b]])))
-              for a, b in zip(cuts, cuts[1:])]
+    # one block of stacked teachers when all share k, else each position's own
+    if len({t.k for t in teachers}) == 1:
+        blocks = [(slice(None), dv.TopKRows(np.stack([t.indices for t in teachers]),
+                                            np.stack([t.probs for t in teachers])))]
+    else:
+        blocks = [(slice(r, r + 1), t.rows) for r, t in enumerate(teachers)]
 
     for step in range(steps + 1):
         escapes, entropies = [], []

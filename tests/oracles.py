@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 import tooltrain.divergence as dv
@@ -156,6 +158,16 @@ class RecomputingSlotView:
         return np.array(out, dtype=np.float64)
 
 
+def draw_action(view, slot, rng):
+    """One action at ``slot``: ``view.draw`` on a ``RecomputingSlotView``, and on
+    a ``toy_trainer.SlotView`` the same draw as ``rng.choice(size,
+    p=view.probs(slot))`` from its CDF: ``bisect_right`` makes the comparisons
+    of ``searchsorted(side="right")``."""
+    if isinstance(view, RecomputingSlotView):
+        return view.draw(slot, rng)
+    return bisect_right(view.cdf(slot), rng.random())
+
+
 def central_difference(loss_fn, z, step=FD_STEP):
     """Two-sided difference quotient of a scalar function, one coordinate at a
     time: ``gradcheck.central_differences`` with a loss call per probe."""
@@ -301,13 +313,13 @@ def sample_path(policy, prompt_id, rng, view):
     """One trajectory's decisions and call, drawn slot by slot from ``view``,
     with each slot key, decision and argument built as it is drawn."""
     fn_slot = (prompt_id, "fn")
-    fn_action = view.draw(fn_slot, rng)
+    fn_action = draw_action(view, fn_slot, rng)
     decisions = [toy_trainer.Decision(fn_slot, fn_action)]
     fdef = policy.task.schema.functions[fn_action]
     arguments = {}
     for pname in fdef.parameters:
         slot = (prompt_id, "arg", fdef.name, pname)
-        action = view.draw(slot, rng)
+        action = draw_action(view, slot, rng)
         decisions.append(toy_trainer.Decision(slot, action))
         value = policy.actions(slot)[action]
         if value is not toy_trainer.OMIT:

@@ -332,6 +332,9 @@ def test_score_line_rejects_a_non_finite_id(rid, violations):
         _score_line(rid, breakdown)
 
 
+OUT_OF_RANGE = "top-k probabilities must be finite and within [0, 1]"
+
+
 class TestKd:
     def test_teacher_equals_student_gives_zero_fkl(self, tmp_path):
         inp = tmp_path / "kd.jsonl"
@@ -419,6 +422,30 @@ class TestKd:
         rows = [{"version": 1, "vocab_size": 4},
                 {"position_id": "p", "student_logits": [0.5, 0.0, -0.5, 1.0],
                  "teacher_topk": {"indices": [3, 0], "probs": probs}}]
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["kd", "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: position 'p': {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("indices, probs, message", [
+        ([3, 0], [0.6], "indices and probs must be 1-d arrays of equal length"),
+        ([], [], "top-k set must be non-empty"),
+        ([2, 2], [0.4, 0.3], "top-k indices must be distinct within a row"),
+        ([3, 0], [float("nan"), 0.3], OUT_OF_RANGE),
+        ([3, 0], [-0.2, 0.5], OUT_OF_RANGE),
+        ([3, 0], [1.5, 0.5], OUT_OF_RANGE),
+        ([3, 0], [0.9, 0.9], "top-k probabilities sum to 1.8 > 1"),
+        ([-1, 0], [0.6, 0.3], "teacher index -1 out of bounds for vocab_size 4"),
+        ([3, 4], [0.6, 0.3], "teacher index 4 out of bounds for vocab_size 4"),
+    ], ids=["unequal lengths", "empty", "repeated index", "nan prob", "negative prob",
+            "prob above one", "sum above one", "negative index", "index past vocab"])
+    def test_invalid_teacher_is_one_error_line(self, indices, probs, message,
+                                               tmp_path, capsys):
+        inp, out = tmp_path / "kd.jsonl", tmp_path / "out.jsonl"
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": [0.5, 0.0, -0.5, 1.0],
+                 "teacher_topk": {"indices": indices, "probs": probs}}]
+        # a NaN probability is written as the JSON constant NaN
         inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         assert main(["kd", "--input", str(inp), "--output", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: position 'p': {message}\n")

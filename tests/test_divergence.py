@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -461,25 +462,34 @@ class TestTopKRows:
     def test_reused_teacher_equals_a_fresh_one_per_call(self):
         """One teacher stepped against many student batches, as ``kd_fit``
         does, gives what a teacher built for each call gives, bit for bit; a
-        change to the caller's arrays after the build reaches neither."""
+        change to the caller's arrays after the build reaches neither, nor a
+        ``TopKDistribution`` built from the first row."""
         teachers = [_instance(seed, 40, 6)[0] for seed in range(4)]
         indices = np.stack([t.indices for t in teachers])
         probs = np.stack([t.probs for t in teachers])
         shared = dv.TopKRows(indices, probs)
+        first = dv.TopKDistribution(indices[0], probs[0])
         built_from = indices.copy(), probs.copy()
         indices[:, 0], probs[:] = 39, 0.0
+        fresh_first = dv.TopKDistribution(built_from[0][0], built_from[1][0])
         for name, loss in dv.LOSSES.items():
             for batch, logits in enumerate(["normal", "underflow", "ties", "wide"] * 2):
                 z = np.stack([_instance(100 * batch + r, 40, 6, logits)[1]
                               for r in range(4)])
                 assert _outcome(loss.rows, shared, z, 5, 2.0) == \
                     _outcome(loss.rows, dv.TopKRows(*built_from), z, 5, 2.0), (name, batch)
+                assert _outcome(loss, first, z[0], 5, 2.0) == \
+                    _outcome(loss, fresh_first, z[0], 5, 2.0), (name, batch)
 
     def test_arrays_are_read_only(self):
         teacher = dv.TopKRows([[0, 1]], [[0.5, 0.0]])
         for array in (teacher.indices, teacher.probs, teacher.log_probs, teacher.live):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
+        one_row = dv.TopKDistribution(np.array([0, 1]), np.array([0.5, 0.0]))
+        for array in (one_row.indices, one_row.probs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     @pytest.mark.parametrize("indices, probs", [
         ([0, 1], [0.5, 0.5]), ([[0, 1]], [[0.5, 0.5, 0.0]]),
@@ -494,6 +504,26 @@ class TestTopKRows:
         dv.TopKRows([[0, 1], [1, 0]], np.full((2, 2), 0.3))
         with pytest.raises(ValueError, match="distinct within a row"):
             dv.TopKRows([[0, 1], [2, 2]], np.full((2, 2), 0.3))
+
+    @pytest.mark.parametrize("probs, message", [
+        ([math.nan, 0.5], "top-k probabilities must be finite and within [0, 1]"),
+        ([-0.2, 0.5], "top-k probabilities must be finite and within [0, 1]"),
+        ([1.5, 0.5], "top-k probabilities must be finite and within [0, 1]"),
+        ([0.9, 0.9], "top-k probabilities sum to 1.8 > 1"),
+    ], ids=["nan", "negative", "above one", "sum above one"])
+    def test_rejects_what_a_one_row_teacher_rejects(self, probs, message):
+        """A NaN, a probability outside [0, 1] or a row summing past one fails
+        ``.rows`` of every loss with the message of ``TopKDistribution``,
+        whether the first row holds it or only a later one."""
+        message = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=message):
+            dv.TopKDistribution(np.array([0, 1]), np.array(probs))
+        for batch in ([probs], [[0.5, 0.25], probs], [[0.5, 0.25], [0.5, 0.5], probs]):
+            n = len(batch)
+            for name, loss in dv.LOSSES.items():
+                with pytest.raises(ValueError, match=message):
+                    loss.rows(dv.TopKRows(np.tile([0, 1], (n, 1)), batch),
+                              np.zeros((n, 4)), 2, 10.0)
 
     @pytest.mark.parametrize("lam, message", [
         (math.nan, "lambda_tail must be finite"), (math.inf, "lambda_tail must be finite"),

@@ -44,6 +44,7 @@ from tooltrain.reward import total_reward
 
 from oracles import (
     RecomputingSlotView,
+    draw_action,
     kd_fit_recording,
     mean_entropy_per_table,
     objective_and_gradient_per_token,
@@ -200,7 +201,7 @@ class TestSlotView:
         oracle = RecomputingSlotView({slot: table})
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(20):
-            action = view.draw(slot, rng)
+            action = draw_action(view, slot, rng)
             assert action == oracle.draw(slot, oracle_rng)
             decisions = [Decision(slot, action)]
             np.testing.assert_array_equal(view.logps(decisions),
@@ -218,7 +219,7 @@ class TestSlotView:
         for slot, z in tables.items():
             assert np.array(view.probs(slot)).tobytes() == oracle.probs(slot).tobytes()
             for _ in range(4):
-                assert view.draw(slot, rng) == oracle.draw(slot, oracle_rng)
+                assert draw_action(view, slot, rng) == oracle.draw(slot, oracle_rng)
             decisions = [Decision(slot, action) for action in range(z.size)]
             assert view.logps(decisions).tobytes() == oracle.logps(decisions).tobytes()
         assert view.mean_entropy == mean_entropy_per_table(tables)
@@ -438,7 +439,7 @@ class TestPathMemo:
                 [np.nextafter(c, 1.0) for c in cdf]
             draws = [float(u) for u in edges if 0.0 <= u < 1.0] + uniforms
             view = SlotView({"slot": z})
-            assert [view.draw("slot", FixedDraws([u])) for u in draws] == \
+            assert [draw_action(view, "slot", FixedDraws([u])) for u in draws] == \
                 cdf.searchsorted(draws, side="right").tolist()
 
     def test_bindings_follow_the_view(self):
