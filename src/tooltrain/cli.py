@@ -171,9 +171,6 @@ def cmd_kd(args: argparse.Namespace) -> int:
                     raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
             indices = np.asarray(topk["indices"], dtype=np.int64)
             probs = np.asarray(topk["probs"], dtype=np.float64)
-            if args.k is not None:
-                keep = np.argsort(-probs, kind="stable")[:args.k]
-                indices, probs = indices[keep], probs[keep]
             logits = record["student_logits"]
             z = np.asarray(logits, dtype=np.float64)
             # as for probs; a nested list is left to the kernel's 1-d check
@@ -187,6 +184,9 @@ def cmd_kd(args: argparse.Namespace) -> int:
                 raise ValueError(f"teacher index {int(bad)} out of "
                                  f"bounds for vocab_size {vocab_size}")
             teacher = dv.TopKDistribution(indices=indices, probs=probs)
+            if args.k is not None:  # cut only the whole, validated record
+                keep = dv.topk_indices(teacher.probs, min(args.k, teacher.k))
+                teacher = dv.TopKDistribution(teacher.indices[keep], teacher.probs[keep])
             report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
         except (dv.DegenerateStudent, dv.DegenerateTeacher) as exc:
             notes.append(f"position {pid!r}: {exc}\n")
@@ -249,8 +249,6 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     if type(iterations) is not int or iterations < 1:  # bool is no count
         raise ValueError(f"iterations must be an integer of at least 1, "
                          f"got {iterations!r}")
-    if args.epsilon is not None:
-        cfg_data["epsilon"] = args.epsilon
     if args.beta is not None:
         cfg_data["beta"] = args.beta
     cfg = ToyTrainConfig.from_dict(cfg_data)
@@ -311,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--loss", choices=list(dv.KD_LOSS_KINDS), default="ckd")
     p.add_argument("--k", type=int,
-                   help="keep the k most probable teacher entries per record")
+                   help="keep the k most probable teacher entries per record, "
+                        "after checking all of them")
     p.add_argument("--m", type=int, help="student top-m size (default min(100, vocab))")
     p.add_argument("--lambda", dest="lambda_tail", type=float,
                    default=dv.DEFAULT_LAMBDA_TAIL)
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True)
     p.add_argument("--config", help="JSON config (iterations plus trainer fields)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, help="clip range override")
     p.add_argument("--beta", type=float, help="KL coefficient override")
     p.add_argument("--output", help="TrainLog CSV path")
     p.set_defaults(func=cmd_train_toy)

@@ -227,16 +227,10 @@ class LossReport:
     aux: dict[str, float]
 
 
-def _check_live(dead: np.ndarray, indices: np.ndarray, error: type, what: str) -> None:
-    if dead.any():
-        r = dead.any(axis=1).argmax()  # the first row with a dead entry
-        raise error(f"{what} at top-k indices {indices[r][dead[r]].tolist()}")
-
-
 def _fkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
     if q_top.min() == 0.0:
-        _check_live(q_top == 0.0, teacher.indices, DegenerateStudent,
-                    "student probability underflowed")
+        raise DegenerateStudent("student probability underflowed at top-k indices "
+                                f"{teacher.indices[q_top == 0.0].tolist()}")
     grad = q * teacher.mass
     grad[teacher.row_index, teacher.indices] -= teacher.probs
     terms = teacher.probs * (teacher.log_probs - np.log(q_top))
@@ -246,8 +240,8 @@ def _fkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
 
 def _rkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
     if teacher.dead_rows.size:
-        _check_live(~teacher.live, teacher.indices, DegenerateTeacher,
-                    "teacher probability is zero")
+        raise DegenerateTeacher("teacher probability is zero at top-k indices "
+                                f"{teacher.indices[~teacher.live].tolist()}")
     underflow = q_top.min() == 0.0  # an underflowed entry is taken at its limit, 0
     with np.errstate(divide="ignore", invalid="ignore") if underflow else nullcontext():
         log_ratio = np.log(q_top / teacher.probs)
@@ -294,7 +288,9 @@ def _rows(teacher: TopKRows, student_logits: np.ndarray, kl=None,
     ``_fkl``, ``_rkl`` or None; the tail term is present when ``m`` is given.
     Each row equals the body on that row alone, bit for bit: numpy reduces a
     row as it reduces a 1-d vector, and sums over sets whose size differs
-    between rows are taken row by row."""
+    between rows are taken row by row. An error names the bad entries of the
+    whole batch: ``LossKind.rows`` replays every row but the last alone before
+    it lets a batch's error through, so that error comes from one row."""
     if not math.isfinite(lambda_tail):
         raise ValueError("lambda_tail must be finite")
     if lambda_tail < 0:
@@ -304,11 +300,10 @@ def _rows(teacher: TopKRows, student_logits: np.ndarray, kl=None,
         raise ValueError("student logits must be a 1-d vector")
     if not np.isfinite(z).all():
         raise ValueError("student logits must be finite")
-    if teacher.high >= z.shape[1] or teacher.low < 0:
-        top = teacher.indices.max(axis=1)  # a bad row names its largest index if too large
-        end = np.where(top >= z.shape[1], top, teacher.indices.min(axis=1))
-        raise IndexError(f"teacher index {int(end[(end < 0) | (end >= z.shape[1])][0])} "
-                         f"out of bounds for vocabulary of size {z.shape[1]}")
+    if teacher.high >= z.shape[1] or teacher.low < 0:  # the largest, if too large
+        bad = teacher.high if teacher.high >= z.shape[1] else teacher.low
+        raise IndexError(f"teacher index {bad} out of bounds for vocabulary "
+                         f"of size {z.shape[1]}")
     q = softmax(z)
     q_top = q[teacher.row_index, teacher.indices]
     loss, grad = kl(teacher, q, q_top) if kl else (np.zeros(len(q)), 0.0)

@@ -55,7 +55,6 @@ def _is_int(value: Any) -> bool:
 class ToyTrainConfig:
     group_size: int = 8
     learning_rate: float = 2.0
-    epsilon: float = 0.2
     beta: float = 1e-3
     filter_groups: bool = True
     reward_mode: str = "sim"  # "sim" or "binary"
@@ -64,15 +63,15 @@ class ToyTrainConfig:
         if not _is_int(self.group_size) or self.group_size < 2:
             raise ValueError(f"group_size must be an integer of at least 2, "
                              f"got {self.group_size!r}")
-        for name in ("learning_rate", "epsilon", "beta"):
+        for name in ("learning_rate", "beta"):
             check_finite_real(name, getattr(self, name))
         if not isinstance(self.filter_groups, bool):
             raise ValueError(f"filter_groups must be a bool, got {self.filter_groups!r}")
         if self.reward_mode not in ("sim", "binary"):
             raise ValueError("reward_mode must be 'sim' or 'binary'")
-        # built here so that its range checks surface with the config's own
-        object.__setattr__(self, "_grpo", GrpoConfig(epsilon=self.epsilon,
-                                                     beta=self.beta))
+        # built here so that its range checks surface with the config's own; the
+        # clip range keeps its default, which cannot act (see ``train_sim_rl``)
+        object.__setattr__(self, "_grpo", GrpoConfig(beta=self.beta))
 
     def grpo(self) -> GrpoConfig:
         return self._grpo
@@ -409,10 +408,12 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
 
     Each iteration samples one group per prompt from a single sequential
     seeded generator, drops homogeneous groups, standardizes the surviving
-    rewards, and ascends the clipped objective. Identical (task, cfg, seed)
-    reproduce the log exactly. The run reads its generator's doubles through
-    one ``uniform_stream``, and keeps one path memo and one ``SlotView`` per
-    table state, i.e. until an update, whose mean entropy it logs and whose
+    rewards, and ascends the clipped objective once, from the view the batch
+    was sampled from: every ratio is 1, so the clip range cannot act and is
+    no setting of the trainer. Identical (task, cfg, seed) reproduce the log
+    exactly. The run reads its generator's doubles through one
+    ``uniform_stream``, and keeps one path memo and one ``SlotView`` per table
+    state, i.e. until an update, whose mean entropy it logs and whose
     probabilities the update takes. The next view re-derives only the tables
     the update touched. Each distinct reward vector is standardized once per
     run (see ``_advantages``).

@@ -439,7 +439,9 @@ class TestKd:
         ([3, 4], [0.6, 0.3], "teacher index 4 out of bounds for vocab_size 4"),
     ], ids=["unequal lengths", "empty", "repeated index", "nan prob", "negative prob",
             "prob above one", "sum above one", "negative index", "index past vocab"])
-    def test_invalid_teacher_is_one_error_line(self, indices, probs, message,
+    # --k cuts a teacher only after the whole record is checked
+    @pytest.mark.parametrize("flags", [[], ["--k", "1"]], ids=["all entries", "k=1"])
+    def test_invalid_teacher_is_one_error_line(self, indices, probs, message, flags,
                                                tmp_path, capsys):
         inp, out = tmp_path / "kd.jsonl", tmp_path / "out.jsonl"
         rows = [{"version": 1, "vocab_size": 4},
@@ -447,7 +449,7 @@ class TestKd:
                  "teacher_topk": {"indices": indices, "probs": probs}}]
         # a NaN probability is written as the JSON constant NaN
         inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        assert main(["kd", "--input", str(inp), "--output", str(out)]) == 2
+        assert main(["kd", "--input", str(inp), "--output", str(out), *flags]) == 2
         assert capsys.readouterr() == ("", f"error: position 'p': {message}\n")
         assert not out.exists()
 
@@ -840,14 +842,34 @@ class TestTrainToy:
         assert status == 2
         assert "error" in capsys.readouterr().err
 
-    def test_epsilon_beta_flag_overrides(self, tmp_path):
+    def test_beta_flag_overrides_and_epsilon_is_no_flag(self, tmp_path, capsys):
         task_path = tmp_path / "task.json"
         save_task(bundled_optional_param_task(), task_path)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"iterations": 3, "epsilon": 0.5}))
-        status = main(["train-toy", "--task", str(task_path), "--config",
-                       str(cfg_path), "--epsilon", "0.3", "--beta", "0.0"])
-        assert status == 0
+
+        def run(config, *flags):
+            cfg_path, out = tmp_path / "cfg.json", tmp_path / "log.csv"
+            cfg_path.write_text(json.dumps({"iterations": 3, **config}))
+            assert main(["train-toy", "--task", str(task_path), "--config",
+                         str(cfg_path), "--output", str(out), *flags]) == 0
+            return out.read_bytes()
+
+        overridden = run({"beta": 0.5}, "--beta", "0.0")
+        assert overridden == run({"beta": 0.0}) != run({"beta": 0.5})
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train-toy", "--task", str(task_path), "--epsilon", "0.3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --epsilon 0.3" in capsys.readouterr().err
+
+    def test_epsilon_in_config_is_an_unknown_key(self, tmp_path, capsys):
+        task_path, cfg_path = tmp_path / "task.json", tmp_path / "cfg.json"
+        save_task(bundled_optional_param_task(), task_path)
+        cfg_path.write_text(json.dumps({"iterations": 3, "epsilon": 0.2}))
+        out = tmp_path / "log.csv"
+        assert main(["train-toy", "--task", str(task_path), "--config",
+                     str(cfg_path), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: unknown config keys: 'epsilon'\n")
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("config", [
@@ -870,7 +892,7 @@ class TestTrainToy:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--epsilon", "--beta"])
+    @pytest.mark.parametrize("flag", ["--beta"])
     def test_non_finite_flag_is_format_error(self, flag, tmp_path, capsys):
         task_path = tmp_path / "task.json"
         save_task(bundled_optional_param_task(), task_path)
@@ -1047,11 +1069,11 @@ def _fuzz_case(command):
         lines = [{"prompt_id": "a", "rewards": [1, 0, 0.5]},
                  {"prompt_id": "b", "rewards": [0.2, 0.2]}]
         return {"in.jsonl": lines}, ["advantages", "--input", "in.jsonl"], []
-    cfg = {"iterations": 2, "group_size": 2, "learning_rate": 2.0, "epsilon": 0.2,
-           "beta": 1e-3, "filter_groups": False, "reward_mode": "sim"}
+    cfg = {"iterations": 2, "group_size": 2, "learning_rate": 2.0, "beta": 1e-3,
+           "filter_groups": False, "reward_mode": "sim"}
     return ({"task.json": bundled_default_task().to_dict(), "cfg.json": cfg},
             ["train-toy", "--task", "task.json", "--config", "cfg.json"],
-            ["--epsilon", "--beta", "--seed"])
+            ["--beta", "--seed"])
 
 
 def _paths(doc, path=()):

@@ -366,10 +366,8 @@ class TestScoreMemo:
     @pytest.mark.parametrize("make_task", [bundled_default_task,
                                            bundled_optional_param_task])
     @pytest.mark.parametrize("mode", ["sim", "binary"])
-    def test_wide_kl_and_tight_clip_equal_the_oracle_path(self, make_task, mode,
-                                                          monkeypatch):
-        cfg = ToyTrainConfig(reward_mode=mode, filter_groups=False, beta=0.1,
-                             epsilon=0.05)
+    def test_wide_kl_equals_the_oracle_path(self, make_task, mode, monkeypatch):
+        cfg = ToyTrainConfig(reward_mode=mode, filter_groups=False, beta=0.1)
         assert_training_equals_the_oracle_path(make_task, cfg, 6, monkeypatch)
 
     def test_each_distinct_trajectory_is_scored_once_per_run(self, monkeypatch):
@@ -743,6 +741,27 @@ class TestUpdateOracle:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("make_task", [bundled_default_task,
+                                           bundled_optional_param_task])
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"reward_mode": "binary", "filter_groups": False}, {"beta": 0.1},
+    ], ids=["default", "binary unfiltered", "wide kl"])
+    def test_every_update_ratio_is_one(self, make_task, kwargs, monkeypatch):
+        # one update per batch, from the view the batch was sampled from, so the
+        # clip range cannot act; an inner-epoch loop must fail here
+        members = []
+
+        def checked_update(policy, samples, cfg, view):
+            for sample in samples:
+                for traj, rollout in zip(sample.trajectories, sample.group.rollouts):
+                    members.append(view.logps(traj.decisions).tobytes()
+                                   == rollout.logp_old.tobytes())
+            return objective_and_gradient(policy, samples, cfg, view)
+
+        monkeypatch.setattr(toy_trainer, "objective_and_gradient", checked_update)
+        train_sim_rl(make_task(), ToyTrainConfig(**kwargs), iterations=60, seed=0)
+        assert len(members) > 100 and all(members)
+
     def test_deterministic_logs(self):
         task = bundled_optional_param_task()
         cfg = ToyTrainConfig()
@@ -827,9 +846,8 @@ class TestTraining:
 class TestToyTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("group_size", 2.5), ("group_size", True), ("group_size", "8"),
-        ("learning_rate", "x"), ("learning_rate", True), ("epsilon", "x"),
-        ("epsilon", None), ("beta", [0.1]), ("filter_groups", 1),
-        ("filter_groups", "yes"),
+        ("learning_rate", "x"), ("learning_rate", True), ("beta", [0.1]),
+        ("filter_groups", 1), ("filter_groups", "yes"),
     ])
     def test_wrong_type_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -837,7 +855,6 @@ class TestToyTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("group_size", 1), ("learning_rate", math.nan), ("learning_rate", math.inf),
-        ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", math.inf),
         ("beta", -1e-3), ("beta", math.nan), ("reward_mode", "graded"),
     ])
     def test_out_of_range_rejected(self, field, value):
@@ -854,14 +871,18 @@ class TestToyTrainConfig:
             train_sim_rl(tiny_task(), ToyTrainConfig(), iterations, seed=0)
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="^unknown config keys: 'learnig_rate', 'zeta'$"):
+        with pytest.raises(ValueError,
+                           match="^unknown config keys: 'epsilon', 'learnig_rate', 'zeta'$"):
             ToyTrainConfig.from_dict({"zeta": 1, "learnig_rate": 0.0, "epsilon": 0.3})
-        assert ToyTrainConfig.from_dict({"epsilon": 0.3}).epsilon == 0.3
+        assert ToyTrainConfig.from_dict({"beta": 0.3}).beta == 0.3
+        # the clip range is no field: see TestTraining.test_every_update_ratio_is_one
+        with pytest.raises(TypeError, match="epsilon"):
+            ToyTrainConfig(epsilon=0.3)
 
     def test_grpo_config_is_built_once(self):
-        cfg = ToyTrainConfig(epsilon=0.3, beta=0.0, filter_groups=False)
+        cfg = ToyTrainConfig(beta=0.0, filter_groups=False)
         assert cfg.grpo() is cfg.grpo()
-        assert (cfg.grpo().epsilon, cfg.grpo().beta) == (0.3, 0.0)
+        assert cfg.grpo().beta == 0.0
         assert ToyTrainConfig(group_size=np.int64(4)).group_size == 4
 
 
