@@ -22,12 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import divergence as dv
-from . import gradcheck
 from .chat_format import ToolSchema
-from .grpo import ZeroVariance, standardize_advantages
 from .reward import MalformedGroundTruth, RewardBreakdown, total_reward
-from .toy_task import load_task
-from .toy_trainer import ToyTrainConfig, train_sim_rl
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,7 +38,11 @@ def _iter_jsonl(path: str):
     n = 0
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
-            for line in raw.splitlines():
+            # hold one form of one line: its text until parsed, then its object
+            pieces = raw.splitlines()[::-1]
+            del raw
+            while pieces:
+                line = pieces.pop()
                 n += 1
                 if not line.strip():
                     continue
@@ -50,6 +50,7 @@ def _iter_jsonl(path: str):
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
+                del line
                 if not isinstance(obj, dict):
                     raise ValueError(f"{path}:{n}: expected a JSON object per line")
                 yield obj
@@ -140,6 +141,41 @@ def cmd_score(args: argparse.Namespace) -> int:
     return status
 
 
+def _kd_position(record: dict, vocab_size: int, m: int,
+                 args: argparse.Namespace) -> tuple[float, float, float]:
+    """One ``kd`` record's loss, escape mass and entropy. The logit list
+    leaves ``record`` and is dropped once converted, and the arrays built here
+    die with the call, so the next line is read and parsed beside none of them."""
+    topk = record["teacher_topk"]
+    # numpy would truncate a float index and read a bool or string
+    for name, types, kind in (("indices", (int,), "integers"),
+                              ("probs", (int, float), "numbers")):
+        raw = topk[name]
+        if not isinstance(raw, list) or any(type(x) not in types for x in raw):
+            raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
+    indices = np.asarray(topk["indices"], dtype=np.int64)
+    probs = np.asarray(topk["probs"], dtype=np.float64)
+    logits = record.pop("student_logits")
+    z = np.asarray(logits, dtype=np.float64)
+    # as for probs; a nested list is left to the kernel's 1-d check
+    if z.ndim == 1 and not set(map(type, logits)) <= {int, float}:
+        raise ValueError("student_logits are not all numbers")
+    del logits
+    if z.size != vocab_size:
+        raise ValueError(f"student_logits has length {z.size}, "
+                         f"header declares {vocab_size}")
+    if indices.size and not 0 <= indices.min() <= indices.max() < vocab_size:
+        bad = indices.max() if indices.max() >= vocab_size else indices.min()
+        raise ValueError(f"teacher index {int(bad)} out of "
+                         f"bounds for vocab_size {vocab_size}")
+    teacher = dv.TopKDistribution(indices=indices, probs=probs)
+    if args.k is not None:  # cut only the whole, validated record
+        keep = dv.topk_indices(teacher.probs, min(args.k, teacher.k))
+        teacher = dv.TopKDistribution(teacher.indices[keep], teacher.probs[keep])
+    report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
+    return report.loss, report.aux["escape_mass"], report.aux["entropy"]
+
+
 def cmd_kd(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 1:
         raise ValueError(f"k={args.k} must be at least 1")
@@ -151,55 +187,27 @@ def cmd_kd(args: argparse.Namespace) -> int:
     header = next(rows, None)
     if header is None or "vocab_size" not in header:
         raise ValueError("first line must be a header with 'vocab_size'")
-    try:
-        vocab_size = int(header["vocab_size"])
-    except (TypeError, OverflowError):
-        raise ValueError("header vocab_size must be an integer, "
-                         f"got {header['vocab_size']!r}") from None
+    vocab_size = header["vocab_size"]
+    if type(vocab_size) is not int:  # bool is no size, and 4.7 is not 4
+        raise ValueError(f"header vocab_size must be an integer, got {vocab_size!r}")
     m = args.m if args.m is not None else min(dv.DEFAULT_TOPM, vocab_size)
     if not 1 <= m <= vocab_size:
         raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")
     for record in rows:
         pid = record.get("position_id")
         try:
-            topk = record["teacher_topk"]
-            # numpy would truncate a float index and read a bool or string
-            for name, types, kind in (("indices", (int,), "integers"),
-                                      ("probs", (int, float), "numbers")):
-                raw = topk[name]
-                if not isinstance(raw, list) or any(type(x) not in types for x in raw):
-                    raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
-            indices = np.asarray(topk["indices"], dtype=np.int64)
-            probs = np.asarray(topk["probs"], dtype=np.float64)
-            logits = record["student_logits"]
-            z = np.asarray(logits, dtype=np.float64)
-            # as for probs; a nested list is left to the kernel's 1-d check
-            if z.ndim == 1 and not set(map(type, logits)) <= {int, float}:
-                raise ValueError("student_logits are not all numbers")
-            if z.size != vocab_size:
-                raise ValueError(f"student_logits has length {z.size}, "
-                                 f"header declares {vocab_size}")
-            if indices.size and not 0 <= indices.min() <= indices.max() < vocab_size:
-                bad = indices.max() if indices.max() >= vocab_size else indices.min()
-                raise ValueError(f"teacher index {int(bad)} out of "
-                                 f"bounds for vocab_size {vocab_size}")
-            teacher = dv.TopKDistribution(indices=indices, probs=probs)
-            if args.k is not None:  # cut only the whole, validated record
-                keep = dv.topk_indices(teacher.probs, min(args.k, teacher.k))
-                teacher = dv.TopKDistribution(teacher.indices[keep], teacher.probs[keep])
-            report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
+            loss, escape, entropy = _kd_position(record, vocab_size, m, args)
         except (dv.DegenerateStudent, dv.DegenerateTeacher) as exc:
             notes.append(f"position {pid!r}: {exc}\n")
             out_lines.append(_dump({"position_id": pid, "error": str(exc)}))
             continue
         except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
             raise ValueError(f"position {pid!r}: {exc}") from None
-        losses.append(report.loss)
-        escapes.append(report.aux["escape_mass"])
-        entropies.append(report.aux["entropy"])
-        out_lines.append(_dump({"position_id": pid, "loss": report.loss,
-                                "escape_mass": report.aux["escape_mass"],
-                                "entropy": report.aux["entropy"]}))
+        losses.append(loss)
+        escapes.append(escape)
+        entropies.append(entropy)
+        out_lines.append(_dump({"position_id": pid, "loss": loss,
+                                "escape_mass": escape, "entropy": entropy}))
 
     out_lines.append(_dump({
         "records": len(losses),
@@ -211,6 +219,7 @@ def cmd_kd(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    from . import gradcheck
     if args.trials < 1:
         raise ValueError(f"trials={args.trials} must be at least 1")
     if args.dims < 1:
@@ -237,6 +246,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
+    from .toy_task import load_task
+    from .toy_trainer import ToyTrainConfig, train_sim_rl
     try:
         task = load_task(args.task)
     except (KeyError, TypeError) as exc:  # a task document of the wrong shape
@@ -272,6 +283,7 @@ def _numeric_rewards(values: list) -> np.ndarray:
 
 
 def cmd_advantages(args: argparse.Namespace) -> int:
+    from .grpo import ZeroVariance, standardize_advantages
     out_lines, notes = [], []
     for record in _iter_jsonl(args.input):
         pid = record.get("prompt_id")

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tooltrain
 import tooltrain.divergence as dv
 import tooltrain.toy_trainer as toy_trainer
 from tooltrain.chat_format import FormatViolation, ToolSchema
@@ -491,7 +496,9 @@ class TestKd:
         inp.write_text(json.dumps({"position_id": "p"}) + "\n")
         assert main(["kd", "--input", str(inp)]) == 2
 
-    @pytest.mark.parametrize("vocab_size", [[4], None])
+    # a string, a fraction, a bool and NaN once ran (as 4, 4, 1) or ended in
+    # int()'s own message
+    @pytest.mark.parametrize("vocab_size", [[4], None, "4", 4.7, True, float("nan")])
     def test_non_integer_vocab_size_is_format_error(self, vocab_size, tmp_path,
                                                     capsys):
         inp = tmp_path / "kd.jsonl"
@@ -663,6 +670,27 @@ class TestKd:
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.startswith("error: [Errno 2] ")
         assert err.count("\n") == 1
+
+    def test_holds_one_form_of_one_record(self, tmp_path):
+        # a line's text until parsed, its logit list until converted, and two
+        # V-vectors of kernel work; a second copy of the text or record i's
+        # arrays kept while record i+1 is parsed each exceed it
+        vocab = 50_000
+        inp, out = tmp_path / "kd.jsonl", tmp_path / "out.jsonl"
+        make_kd_file(inp, vocab_size=vocab, positions=4)
+        line = inp.read_text().splitlines()[1]
+        tracemalloc.start()
+        try:
+            json.loads(line)
+            _, parsed = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            tracemalloc.start()
+            assert main(["kd", "--input", str(inp), "--output", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 5
+        assert peak < len(line) + parsed + 2 * 8 * vocab
 
     def test_reader_is_lazy(self, tmp_path):
         inp = tmp_path / "kd.jsonl"
@@ -1154,3 +1182,39 @@ def test_exit_contract_holds_on_one_mutation(command, data):
     if status == 2:
         assert written is None and stdout == ""
         assert "error: " in stderr
+
+
+def _fresh_python(argv, cwd):
+    """stdout of a new interpreter that imports this checkout's tooltrain."""
+    src = str(Path(tooltrain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], check=True, capture_output=True,
+                          text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path}
+                          ).stdout
+
+
+def test_parser_loads_no_subcommand_only_module(tmp_path):
+    # tooltrain.grpo comes with the package's own imports
+    code = ("import sys, tooltrain.cli\n"
+            "tooltrain.cli.build_parser()\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('tooltrain')))")
+    loaded = set(_fresh_python(["-c", code], tmp_path).split())
+    assert "tooltrain.cli" in loaded
+    assert not loaded & {"tooltrain.gradcheck", "tooltrain.toy_task",
+                         "tooltrain.toy_trainer"}
+
+
+def test_subcommands_import_their_modules_in_a_fresh_interpreter(tmp_path):
+    save_task(bundled_default_task(), tmp_path / "task.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({"iterations": 3}))
+    (tmp_path / "groups.jsonl").write_text(
+        json.dumps({"prompt_id": "g", "rewards": [1, 0]}) + "\n")
+    cli = ["-m", "tooltrain.cli"]
+    out = _fresh_python(cli + ["train-toy", "--task", "task.json", "--config",
+                               "cfg.json", "--output", "log.csv"], tmp_path)
+    assert out.startswith("final mean reward (trailing 50): ")
+    assert len((tmp_path / "log.csv").read_text().splitlines()) == 4
+    out = _fresh_python(cli + ["gradcheck", "--trials", "1"], tmp_path)
+    assert out and all(line.endswith(" ok") for line in out.splitlines())
+    out = _fresh_python(cli + ["advantages", "--input", "groups.jsonl"], tmp_path)
+    assert json.loads(out) == {"prompt_id": "g", "advantages": [1.0, -1.0]}
