@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import divergence as dv
+from . import DEFAULT_LAMBDA_TAIL, KD_LOSS_KINDS
 from .chat_format import ToolSchema
 from .reward import MalformedGroundTruth, RewardBreakdown, total_reward
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -135,7 +138,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         out_lines.append(_score_line(rid, breakdown))
 
     status = _write(args.output, out_lines, notes)
-    mean = float(np.mean(totals)) if totals else float("nan")
+    mean = math.fsum(totals) / len(totals) if totals else float("nan")
     print(f"scored {len(totals)} of {n} records, mean total reward {mean!r}",
           file=sys.stderr)
     return status
@@ -146,6 +149,8 @@ def _kd_position(record: dict, vocab_size: int, m: int,
     """One ``kd`` record's loss, escape mass and entropy. The logit list
     leaves ``record`` and is dropped once converted, and the arrays built here
     die with the call, so the next line is read and parsed beside none of them."""
+    import numpy as np
+    from . import divergence as dv
     topk = record["teacher_topk"]
     # numpy would truncate a float index and read a bool or string
     for name, types, kind in (("indices", (int,), "integers"),
@@ -172,14 +177,19 @@ def _kd_position(record: dict, vocab_size: int, m: int,
     if args.k is not None:  # cut only the whole, validated record
         keep = dv.topk_indices(teacher.probs, min(args.k, teacher.k))
         teacher = dv.TopKDistribution(teacher.indices[keep], teacher.probs[keep])
-    report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
+    # finite logits that span more than the float range overflow in the
+    # softmax's shift, to an -inf whose exp is the exact 0
+    with np.errstate(over="ignore"):
+        report = dv.LOSSES[args.loss](teacher, z, m, args.lambda_tail)
     return report.loss, report.aux["escape_mass"], report.aux["entropy"]
 
 
 def cmd_kd(args: argparse.Namespace) -> int:
+    import numpy as np
+    from . import divergence as dv
     if args.k is not None and args.k < 1:
         raise ValueError(f"k={args.k} must be at least 1")
-    if not np.isfinite(args.lambda_tail):
+    if not math.isfinite(args.lambda_tail):
         raise ValueError(f"lambda={args.lambda_tail} must be finite")
     out_lines, notes = [], []
     losses, escapes, entropies = [], [], []
@@ -229,7 +239,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for name, value in (("k", k), ("m", m)):
         if not 1 <= value <= args.dims:
             raise ValueError(f"{name}={value} out of range [1, dims={args.dims}]")
-    if not np.isfinite(args.lambda_tail):
+    if not math.isfinite(args.lambda_tail):
         raise ValueError(f"lambda={args.lambda_tail} must be finite")
     results = gradcheck.run_gradient_suite(
         seed=args.seed, trials=args.trials, vocab_size=args.dims, k=k, m=m,
@@ -273,6 +283,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
 def _numeric_rewards(values: list) -> np.ndarray:
     """Finite rewards as float64; a JSON bool, string, list or null is no reward."""
+    import numpy as np
     for value in values:
         if type(value) not in (int, float):
             raise ValueError(f"reward {value!r} is not a number")
@@ -319,13 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kd", help="evaluate a distillation loss per position")
     p.add_argument("--input", required=True)
-    p.add_argument("--loss", choices=list(dv.KD_LOSS_KINDS), default="ckd")
+    p.add_argument("--loss", choices=list(KD_LOSS_KINDS), default="ckd")
     p.add_argument("--k", type=int,
                    help="keep the k most probable teacher entries per record, "
                         "after checking all of them")
     p.add_argument("--m", type=int, help="student top-m size (default min(100, vocab))")
     p.add_argument("--lambda", dest="lambda_tail", type=float,
-                   default=dv.DEFAULT_LAMBDA_TAIL)
+                   default=DEFAULT_LAMBDA_TAIL)
     p.add_argument("--output", help="output JSONL path (default stdout)")
     p.set_defaults(func=cmd_kd)
 
@@ -336,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--lambda", dest="lambda_tail", type=float,
-                   default=dv.DEFAULT_LAMBDA_TAIL)
+                   default=DEFAULT_LAMBDA_TAIL)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="train the toy policy on a task file")

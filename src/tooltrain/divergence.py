@@ -46,8 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-DEFAULT_TOPM = 100
-DEFAULT_LAMBDA_TAIL = 10.0
+from . import DEFAULT_LAMBDA_TAIL, DEFAULT_TOPM, KD_LOSS_KINDS  # re-exported here
 
 
 class DegenerateStudent(ValueError):
@@ -415,6 +414,3 @@ LOSSES = {
     "rkl-stab": LossKind(lambda t, z, m, lam: rkl_topk_stabilized(t, z, m, lam), _rkl,
                          tail=True),
 }
-
-# The training objectives among them (the tail penalty alone is not one).
-KD_LOSS_KINDS = ("fkl", "rkl", "rkl-stab", "ckd")

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -701,9 +703,30 @@ class TestKd:
             next(rows)
 
     def test_loss_choices_are_the_training_objectives(self):
-        kd = build_parser()._subparsers._group_actions[0].choices["kd"]
-        loss = next(a for a in kd._actions if a.dest == "loss")
-        assert tuple(loss.choices) == dv.KD_LOSS_KINDS
+        commands = build_parser()._subparsers._group_actions[0].choices
+        loss = next(a for a in commands["kd"]._actions if a.dest == "loss")
+        assert loss.choices == list(dv.KD_LOSS_KINDS)
+        for command in ("kd", "gradcheck"):
+            lam = next(a for a in commands[command]._actions if a.dest == "lambda_tail")
+            assert lam.default is dv.DEFAULT_LAMBDA_TAIL
+
+    @pytest.mark.parametrize("loss, status", [
+        ("fkl", 1), ("ckd", 1), ("rkl", 0), ("rkl-stab", 0)])
+    def test_logits_spanning_past_the_float_range_warn_nothing(self, loss, status,
+                                                               tmp_path, capsys):
+        """The softmax's shift overflows to an -inf whose exp is the exact 0;
+        stderr holds the notes and no numpy warning."""
+        inp = tmp_path / "kd.jsonl"
+        rows = [{"version": 1, "vocab_size": 4},
+                {"position_id": "p", "student_logits": [-1e308, 1e308, 0, 0],
+                 "teacher_topk": {"indices": [0], "probs": [0.5]}}]
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["kd", "--input", str(inp), "--m", "2", "--loss", loss]) == status
+        assert caught == []
+        note = "position 'p': student probability underflowed at top-k indices [0]\n"
+        assert capsys.readouterr().err == (note if status else "")
 
     @pytest.mark.parametrize("k", [-1, 0])
     def test_k_below_one_is_format_error(self, k, tmp_path, capsys):
@@ -1194,14 +1217,62 @@ def _fresh_python(argv, cwd):
 
 
 def test_parser_loads_no_subcommand_only_module(tmp_path):
-    # tooltrain.grpo comes with the package's own imports
     code = ("import sys, tooltrain.cli\n"
             "tooltrain.cli.build_parser()\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('tooltrain')))")
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.split('.')[0] in ('numpy', 'tooltrain')))")
     loaded = set(_fresh_python(["-c", code], tmp_path).split())
     assert "tooltrain.cli" in loaded
-    assert not loaded & {"tooltrain.gradcheck", "tooltrain.toy_task",
+    assert not loaded & {"numpy", "tooltrain.divergence", "tooltrain.grpo",
+                         "tooltrain.gradcheck", "tooltrain.toy_task",
                          "tooltrain.toy_trainer"}
+
+
+def test_package_loads_divergence_and_grpo_on_first_use(tmp_path):
+    code = """
+import sys, tooltrain
+print(*sorted({"numpy", "tooltrain.divergence", "tooltrain.grpo"} & set(sys.modules)))
+print(set(tooltrain.__all__) <= set(dir(tooltrain)))
+modules = tooltrain.divergence, tooltrain.grpo
+print(modules == (sys.modules["tooltrain.divergence"], sys.modules["tooltrain.grpo"]))
+star = {}
+exec("from tooltrain import *", star)
+print(*[name for name in tooltrain.__all__ if not getattr(tooltrain, name) is star[name]
+        is getattr(sys.modules[star[name].__module__], name)])
+try:
+    tooltrain.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh_python(["-c", code], tmp_path).splitlines() == [
+        "", "True", "True", "", "module 'tooltrain' has no attribute 'no_such_name'"]
+
+
+def test_score_loads_no_numpy_in_a_fresh_interpreter(tmp_path, capsys):
+    """Two groups sharing a ground truth each; their mean is ``fsum``/n, which
+    here differs from numpy's pairwise mean in the last digit."""
+    schema, inp = tmp_path / "schema.json", tmp_path / "groups.jsonl"
+    schema.write_text(json.dumps(GOLDEN_SCHEMA))
+    answer = "4 runways. The ICAO code for SFO".split()
+    records = [{"id": r["id"], "generation": r["generation"],
+                "ground_truth": GOLDEN_RECORDS[0]["ground_truth"]}
+               for r in GOLDEN_RECORDS]
+    records += [{"id": f"answer-{i}", "ground_truth": GOLDEN_RECORDS[2]["ground_truth"],
+                 "generation": "<think>Answer.</think>\n" + " ".join(answer[:i])}
+                for i in range(1, 6)]
+    inp.write_text("".join(json.dumps(r) + "\n" for r in records))
+    argv = ["score", "--input", str(inp), "--schema", str(schema), "--output"]
+    code = ("import sys, tooltrain.cli\n"
+            f"status = tooltrain.cli.main({argv + [str(tmp_path / 'fresh.jsonl')]!r})\n"
+            "print(status, 'numpy' in sys.modules)")
+    assert _fresh_python(["-c", code], tmp_path).split() == ["0", "False"]
+    assert main(argv + [str(tmp_path / "out.jsonl")]) == 0
+    written = (tmp_path / "out.jsonl").read_text()
+    assert (tmp_path / "fresh.jsonl").read_text() == written
+    totals = [json.loads(line)["total"] for line in written.splitlines()]
+    mean = math.fsum(totals) / len(totals)
+    assert mean != float(np.mean(totals))
+    assert capsys.readouterr().err == f"scored 8 of 8 records, mean total reward {mean!r}\n"
 
 
 def test_subcommands_import_their_modules_in_a_fresh_interpreter(tmp_path):

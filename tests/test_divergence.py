@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tooltrain
 import tooltrain.divergence as dv
 import tooltrain.gradcheck as gradcheck
 from tooltrain.gradcheck import (
@@ -544,7 +545,9 @@ class TestTopKRows:
 
 class TestRegistry:
     def test_training_objectives_are_registered(self):
-        assert set(dv.KD_LOSS_KINDS) <= set(dv.LOSSES)
+        assert set(dv.KD_LOSS_KINDS) <= set(dv.LOSSES) - {"tail"}
+        for name in ("KD_LOSS_KINDS", "DEFAULT_TOPM", "DEFAULT_LAMBDA_TAIL"):
+            assert getattr(dv, name) is getattr(tooltrain, name)
         assert list(dv.LOSSES) == ["fkl", "tail", "ckd", "rkl", "rkl-stab"]
 
     def test_registry_matches_public_kernels(self):
