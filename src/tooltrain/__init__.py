@@ -6,33 +6,14 @@ scoring), top-k distillation divergences with analytic gradients, and
 group-relative policy-optimization primitives, plus a desk-scale trainer
 that exercises the whole stack end to end.
 
-The reward layer loads with the package. The divergence and GRPO names load
-on first use, and numpy with them, so a process that only scores starts
-without numpy.
+``import tooltrain`` loads only the constants below. Every submodule and
+every name of ``__all__`` loads on first use: the reward layer
+(``chat_format``, ``reward``, ``similarity``) with no numpy, the divergence
+and GRPO names with numpy. So ``tooltrain score`` loads no numpy, and
+``kd``, ``gradcheck`` and ``advantages`` load no reward layer.
 """
 
 import importlib
-
-from .chat_format import (
-    FormatViolation,
-    FunctionDef,
-    ParamSpec,
-    ParsedGeneration,
-    ToolCall,
-    ToolSchema,
-    parse_generation,
-    render_generation,
-    validate_format,
-)
-from .reward import (
-    MalformedGroundTruth,
-    RewardBreakdown,
-    greedy_match,
-    response_reward,
-    tool_call_reward,
-    total_reward,
-)
-from .similarity import call_similarity, lcs_length, rouge_l_f1, value_similarity
 
 __version__ = "0.1.0"
 
@@ -42,8 +23,12 @@ DEFAULT_LAMBDA_TAIL = 10.0
 # The training objectives among ``divergence.LOSSES``, less the tail penalty.
 KD_LOSS_KINDS = ("fkl", "rkl", "rkl-stab", "ckd")
 
-# Names of the numpy-backed modules, loaded by ``__getattr__`` on first use.
+# The public names of each submodule, loaded by ``__getattr__`` on first use.
 _LAZY = {
+    "chat_format": (
+        "FormatViolation", "FunctionDef", "ParamSpec", "ParsedGeneration",
+        "ToolCall", "ToolSchema", "parse_generation", "render_generation",
+        "validate_format"),
     "divergence": (
         "DegenerateStudent", "DegenerateTeacher", "LossReport", "TopKDistribution",
         "ckd_loss", "entropy", "fkl_topk", "rkl_topk_masked",
@@ -51,22 +36,18 @@ _LAZY = {
     "grpo": (
         "GrpoConfig", "LengthMismatch", "Rollout", "RolloutGroup", "ZeroVariance",
         "filter_homogeneous", "grpo_objective", "kl_k2", "standardize_advantages"),
+    "reward": (
+        "MalformedGroundTruth", "RewardBreakdown", "greedy_match",
+        "response_reward", "tool_call_reward", "total_reward"),
+    "similarity": ("call_similarity", "lcs_length", "rouge_l_f1", "value_similarity"),
 }
 
-__all__ = [
-    "FormatViolation", "FunctionDef", "ParamSpec", "ParsedGeneration",
-    "ToolCall", "ToolSchema", "parse_generation", "render_generation",
-    "validate_format",
-    *_LAZY["divergence"], *_LAZY["grpo"],
-    "MalformedGroundTruth", "RewardBreakdown", "greedy_match",
-    "response_reward", "tool_call_reward", "total_reward",
-    "call_similarity", "lcs_length", "rouge_l_f1", "value_similarity",
-]
+__all__ = [name for names in _LAZY.values() for name in names]
 
 
 def __getattr__(name: str):
-    """Import ``divergence`` or ``grpo`` the first time it or one of its
-    names above is read from the package (PEP 562)."""
+    """Import a submodule of ``_LAZY`` the first time it or one of its names
+    is read from the package (PEP 562)."""
     for module, names in _LAZY.items():
         if name == module or name in names:
             loaded = importlib.import_module(f".{module}", __name__)

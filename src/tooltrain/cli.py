@@ -17,20 +17,31 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_LAMBDA_TAIL, KD_LOSS_KINDS
-from .chat_format import ToolSchema
-from .reward import MalformedGroundTruth, RewardBreakdown, total_reward
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .chat_format import ToolSchema
+    from .reward import RewardBreakdown
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+
+def __getattr__(name: str):
+    """``total_reward``, imported on first read (PEP 562), so that only
+    ``score`` loads the reward layer. ``cmd_score`` reads it from this module
+    when it starts, so a wrapper set here (a tracer's, say) sees every call."""
+    if name == "total_reward":
+        from .reward import total_reward
+        return total_reward
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _iter_jsonl(path: str):
     """Yield the JSON object on each non-blank line, reading one line at a time.
@@ -71,6 +82,7 @@ def _score_line(rid, breakdown: RewardBreakdown) -> str:
     violations = breakdown.violations
     if not violations:
         return _dump({"id": rid, **breakdown.to_dict()})
+    from dataclasses import replace
     head = _dump({"id": rid, **replace(breakdown, violations=[]).to_dict()})
     ids = list(map(id, violations))  # identity, not the dataclass's __hash__
     encoded = {key: _dump({"rule_id": v.rule_id, "detail": v.detail})
@@ -101,6 +113,7 @@ def _load_schema_ref(ref, base_schema: ToolSchema | None,
         return base_schema
     key = json.dumps(ref, sort_keys=True)  # a path dumps quoted, unlike a schema
     if key not in loaded:
+        from .chat_format import ToolSchema
         if isinstance(ref, str):
             loaded[key] = ToolSchema.from_json(Path(ref).read_text(encoding="utf-8"))
         else:
@@ -109,6 +122,9 @@ def _load_schema_ref(ref, base_schema: ToolSchema | None,
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .chat_format import ToolSchema
+    from .reward import MalformedGroundTruth
+    total_reward = sys.modules[__name__].total_reward
     base_schema = (ToolSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
                    if args.schema else None)
     seen_ids, schemas = set(), {}
@@ -117,10 +133,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         rid = record.get("id")
         if isinstance(rid, (list, dict)):
             raise ValueError(f"record {rid!r}: id must be a string, number or null")
-        if rid is not None:
-            if rid in seen_ids:
+        if rid is not None:  # by type too: 1, 1.0 and true are distinct ids
+            if (type(rid), rid) in seen_ids:
                 raise ValueError(f"duplicate record id {rid!r}")
-            seen_ids.add(rid)
+            seen_ids.add((type(rid), rid))
         try:
             schema = _load_schema_ref(record.get("schema_ref"), base_schema, schemas)
             for key in ("generation", "ground_truth"):

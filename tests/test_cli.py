@@ -226,6 +226,38 @@ class TestScore:
                      "--output", str(tmp_path / "out.jsonl")]) == 2
         assert "duplicate record id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ids", [(1, True), (0, False), (1, 1.0), ("1", 1)])
+    def test_equal_ids_of_distinct_types_are_distinct(self, ids, score_files,
+                                                      tmp_path, capsys):
+        schema_path, _ = score_files
+        inp = tmp_path / "in.jsonl"
+        inp.write_text("".join(json.dumps({**GOLDEN_RECORDS[1], "id": rid}) + "\n"
+                               for rid in ids + ids[-1:]))
+        argv = ["score", "--input", str(inp), "--schema", str(schema_path)]
+        assert main(argv) == 2  # the last id repeats with its own type
+        assert capsys.readouterr().err == f"error: duplicate record id {ids[-1]!r}\n"
+        inp.write_text("".join(json.dumps({**GOLDEN_RECORDS[1], "id": rid}) + "\n"
+                               for rid in ids))
+        assert main(argv) == 0
+        assert [json.loads(line)["id"] for line in capsys.readouterr().out.splitlines()
+                ] == list(ids)
+
+    def test_score_calls_total_reward_through_the_cli_module(
+            self, score_files, tmp_path, monkeypatch):
+        """A wrapper set on ``tooltrain.cli.total_reward`` (the name the
+        benchmark's tracer replaces) sees every record's call."""
+        schema_path, input_path = score_files
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return total_reward(*args, **kwargs)
+
+        monkeypatch.setattr(tooltrain.cli, "total_reward", counting)
+        assert main(["score", "--input", str(input_path), "--schema",
+                     str(schema_path), "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert calls == [r["generation"] for r in GOLDEN_RECORDS]
+
     @pytest.mark.parametrize("rid", [[1, 2], {"k": "v"}])
     def test_unhashable_id_is_format_error(self, rid, score_files, tmp_path, capsys):
         schema_path, _ = score_files
@@ -1217,24 +1249,40 @@ def _fresh_python(argv, cwd):
 
 
 def test_parser_loads_no_subcommand_only_module(tmp_path):
-    code = ("import sys, tooltrain.cli\n"
-            "tooltrain.cli.build_parser()\n"
-            "print(*sorted(m for m in sys.modules\n"
-            "              if m.split('.')[0] in ('numpy', 'tooltrain')))")
-    loaded = set(_fresh_python(["-c", code], tmp_path).split())
-    assert "tooltrain.cli" in loaded
-    assert not loaded & {"numpy", "tooltrain.divergence", "tooltrain.grpo",
-                         "tooltrain.gradcheck", "tooltrain.toy_task",
-                         "tooltrain.toy_trainer"}
+    """The parser loads no submodule but the CLI, and whole ``kd``,
+    ``gradcheck`` and ``advantages`` runs load no reward layer."""
+    (tmp_path / "kd.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in kd_rows(positions=1)))
+    (tmp_path / "groups.jsonl").write_text(
+        json.dumps({"prompt_id": "g", "rewards": [1, 0]}) + "\n")
+    code = """
+import sys, tooltrain.cli
+def loaded():
+    print(*sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "tooltrain")))
+tooltrain.cli.build_parser()
+loaded()
+status = [tooltrain.cli.main(argv) for argv in (
+    ["kd", "--input", "kd.jsonl", "--output", "kd.out"], ["gradcheck", "--trials", "1"],
+    ["advantages", "--input", "groups.jsonl", "--output", "groups.out"])]
+print(*status)
+loaded()
+"""
+    lines = _fresh_python(["-c", code], tmp_path).splitlines()
+    assert lines[0] == "tooltrain tooltrain.cli"
+    assert lines[-2] == "0 0 0"
+    assert {m for m in lines[-1].split() if m.startswith("tooltrain")} == {
+        "tooltrain", "tooltrain.cli", "tooltrain.divergence",
+        "tooltrain.gradcheck", "tooltrain.grpo"}
 
 
-def test_package_loads_divergence_and_grpo_on_first_use(tmp_path):
+def test_package_loads_every_submodule_on_first_use(tmp_path):
     code = """
 import sys, tooltrain
-print(*sorted({"numpy", "tooltrain.divergence", "tooltrain.grpo"} & set(sys.modules)))
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "tooltrain")))
 print(set(tooltrain.__all__) <= set(dir(tooltrain)))
-modules = tooltrain.divergence, tooltrain.grpo
-print(modules == (sys.modules["tooltrain.divergence"], sys.modules["tooltrain.grpo"]))
+names = "chat_format", "divergence", "grpo", "reward", "similarity"
+modules = [getattr(tooltrain, name) for name in names]
+print(modules == [sys.modules[f"tooltrain.{name}"] for name in names])
 star = {}
 exec("from tooltrain import *", star)
 print(*[name for name in tooltrain.__all__ if not getattr(tooltrain, name) is star[name]
@@ -1245,7 +1293,8 @@ except AttributeError as exc:
     print(exc)
 """
     assert _fresh_python(["-c", code], tmp_path).splitlines() == [
-        "", "True", "True", "", "module 'tooltrain' has no attribute 'no_such_name'"]
+        "tooltrain", "True", "True", "",
+        "module 'tooltrain' has no attribute 'no_such_name'"]
 
 
 def test_score_loads_no_numpy_in_a_fresh_interpreter(tmp_path, capsys):
