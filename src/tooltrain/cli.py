@@ -92,13 +92,15 @@ def _score_line(rid, breakdown: RewardBreakdown) -> str:
 
 def _write(path: str | None, out_lines: list[str], notes: list[str]) -> int:
     """The one tail of every JSONL command: held output lines to ``path``
-    (stdout when None or ``-``), then held notes to stderr, so a failed write
-    leaves only its error line. Exit 1 exactly when a record left a note."""
+    (stdout when None or ``-``), encoded before it is opened, then held notes
+    to stderr, so a failed write leaves only its error line and an existing
+    file as it was. Exit 1 exactly when a record left a note."""
     text = "".join(line + "\n" for line in out_lines)
+    data = text.encode("utf-8")
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     sys.stderr.write("".join(notes))
     return EXIT_VALIDATION if notes else EXIT_OK
 
@@ -207,6 +209,8 @@ def cmd_kd(args: argparse.Namespace) -> int:
         raise ValueError(f"k={args.k} must be at least 1")
     if not math.isfinite(args.lambda_tail):
         raise ValueError(f"lambda={args.lambda_tail} must be finite")
+    if args.lambda_tail < 0:
+        raise ValueError(f"lambda={args.lambda_tail} must be non-negative")
     out_lines, notes = [], []
     losses, escapes, entropies = [], [], []
     rows = _iter_jsonl(args.input)

@@ -103,7 +103,7 @@ class TopKRows:
         return TopKRows(self.indices[rows], self.probs[rows])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class TopKDistribution:
     """Teacher top-k entries at one position: parallel index/probability
     arrays of length k, the read-only row 0 of ``rows``, the one-row
@@ -111,7 +111,7 @@ class TopKDistribution:
 
     indices: np.ndarray
     probs: np.ndarray
-    rows: TopKRows = field(init=False, repr=False, compare=False)
+    rows: TopKRows = field(init=False, repr=False)
 
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64)

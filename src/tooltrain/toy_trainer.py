@@ -47,8 +47,11 @@ from .toy_task import ToyTask, render_call_text
 OMIT = "<omit>"
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _check_count(name: str, value: Any, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer, not a bool, >= ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,7 @@ class ToyTrainConfig:
     reward_mode: str = "sim"  # "sim" or "binary"
 
     def __post_init__(self):
-        if not _is_int(self.group_size) or self.group_size < 2:
-            raise ValueError(f"group_size must be an integer of at least 2, "
-                             f"got {self.group_size!r}")
+        _check_count("group_size", self.group_size, 2)
         for name in ("learning_rate", "beta"):
             check_finite_real(name, getattr(self, name))
         if not isinstance(self.filter_groups, bool):
@@ -127,34 +128,30 @@ class ToyPolicy:
 
     Slot keys are ``(prompt_id, "fn")`` for the function choice and
     ``(prompt_id, "arg", function_name, param_name)`` for each value choice.
-    Optional parameters carry one extra trailing action that omits them.
+    ``actions`` holds each slot's action tuple, built here once: the function
+    names, or the domain values and, for an optional parameter, OMIT. A task
+    edited after the policy is built no longer changes what it renders.
     Tables start at zero (a uniform policy); the initial tables are kept as
     the frozen reference for the KL penalty, with one view of them.
     """
 
     def __init__(self, task: ToyTask):
         self.task = task
-        self.tables: dict[tuple, np.ndarray] = {}
+        functions = task.schema.functions
+        names = tuple(f.name for f in functions)
+        values = [(*task.domains[f.name][pname], *((OMIT,) if spec.has_default else ()))
+                  for f in functions for pname, spec in f.parameters.items()]
+        self.actions: dict[tuple, tuple] = {}
         self.arg_slots: dict[str, list[list[tuple]]] = {}  # [prompt][function index]
         for prompt in task.prompts:
             pid = prompt.prompt_id
-            self.tables[(pid, "fn")] = np.zeros(len(task.schema.functions))
+            self.actions[pid, "fn"] = names
             self.arg_slots[pid] = [[(pid, "arg", f.name, pname) for pname in f.parameters]
-                                   for f in task.schema.functions]
-            for slot in [slot for slots in self.arg_slots[pid] for slot in slots]:
-                self.tables[slot] = np.zeros(len(self.actions(slot)))
+                                   for f in functions]
+            self.actions.update(zip(chain.from_iterable(self.arg_slots[pid]), values))
+        self.tables = {slot: np.zeros(len(acts)) for slot, acts in self.actions.items()}
         self.ref_tables = {k: v.copy() for k, v in self.tables.items()}
         self.ref_view = SlotView(self.ref_tables)
-
-    def actions(self, slot: tuple) -> list[Any]:
-        """Domain values of a slot; optional-parameter slots end with OMIT."""
-        if slot[1] == "fn":
-            return [f.name for f in self.task.schema.functions]
-        _, _, fname, pname = slot
-        values = list(self.task.domains[fname][pname])
-        if self.task.schema.get(fname).parameters[pname].has_default:
-            values.append(OMIT)
-        return values
 
     def sample_paths(self, prompt_id: str, n: int, uniforms: Iterator[float],
                      view: SlotView) -> list[tuple[int, ...]]:
@@ -258,10 +255,11 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
           reward_mode: str, paths: dict) -> Trajectory:
     """The path of ``actions`` under ``prompt_id``, memoised in ``paths``.
 
-    Its decisions, text and rewards follow from the prompt, the actions and
-    the task, and its logp_ref also from ``policy.ref_view``. A memo
-    serves one policy, task and reward mode, and must not outlive the call
-    that built it, since a ``ToyTask`` may be edited in place.
+    Its decisions and text follow from the prompt, the actions and
+    ``policy.actions``, its rewards also from the task, and its logp_ref
+    from ``policy.ref_view``. A memo serves one policy, task and reward
+    mode, and must not outlive the call that built it, since a ``ToyTask``
+    may be edited in place.
     """
     path = paths.get((prompt_id, actions))
     if path is None:
@@ -269,9 +267,8 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
         decisions = [Decision((prompt_id, "fn"), fn),
                      *map(Decision, policy.arg_slots[prompt_id][fn], values)]
         arguments = {d.slot[3]: value for d in decisions[1:]
-                     if (value := policy.actions(d.slot)[d.action]) is not OMIT}
-        text = render_trajectory(ToolCall(policy.task.schema.functions[fn].name,
-                                          arguments))
+                     if (value := policy.actions[d.slot][d.action]) is not OMIT}
+        text = render_trajectory(ToolCall(policy.actions[prompt_id, "fn"][fn], arguments))
         graded = total_reward(text, task.prompt(prompt_id).ground_truth,
                               task.schema).total
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
@@ -418,8 +415,7 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     the update touched. Each distinct reward vector is standardized once per
     run (see ``_advantages``).
     """
-    if not _is_int(iterations) or iterations < 0:
-        raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
+    _check_count("iterations", iterations, 0)
     rng, policy, grpo_cfg = np.random.default_rng(seed), ToyPolicy(task), cfg.grpo()
     uniforms = uniform_stream(rng)
     log, paths, view, advantages = TrainLog(), {}, SlotView(policy.tables), {}
@@ -451,6 +447,7 @@ def evaluate_policy(policy: ToyPolicy, task: ToyTask, samples_per_prompt: int,
                     seed: int) -> float:
     """Mean graded reward of freshly sampled trajectories, drawn as
     ``sample_group`` draws them from one ``uniform_stream``."""
+    _check_count("samples_per_prompt", samples_per_prompt, 1)
     uniforms = uniform_stream(np.random.default_rng(seed))
     view, paths = SlotView(policy.tables), {}
     graded = [_path(task, policy, prompt.prompt_id, actions, "sim", paths).graded_reward
@@ -497,13 +494,13 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
 
     Students start from seeded standard-normal logits, one row per teacher
     position; curves record the position means of escape mass (student
-    probability outside the teacher's top-k) and entropy.
+    probability outside the teacher's top-k) and entropy, each point from the
+    ``aux`` of a kernel call, so ``steps=0`` still runs the kernel's checks.
     """
     if loss_kind not in dv.KD_LOSS_KINDS:
         raise ValueError(
             f"unknown loss kind '{loss_kind}', expected one of {dv.KD_LOSS_KINDS}")
-    if not _is_int(steps) or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    _check_count("steps", steps, 0)
     check_finite_real("step_size", step_size)
     if not teachers:
         raise ValueError("kd_fit needs at least one teacher position")
@@ -522,17 +519,12 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
     for step in range(steps + 1):
         escapes, entropies = [], []
         for rows, teacher in blocks:
+            # aux holds the softmax statistics of the logits before this step
+            report = loss.rows(teacher, logits[rows], m, lambda_tail)
             if step < steps:
-                # aux holds the softmax statistics of the logits before this step
-                report = loss.rows(teacher, logits[rows], m, lambda_tail)
                 logits[rows] -= step_size * report.grad
-                e, h = report.aux["escape_mass"], report.aux["entropy"]
-            else:
-                q = dv.softmax(logits[rows])
-                e = 1.0 - np.take_along_axis(q, teacher.indices, axis=1).sum(axis=1)
-                h = dv.entropy_rows(q)
-            escapes += e.tolist()
-            entropies += h.tolist()
+            escapes += report.aux["escape_mass"].tolist()
+            entropies += report.aux["entropy"].tolist()
         # a running sum left to right: from Python 3.12 the builtin sum()
         # compensates rounding, which would change the curves
         escape[step] = reduce(add, escapes, 0.0) / len(escapes)

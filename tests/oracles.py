@@ -321,7 +321,7 @@ def sample_path(policy, prompt_id, rng, view):
         slot = (prompt_id, "arg", fdef.name, pname)
         action = draw_action(view, slot, rng)
         decisions.append(toy_trainer.Decision(slot, action))
-        value = policy.actions(slot)[action]
+        value = policy.actions[slot][action]
         if value is not toy_trainer.OMIT:
             arguments[pname] = value
     return decisions, ToolCall(fdef.name, arguments)

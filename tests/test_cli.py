@@ -679,12 +679,17 @@ class TestKd:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: position 'p': {message}\n"
 
-    def test_negative_lambda_is_format_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rows", [
+        kd_rows(), kd_rows()[:1], [kd_rows()[0], {"position_id": "bad"}],
+    ], ids=["valid", "header only", "bad first record"])
+    @pytest.mark.parametrize("loss", ["ckd", "fkl"])
+    def test_negative_lambda_is_format_error(self, rows, loss, tmp_path, capsys):
+        # a flag, checked before the first record: a header-only file once
+        # exited 0, and a bad first record's error was reported instead
         inp = tmp_path / "kd.jsonl"
-        make_kd_file(inp)
-        assert main(["kd", "--input", str(inp), "--lambda", "-1"]) == 2
-        assert capsys.readouterr() == (
-            "", "error: position 'pos0': lambda_tail must be non-negative\n")
+        inp.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["kd", "--input", str(inp), "--loss", loss, "--lambda", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: lambda=-1.0 must be non-negative\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_lambda_is_format_error(self, value, tmp_path, capsys):
@@ -1065,6 +1070,34 @@ class TestAdvantages:
         assert main(["advantages", "--input", str(inp), "--output", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: group 'a': {message}\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+@pytest.mark.parametrize("command", ["score", "kd", "advantages"])
+def test_unencodable_id_leaves_the_output_as_it_was(command, to_file, tmp_path, capsys):
+    # a lone surrogate is valid JSON but has no UTF-8 form; writing it once
+    # truncated an existing --output file to 0 bytes before failing
+    inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    argv = [command, "--input", str(inp)]
+    if command == "score":
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(GOLDEN_SCHEMA))
+        rows = [{"id": "\ud800", "generation": GOLDEN_RECORDS[0]["generation"],
+                 "ground_truth": GOLDEN_RECORDS[0]["ground_truth"]}]
+        argv += ["--schema", str(schema)]
+    elif command == "kd":
+        rows = kd_rows(positions=1)
+        rows[1]["position_id"] = "\ud800"
+    else:
+        rows = [{"prompt_id": "\ud800", "rewards": [1.0, 0.0]}]
+    inp.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out.write_bytes(b"earlier output\n")
+    assert main(argv + (["--output", str(out)] if to_file else [])) == 2
+    assert out.read_bytes() == b"earlier output\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't encode")
+    assert captured.err.count("\n") == 1
 
 
 def _kd_run(rows, argv, to_file=False):

@@ -492,6 +492,14 @@ class TestTopKRows:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
+    def test_one_row_teachers_compare_and_hash_by_identity(self):
+        # a generated == once raised on the k > 1 arrays' truth value, and
+        # hash() once raised TypeError on them
+        a = dv.TopKDistribution(np.array([0, 1]), np.array([0.5, 0.25]))
+        b = dv.TopKDistribution(np.array([0, 1]), np.array([0.5, 0.25]))
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
     @pytest.mark.parametrize("indices, probs", [
         ([0, 1], [0.5, 0.5]), ([[0, 1]], [[0.5, 0.5, 0.0]]),
         (np.zeros((2, 0)), np.zeros((2, 0))),

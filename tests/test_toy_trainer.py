@@ -77,7 +77,7 @@ def enumerate_expected_reward(policy: ToyPolicy, task: ToyTask,
             args = {}
             for slot, action in zip(slots, combo):
                 prob *= dv.softmax(policy.tables[slot])[action]
-                value = policy.actions(slot)[action]
+                value = policy.actions[slot][action]
                 if value is not OMIT:
                     args[slot[3]] = value
             text = render_call_text("select the matching tool",
@@ -130,6 +130,23 @@ class TestTasks:
 
 
 class TestRollouts:
+    def test_each_slot_has_one_action_tuple(self):
+        task = bundled_default_task()
+        policy = ToyPolicy(task)
+        assert policy.actions["p1", "fn"] == (
+            "get_weather", "convert_currency", "get_time", "translate")
+        assert policy.actions["p1", "arg", "get_weather", "units"] == (
+            "celsius", "fahrenheit", OMIT)
+        assert policy.actions["p1", "arg", "get_weather", "city"] == (
+            "paris", "tokyo", "sydney")
+        assert list(policy.actions) == list(policy.tables)
+        assert all(policy.tables[slot].size == len(actions)
+                   for slot, actions in policy.actions.items())
+        # the tuples are the policy's own: a later edit of the task leaves them
+        task.domains["get_weather"]["city"].append("oslo")
+        assert policy.actions["p1", "arg", "get_weather", "city"] == (
+            "paris", "tokyo", "sydney")
+
     def test_rendered_rollouts_always_format_valid(self):
         task = bundled_default_task()
         policy = ToyPolicy(task)
@@ -843,6 +860,15 @@ class TestTraining:
         assert 0.0 <= score <= 1.0
 
 
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, True, "4"])
+    def test_evaluate_policy_rejects_a_bad_sample_count(self, samples):
+        # 0 once returned NaN with numpy's "Mean of empty slice" warning
+        task = tiny_task()
+        with pytest.raises(ValueError, match="^samples_per_prompt must be an integer "
+                                             "of at least 1, got "):
+            evaluate_policy(ToyPolicy(task), task, samples, seed=0)
+
+
 class TestToyTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("group_size", 2.5), ("group_size", True), ("group_size", "8"),
@@ -966,3 +992,21 @@ class TestKdFit:
         with pytest.raises(ValueError) as exc:
             kd_fit(loss_kind="ckd", seed=0, **arguments)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize("arguments, error, message", [
+        ({"lambda_tail": math.nan}, ValueError, "lambda_tail must be finite"),
+        ({"lambda_tail": -1.0}, ValueError, "lambda_tail must be non-negative"),
+        ({"m": 0}, ValueError, "m must be at least 1"),
+        ({"vocab_size": 4}, IndexError, "teacher index {high} out of bounds for "
+                                        "vocabulary of size 4"),
+    ])
+    def test_every_step_count_runs_the_kernel_checks(self, steps, arguments, error,
+                                                     message):
+        # at steps=0 the one curve point once came from a second formula that
+        # ran none of these checks: it returned curves, or numpy's IndexError
+        family = adversarial_teacher_family()
+        high = int(family[0].indices.max())  # the first row's error is the one raised
+        with pytest.raises(error) as exc:
+            kd_fit(family, "ckd", steps=steps, step_size=0.5, seed=0, **arguments)
+        assert str(exc.value) == message.format(high=high)
