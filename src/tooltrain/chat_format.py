@@ -124,11 +124,12 @@ class ToolSchema:
 
         Falls back to one-JSON-object-per-line when the document as a whole
         does not parse, which is the literal layout of a ``<tools>`` block.
+        Its lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, as the CLI's do.
         """
         try:
             return cls.from_dict(json.loads(text))
         except json.JSONDecodeError:
-            entries = [json.loads(line) for line in text.splitlines() if line.strip()]
+            entries = [json.loads(x) for x in re.split(r"\r\n?|\n", text) if x.strip()]
             return cls.from_dict(entries)
 
     def to_dict(self) -> list[dict[str, Any]]:

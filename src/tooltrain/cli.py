@@ -46,28 +46,24 @@ def __getattr__(name: str):
 def _iter_jsonl(path: str):
     """Yield the JSON object on each non-blank line, reading one line at a time.
 
-    Lines are the pieces of ``str.splitlines`` over the whole text and are
-    numbered from 1 in messages; a bad line raises ``ValueError``.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, not at U+2028 or its kin;
+    lines are numbered from 1 in messages, and a bad line raises ``ValueError``.
     """
-    n = 0
+    n = 0  # not enumerate, whose cached tuple would keep the text alive
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            # hold one form of one line: its text until parsed, then its object
-            pieces = raw.splitlines()[::-1]
-            del raw
-            while pieces:
-                line = pieces.pop()
-                n += 1
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
-                del line
-                if not isinstance(obj, dict):
-                    raise ValueError(f"{path}:{n}: expected a JSON object per line")
-                yield obj
+        for line in handle:  # one form of one line: its text, then its object
+            n += 1
+            line = line.rstrip("\n")  # else a cut-off string ends in a control char
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
+            del line
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{n}: expected a JSON object per line")
+            yield obj
 
 
 def _dump(obj) -> str:  # a NaN or infinity, say an echoed id, is a ValueError
@@ -91,16 +87,19 @@ def _score_line(rid, breakdown: RewardBreakdown) -> str:
 
 
 def _write(path: str | None, out_lines: list[str], notes: list[str]) -> int:
-    """The one tail of every JSONL command: held output lines to ``path``
-    (stdout when None or ``-``), encoded before it is opened, then held notes
-    to stderr, so a failed write leaves only its error line and an existing
-    file as it was. Exit 1 exactly when a record left a note."""
+    """The one tail of every JSONL command: held output lines as UTF-8, whatever
+    the locale, to ``path`` (stdout when None or ``-``), encoded before it is
+    opened, then held notes to stderr, so a failed write leaves only its error
+    line and an existing file as it was. Exit 1 exactly when a record left a note."""
     text = "".join(line + "\n" for line in out_lines)
     data = text.encode("utf-8")
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
+    if path not in (None, "-"):
         Path(path).write_bytes(data)
+    elif hasattr(sys.stdout, "buffer"):  # a StringIO stand-in has none
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:
+        sys.stdout.write(text)
     sys.stderr.write("".join(notes))
     return EXIT_VALIDATION if notes else EXIT_OK
 
@@ -124,12 +123,10 @@ def _load_schema_ref(ref, base_schema: ToolSchema | None,
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    from .chat_format import ToolSchema
     from .reward import MalformedGroundTruth
     total_reward = sys.modules[__name__].total_reward
-    base_schema = (ToolSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
-                   if args.schema else None)
     seen_ids, schemas = set(), {}
+    base_schema = _load_schema_ref(args.schema, None, schemas) if args.schema else None
     out_lines, notes, totals, n = [], [], [], 0
     for n, record in enumerate(_iter_jsonl(args.input), 1):
         rid = record.get("id")
@@ -202,15 +199,19 @@ def _kd_position(record: dict, vocab_size: int, m: int,
     return report.loss, report.aux["escape_mass"], report.aux["entropy"]
 
 
+def _check_lambda(lambda_tail: float) -> None:  # kd's and gradcheck's, before any work
+    if not math.isfinite(lambda_tail):
+        raise ValueError(f"lambda={lambda_tail} must be finite")
+    if lambda_tail < 0:
+        raise ValueError(f"lambda={lambda_tail} must be non-negative")
+
+
 def cmd_kd(args: argparse.Namespace) -> int:
     import numpy as np
     from . import divergence as dv
     if args.k is not None and args.k < 1:
         raise ValueError(f"k={args.k} must be at least 1")
-    if not math.isfinite(args.lambda_tail):
-        raise ValueError(f"lambda={args.lambda_tail} must be finite")
-    if args.lambda_tail < 0:
-        raise ValueError(f"lambda={args.lambda_tail} must be non-negative")
+    _check_lambda(args.lambda_tail)
     out_lines, notes = [], []
     losses, escapes, entropies = [], [], []
     rows = _iter_jsonl(args.input)
@@ -259,8 +260,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for name, value in (("k", k), ("m", m)):
         if not 1 <= value <= args.dims:
             raise ValueError(f"{name}={value} out of range [1, dims={args.dims}]")
-    if not math.isfinite(args.lambda_tail):
-        raise ValueError(f"lambda={args.lambda_tail} must be finite")
+    _check_lambda(args.lambda_tail)
     results = gradcheck.run_gradient_suite(
         seed=args.seed, trials=args.trials, vocab_size=args.dims, k=k, m=m,
         lambda_tail=args.lambda_tail)
@@ -277,7 +277,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
     from .toy_task import load_task
-    from .toy_trainer import ToyTrainConfig, train_sim_rl
+    from .toy_trainer import ToyTrainConfig, _check_count, train_sim_rl
     try:
         task = load_task(args.task)
     except (KeyError, TypeError) as exc:  # a task document of the wrong shape
@@ -287,9 +287,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     if not isinstance(cfg_data, dict):
         raise ValueError("config must be a JSON object")
     iterations = cfg_data.pop("iterations", 500)
-    if type(iterations) is not int or iterations < 1:  # bool is no count
-        raise ValueError(f"iterations must be an integer of at least 1, "
-                         f"got {iterations!r}")
+    _check_count("iterations", iterations, 1)
     if args.beta is not None:
         cfg_data["beta"] = args.beta
     cfg = ToyTrainConfig.from_dict(cfg_data)

@@ -267,6 +267,22 @@ class TestSchema:
         assert [f.name for f in schema.functions] == ["a", "b"]
         assert schema.get("b").parameters["p"].has_default
 
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
+    def test_from_json_lines_end_at_line_ends_only(self, sep):
+        # U+2028 and its kin are valid raw in a JSON string and end no line
+        description = "first\u2028second\x85third\u2029"
+        text = sep.join(json.dumps(entry, ensure_ascii=False) for entry in [
+            {"name": "a", "description": description, "parameters": {}},
+            {"name": "b", "description": "", "parameters": {}},
+        ])
+        schema = ToolSchema.from_json(text)
+        assert [f.name for f in schema.functions] == ["a", "b"]
+        assert schema.get("a").description == description
+
+    def test_from_json_reports_a_cut_line_as_unterminated(self):
+        with pytest.raises(json.JSONDecodeError, match="Unterminated string"):
+            ToolSchema.from_json('{"name": "a"}\r\n{"name": "b')
+
     def test_default_absent_vs_present(self):
         schema = ToolSchema.from_json(json.dumps([
             {"name": "a", "parameters": {

@@ -116,6 +116,18 @@ class TestScore:
         assert status == 0
         assert out.read_text() == ""
 
+    def test_generation_holding_line_separators_scores(self, score_files, tmp_path):
+        # raw U+0085, U+2028 and U+2029 are valid inside a JSON string, and
+        # ``_dump`` writes them raw; they once cut the record in two
+        schema_path, _ = score_files
+        record = {"id": "u", "generation": "<think>a\u2028b</think>\nhi\x85\u2029",
+                  "ground_truth": "<think>b</think>\nhi\x85\u2029"}
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        inp.write_text(_dump(record) + "\n", encoding="utf-8")
+        assert main(["score", "--input", str(inp), "--schema", str(schema_path),
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["total"] == 1.0
+
     def test_malformed_ground_truth_reports_and_exits_nonzero(
             self, score_files, tmp_path, capsys):
         schema_path, _ = score_files
@@ -643,20 +655,25 @@ class TestKd:
             '{"mean_entropy": null, "mean_escape_mass": null, '
             '"mean_loss": null, "records": 0}\n', "")
 
+    @pytest.mark.parametrize("bad, message", [
+        ("\u2028{bad", "Expecting value"),
+        ("{bad\u2029", "Expecting property name enclosed in double quotes"),
+        # a control character is no JSON whitespace, so it cannot part two objects
+        ('{"position_id": 1}\x0c{"position_id": 2}', "Extra data"),
+        ('{"position_id": 1}\x1e', "Extra data"),
+    ])
     @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
-    def test_line_numbers_count_every_splitlines_piece(self, sep, tmp_path, capsys):
+    def test_line_numbers_count_physical_lines(self, sep, bad, message, tmp_path,
+                                               capsys):
+        # U+0085, U+2028 and U+2029 end no line, in a string or on a line of their own
         header = json.dumps({"version": 1, "vocab_size": 4})
-        good = json.dumps({"position_id": "g", "student_logits": [0, 0, 0, 1],
-                           "teacher_topk": {"indices": [0], "probs": [0.5]}})
-        text = sep.join([header, "", good + "\x0c" + good, "", "\x0c" + good,
-                         "\x1c\u2028{bad", ""])
+        good = _dump({"position_id": "g\x85\u2028\u2029", "student_logits": [0, 0, 0, 1],
+                      "teacher_topk": {"indices": [0], "probs": [0.5]}})
+        lines = [header, "", good, " \x0b\x0c\x1c\x1d ", "\x85\u2028\u2029", bad, good]
         inp = tmp_path / "kd.jsonl"
-        inp.write_bytes(text.encode("utf-8"))
-        n = text.splitlines().index("{bad") + 1
+        inp.write_bytes(sep.join(lines).encode("utf-8"))
         assert main(["kd", "--input", str(inp)]) == 2
-        assert capsys.readouterr() == (
-            "", f"error: {inp}:{n}: invalid JSON (Expecting property name "
-                "enclosed in double quotes)\n")
+        assert capsys.readouterr() == ("", f"error: {inp}:6: invalid JSON ({message})\n")
 
     @pytest.mark.parametrize("record, message", [
         ({"student_logits": [float("nan"), 0, 0, 0],
@@ -788,6 +805,24 @@ class TestKd:
             2.955288735580854
 
 
+LINE_END_KIN = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines ends lines there
+_text = st.text(st.characters(exclude_categories=["Cs"]) | st.sampled_from(LINE_END_KIN))
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(st.dictionaries(_text, _text)),
+       sep=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans())
+def test_reader_splits_at_line_ends_only(records, sep, last):
+    """Records written with ``_dump`` and joined by any universal line end
+    read back unchanged, whatever text they hold."""
+    records = [*records, {LINE_END_KIN: LINE_END_KIN}]
+    text = sep.join(map(_dump, records)) + (sep if last else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "in.jsonl"
+        inp.write_bytes(text.encode("utf-8"))
+        assert list(_iter_jsonl(str(inp))) == records
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_kd_k_ignores_teacher_entry_order(data):
@@ -837,6 +872,9 @@ class TestGradcheck:
         (["--k", "0"], "k=0 out of range [1, dims=32]"),
         (["--lambda", "nan"], "lambda=nan must be finite"),
         (["--lambda=-inf"], "lambda=-inf must be finite"),
+        # kd's rule, checked before the suite runs: the kernel once rejected
+        # it only after the fkl and tail suites had run
+        (["--lambda", "-1"], "lambda=-1.0 must be non-negative"),
     ])
     def test_out_of_range_flag_is_one_error_line(self, capsys, argv, message):
         # --trials 0 was once a vacuous pass with exit 0
@@ -989,6 +1027,19 @@ class TestTrainToy:
 
 
 class TestAdvantages:
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path, monkeypatch):
+        # stdout once took its stream's encoding: latin-1 failed on "中" and
+        # wrote "é" as one byte, where --output gets UTF-8
+        inp, out = tmp_path / "groups.jsonl", tmp_path / "out.jsonl"
+        inp.write_text(json.dumps({"prompt_id": "é中", "rewards": [1, 0]}) + "\n")
+        assert main(["advantages", "--input", str(inp), "--output", str(out)]) == 0
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["advantages", "--input", str(inp)]) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == out.read_bytes()
+        assert "é中".encode() in out.read_bytes()
+
     def test_closed_form_group(self, tmp_path, capsys):
         inp = tmp_path / "groups.jsonl"
         inp.write_text(json.dumps({"prompt_id": "g", "rewards": [1, 0, 0, 1]}) + "\n")
