@@ -249,6 +249,8 @@ def _parse_call_payload(payload: str) -> tuple[ToolCall | None, str]:
         obj = json.loads(payload)
     except json.JSONDecodeError as exc:
         return None, f"invalid JSON ({exc.msg})"
+    except RecursionError:  # nested deeper than the decoder's stack goes
+        return None, "invalid JSON (nesting too deep)"
     if not isinstance(obj, dict):
         return None, "payload is not a JSON object"
     if set(obj.keys()) != {"name", "arguments"}:

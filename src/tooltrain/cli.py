@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,6 +45,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _too_deep(where: str) -> ValueError:
+    """The error for a document nested deeper than ``json.loads`` goes, which
+    raises ``RecursionError`` there; ``main`` reports it on one line."""
+    return ValueError(f"{where}: invalid JSON (nesting too deep)")
+
+
 def _iter_jsonl(path: str):
     """Yield the JSON object on each non-blank line, reading one line at a time.
 
@@ -60,30 +68,42 @@ def _iter_jsonl(path: str):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
+            except RecursionError:
+                raise _too_deep(f"{path}:{n}") from None
             del line
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{n}: expected a JSON object per line")
             yield obj
 
 
-def _dump(obj) -> str:  # a NaN or infinity, say an echoed id, is a ValueError
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False)
+# json.dumps with these options, minus the encoder it builds on every call; a
+# NaN or infinity, say an echoed id, is a ValueError
+_dump = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False).encode
 
 
 def _score_line(rid, breakdown: RewardBreakdown) -> str:
     """``_dump({"id": rid, **breakdown.to_dict()})``, with each distinct
     violation encoded once: a degenerate generation repeats one shared
-    instance thousands of times. ``"violations"`` is the last sorted key, so
-    the encoded list goes in place of the ``[]}`` that ends the rest."""
+    instance thousands of times, and a list of that one instance is one
+    encoded string repeated. ``"violations"`` is the last sorted key, so the
+    encoded list goes in place of the ``[]}`` that ends the rest, in one join."""
     violations = breakdown.violations
     if not violations:
         return _dump({"id": rid, **breakdown.to_dict()})
     from dataclasses import replace
     head = _dump({"id": rid, **replace(breakdown, violations=[]).to_dict()})
-    ids = list(map(id, violations))  # identity, not the dataclass's __hash__
-    encoded = {key: _dump({"rule_id": v.rule_id, "detail": v.detail})
-               for key, v in dict(zip(ids, violations)).items()}
-    return head[:-len("[]}")] + "[" + ", ".join(map(encoded.__getitem__, ids)) + "]}"
+    first = violations[0]
+    if all(map(operator.is_, violations, repeat(first))):  # in C, calls no __eq__
+        one = _dump({"rule_id": first.rule_id, "detail": first.detail})
+        parts = [one] * len(violations)
+    else:
+        ids = list(map(id, violations))  # identity, not the dataclass's __hash__
+        encoded = {key: _dump({"rule_id": v.rule_id, "detail": v.detail})
+                   for key, v in dict(zip(ids, violations)).items()}
+        parts = list(map(encoded.__getitem__, ids))
+    parts[0] = head[:-len("[]}")] + "[" + parts[0]
+    parts[-1] += "]}"
+    return ", ".join(parts)
 
 
 def _write(path: str | None, out_lines: list[str], notes: list[str]) -> int:
@@ -91,7 +111,7 @@ def _write(path: str | None, out_lines: list[str], notes: list[str]) -> int:
     the locale, to ``path`` (stdout when None or ``-``), encoded before it is
     opened, then held notes to stderr, so a failed write leaves only its error
     line and an existing file as it was. Exit 1 exactly when a record left a note."""
-    text = "".join(line + "\n" for line in out_lines)
+    text = "\n".join([*out_lines, ""])  # each line copied once; none gives ""
     data = text.encode("utf-8")
     if path not in (None, "-"):
         Path(path).write_bytes(data)
@@ -116,7 +136,10 @@ def _load_schema_ref(ref, base_schema: ToolSchema | None,
     if key not in loaded:
         from .chat_format import ToolSchema
         if isinstance(ref, str):
-            loaded[key] = ToolSchema.from_json(Path(ref).read_text(encoding="utf-8"))
+            try:
+                loaded[key] = ToolSchema.from_json(Path(ref).read_text(encoding="utf-8"))
+            except RecursionError:
+                raise _too_deep(ref) from None
         else:
             loaded[key] = ToolSchema.from_dict(ref)
     return loaded[key]
@@ -282,8 +305,13 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         task = load_task(args.task)
     except (KeyError, TypeError) as exc:  # a task document of the wrong shape
         raise ValueError(exc) from None
-    cfg_data = (json.loads(Path(args.config).read_text(encoding="utf-8"))
-                if args.config else {})
+    except RecursionError:
+        raise _too_deep(args.task) from None
+    try:
+        cfg_data = (json.loads(Path(args.config).read_text(encoding="utf-8"))
+                    if args.config else {})
+    except RecursionError:
+        raise _too_deep(args.config) from None
     if not isinstance(cfg_data, dict):
         raise ValueError("config must be a JSON object")
     iterations = cfg_data.pop("iterations", 500)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterator
+from itertools import chain, repeat
 from typing import Any
 
 from .chat_format import ToolCall
@@ -95,6 +97,32 @@ def canonical_str(value: Any) -> str:
 
 
 def _canon_nested(value: Any) -> str:
+    """``canonical_str`` of a container or non-string scalar, rendered with an
+    explicit stack: ``json.loads`` builds values about 990 levels deep, more
+    than a recursive renderer gets frames for."""
+    out: list[str] = []
+    stack: list[tuple[Iterator[tuple[str, Any]], str]] = []  # open containers
+    while True:
+        if isinstance(value, list):  # each child with the text that goes before it
+            out.append("[")
+            children = zip(chain([""], repeat(",")), value)
+            stack.append((children, "]"))
+        elif isinstance(value, dict):
+            out.append("{")
+            children = ((("," if i else "") + json.dumps(k) + ":", v)
+                        for i, (k, v) in enumerate(sorted(value.items())))
+            stack.append((children, "}"))
+        else:
+            out.append(_canon_scalar(value))
+        while stack and (item := next(stack[-1][0], None)) is None:
+            out.append(stack.pop()[1])  # the container is done: close it
+        if not stack:
+            return "".join(out)
+        prefix, value = item
+        out.append(prefix)
+
+
+def _canon_scalar(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if _is_number(value):
@@ -107,12 +135,6 @@ def _canon_nested(value: Any) -> str:
         return "null"
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, list):
-        return "[" + ",".join(_canon_nested(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return "{" + ",".join(f"{json.dumps(k)}:{_canon_nested(v)}"
-                              for k, v in items) + "}"
     return str(value)
 
 

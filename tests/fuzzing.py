@@ -1,8 +1,11 @@
-"""Randomized schema/generation builders shared by the reward fuzz tests."""
+"""Randomized schema/generation builders shared by the reward fuzz tests, and
+a Hypothesis strategy for JSON values."""
 
 from __future__ import annotations
 
 import random
+
+from hypothesis import strategies as st
 
 from tooltrain import ParsedGeneration, ToolCall, ToolSchema, render_generation
 
@@ -10,6 +13,13 @@ FUNCTION_NAMES = ["alpha", "beta", "gamma", "delta"]
 ARG_KEYS = ["a", "b", "c"]
 VALUES = [1, 2, 2.5, True, "word", "two words", None, [1, 2], {"k": "v"}]
 WORDS = ["red", "green", "blue", "fast", "slow"]
+
+# what json.loads can return, NaN and the infinities included, a few levels deep
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner,
+                                                                max_size=4),
+    max_leaves=20)
 
 
 def random_schema(rng: random.Random) -> ToolSchema:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
+from typing import Any
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from tooltrain.chat_format import (
 from tooltrain.gradcheck import FD_STEP
 from tooltrain.grpo import Rollout, RolloutGroup, grpo_objective
 from tooltrain.reward import total_reward
+from tooltrain.similarity import _is_number
 
 
 def lcs_length_dp(a: list[str], b: list[str]) -> int:
@@ -49,6 +52,30 @@ def rouge_l_f1_dp(pred: str, ref: str) -> float:
         return 0.0
     precision, recall = lcs / len(a), lcs / len(b)
     return 2 * precision * recall / (precision + recall)
+
+
+def canon_nested_recursive(value: Any) -> str:
+    """``similarity._canon_nested`` as the recursive renderer it once was: one
+    Python frame (and a generator's) per level of nesting."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if _is_number(value):
+        if isinstance(value, float):
+            if value.is_integer():
+                return str(int(value))
+            return repr(value)
+        return str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, list):
+        return "[" + ",".join(canon_nested_recursive(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ",".join(f"{json.dumps(k)}:{canon_nested_recursive(v)}"
+                              for k, v in items) + "}"
+    return str(value)
 
 
 def parse_generation_four_find(raw: str) -> ParsedGeneration:

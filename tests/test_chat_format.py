@@ -82,6 +82,18 @@ class TestParse:
             '<tool_call>{"name":"f","arguments":{},"id":1}</tool_call>')
         assert rule_ids(parsed.raw_errors) == [3]
 
+    @pytest.mark.parametrize("payload", ["[" * 2000, "[" * 2000 + "]" * 2000,
+                                         "[" * 100_000, '{"a":' * 100_000],
+                             ids=["2000-open", "2000-balanced", "100000-open",
+                                  "100000-objects"])
+    def test_payload_nested_past_the_decoder_is_rule_3(self, payload):
+        # json.loads raises RecursionError, not a JSONDecodeError, this deep
+        parsed = parse_generation(f"<think>t</think><tool_call>{payload}</tool_call>")
+        assert rule_ids(parsed.raw_errors) == [3]
+        if len(payload) > 10_000:  # far past the decoder's limit on any Python
+            assert parsed.raw_errors[0].detail == (
+                "tool_call block 0: invalid JSON (nesting too deep)")
+
     def test_payload_not_an_object_is_rule_3(self):
         parsed = parse_generation("<think>t</think><tool_call>[1,2]</tool_call>")
         assert rule_ids(parsed.raw_errors) == [3]

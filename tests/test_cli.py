@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,15 @@ from hypothesis import strategies as st
 import tooltrain
 import tooltrain.divergence as dv
 import tooltrain.toy_trainer as toy_trainer
-from tooltrain.chat_format import FormatViolation, ToolSchema
+from tooltrain.chat_format import (
+    _STRAY,
+    _UNCLOSED,
+    THINK_CLOSE,
+    THINK_OPEN,
+    TOOL_CLOSE,
+    FormatViolation,
+    ToolSchema,
+)
 from tooltrain.cli import _dump, _iter_jsonl, _score_line, build_parser, main
 from tooltrain.reward import CallMatch, RewardBreakdown, total_reward
 from tooltrain.toy_task import (
@@ -27,6 +36,7 @@ from tooltrain.toy_task import (
     save_task,
 )
 
+from fuzzing import json_values
 from golden import GOLDEN_RECORDS, GOLDEN_SCHEMA
 from oracles import RecomputingSlotView, objective_and_gradient_per_token
 
@@ -332,6 +342,23 @@ class TestScore:
             {"id": "dégénéré", **breakdown.to_dict()}, sort_keys=True,
             ensure_ascii=False) + "\n"
 
+    def test_one_kind_of_closer_repeated_writes_one_violation_per_tag(
+            self, score_files, tmp_path, capsys):
+        schema_path, input_path = score_files
+        gt = GOLDEN_RECORDS[0]["ground_truth"]
+        generation = gt + "</tool_call>" * 20000
+        input_path.write_text(json.dumps({"id": "d", "generation": generation,
+                                          "ground_truth": gt}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(input_path), "--schema",
+                     str(schema_path), "--output", str(out)]) == 0
+        breakdown = total_reward(generation, gt, ToolSchema.from_dict(GOLDEN_SCHEMA))
+        assert breakdown.violations == [_STRAY[TOOL_CLOSE]] * 20000
+        assert out.read_text(encoding="utf-8") == dumps(
+            {"id": "d", **breakdown.to_dict()}) + "\n"
+        assert capsys.readouterr().err == (
+            "scored 1 of 1 records, mean total reward -1.0\n")
+
     @pytest.mark.parametrize("rid", [float("nan"), float("inf")])
     def test_non_finite_id_is_format_error(self, rid, score_files, tmp_path, capsys):
         schema_path, input_path = score_files
@@ -353,6 +380,32 @@ class TestScore:
                                            "object of objects\n")
 
 
+def dumps(obj) -> str:
+    """The line ``_dump`` must write: ``json.dumps`` with the CLI's options."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=json_values)
+def test_dump_equals_json_dumps(value):
+    """Byte for byte, and a NaN or infinity anywhere is the same ValueError."""
+    try:
+        expected = dumps(value)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _dump(value)
+    else:
+        assert _dump(value) == expected
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   {"id": [1, {"x": float("nan")}]}])
+def test_dump_rejects_non_finite_numbers(value):
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON "
+                                         "compliant"):
+        _dump(value)
+
+
 VIOLATION_POOL = [FormatViolation(1, "stray </think> without opener"),
                   FormatViolation(2, "unclosed <tool_call> tag")]
 violations_st = st.lists(st.one_of(
@@ -371,7 +424,7 @@ def test_score_line_equals_the_dump_of_to_dict(rid, r_format, parts, matches,
                                                violations):
     breakdown = RewardBreakdown(r_format, *parts, matches=matches,
                                 violations=violations)
-    assert _score_line(rid, breakdown) == _dump({"id": rid, **breakdown.to_dict()})
+    assert _score_line(rid, breakdown) == dumps({"id": rid, **breakdown.to_dict()})
 
 
 @pytest.mark.parametrize("rid", [float("nan"), float("-inf")])
@@ -381,6 +434,25 @@ def test_score_line_rejects_a_non_finite_id(rid, violations):
     breakdown = RewardBreakdown(0, 0.0, 0.0, -1.0, violations=violations)
     with pytest.raises(ValueError, match="Out of range float"):
         _score_line(rid, breakdown)
+
+
+SHARED_RUN = [_STRAY[TOOL_CLOSE]] * 5000
+
+
+@pytest.mark.parametrize("violations", [
+    SHARED_RUN,  # one shared instance, as a run of one kind of closer gives
+    SHARED_RUN + [_UNCLOSED[THINK_OPEN]],
+    [_UNCLOSED[THINK_OPEN]] + SHARED_RUN,
+    [_STRAY[THINK_CLOSE], _STRAY[TOOL_CLOSE]] * 2500,
+    [FormatViolation(4, "f"), FormatViolation(4, "f")],  # equal, not one instance
+    [FormatViolation(1, "x"), FormatViolation(True, "x")],  # equal, encoded apart
+    [FormatViolation(3, "é\"\u2028")],
+    [],
+], ids=["shared", "shared+tail", "head+shared", "alternating", "equal-pair",
+        "int-and-bool", "one", "none"])
+def test_score_line_of_violation_lists(violations):
+    breakdown = RewardBreakdown(0, 0.0, 0.0, -1.0, violations=violations)
+    assert _score_line("r", breakdown) == dumps({"id": "r", **breakdown.to_dict()})
 
 
 OUT_OF_RANGE = "top-k probabilities must be finite and within [0, 1]"
@@ -1149,6 +1221,92 @@ def test_unencodable_id_leaves_the_output_as_it_was(command, to_file, tmp_path, 
     assert captured.out == ""
     assert captured.err.startswith("error: 'utf-8' codec can't encode")
     assert captured.err.count("\n") == 1
+
+
+DEEP = "[" * 100_000  # far past json.loads' nesting limit, on every Python
+TOO_DEEP = "invalid JSON (nesting too deep)"
+
+
+class TestNestedInput:
+    """A document nested past ``json.loads``' limit is an I/O error that names
+    its file, never a traceback; a payload that deep in a generation is a
+    rule-3 violation."""
+
+    @pytest.mark.parametrize("command, first", [
+        ("score", GOLDEN_RECORDS[0]),
+        ("kd", {"version": 1, "vocab_size": 2}),
+        ("advantages", {"prompt_id": "p", "rewards": [1, 0]}),
+    ])
+    def test_deep_jsonl_line_is_one_error_line(self, command, first, score_files,
+                                               tmp_path, capsys):
+        schema_path, inp = score_files
+        inp.write_text(json.dumps(first) + "\n" + DEEP + "\n")
+        out = tmp_path / "out.jsonl"
+        schema = ["--schema", str(schema_path)] if command == "score" else []
+        assert main([command, "--input", str(inp), *schema,
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {inp}:2: {TOO_DEEP}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [DEEP, '{"name": "f"}\n' + DEEP],
+                             ids=["document", "tools-block-line"])
+    @pytest.mark.parametrize("as_ref", [False, True])
+    def test_deep_schema_file_is_one_error_line(self, text, as_ref, score_files,
+                                                tmp_path, capsys):
+        schema_path, inp = score_files
+        schema_path.write_text(text)
+        record = {**GOLDEN_RECORDS[0], "schema_ref": str(schema_path)}
+        inp.write_text(json.dumps(record if as_ref else GOLDEN_RECORDS[0]) + "\n")
+        schema = [] if as_ref else ["--schema", str(schema_path)]
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(inp), *schema,
+                     "--output", str(out)]) == 2
+        rid = f"record {GOLDEN_RECORDS[0]['id']!r}: " if as_ref else ""
+        assert capsys.readouterr() == ("", f"error: {rid}{schema_path}: {TOO_DEEP}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--task", "--config"])
+    def test_deep_train_toy_file_is_one_error_line(self, flag, tmp_path, capsys):
+        task_path, deep_path = tmp_path / "task.json", tmp_path / "deep.json"
+        save_task(bundled_default_task(), task_path)
+        deep_path.write_text(DEEP)
+        paths = {"--task": task_path, "--config": None, flag: deep_path}
+        argv = [arg for name, path in paths.items() if path is not None
+                for arg in (name, str(path))]
+        out = tmp_path / "log.csv"
+        assert main(["train-toy", *argv, "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {deep_path}: {TOO_DEEP}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [DEEP, "[" * 2000, "[" * 2000 + "]" * 2000],
+                             ids=["100000-open", "2000-open", "2000-balanced"])
+    def test_deep_payload_in_a_generation_is_rule_3(self, payload, score_files,
+                                                    tmp_path, capsys):
+        schema_path, inp = score_files
+        generation = f"<think>t</think>\n<tool_call>{payload}</tool_call>"
+        inp.write_text(json.dumps({**GOLDEN_RECORDS[0], "id": "g",
+                                   "generation": generation}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(inp), "--schema", str(schema_path),
+                     "--output", str(out)]) == 0
+        line = json.loads(out.read_text())
+        assert (line["total"], [v["rule_id"] for v in line["violations"]]) == (-1.0, [3])
+        if payload is DEEP:
+            assert line["violations"][0]["detail"] == f"tool_call block 0: {TOO_DEEP}"
+
+    def test_deep_payload_in_a_ground_truth_is_a_record_failure(
+            self, score_files, tmp_path, capsys):
+        schema_path, inp = score_files
+        gt = f"<think>t</think>\n<tool_call>{DEEP}</tool_call>"
+        inp.write_text(json.dumps({**GOLDEN_RECORDS[0], "id": "t",
+                                   "ground_truth": gt}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(inp), "--schema", str(schema_path),
+                     "--output", str(out)]) == 1
+        error = ("ground truth is not format-valid "
+                 f"(rule 3: tool_call block 0: {TOO_DEEP})")
+        assert json.loads(out.read_text()) == {"id": "t", "error": error}
+        assert capsys.readouterr().err.startswith(f"record 't': {error}\n")
 
 
 def _kd_run(rows, argv, to_file=False):

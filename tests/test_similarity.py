@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import tooltrain
 from tooltrain import ToolCall, call_similarity, lcs_length, rouge_l_f1, value_similarity
-from tooltrain.similarity import canonical_str, tokenize
+from tooltrain.similarity import _canon_nested, canonical_str, tokenize
 
-from oracles import lcs_length_dp, rouge_l_f1_dp
+from fuzzing import json_values
+from oracles import canon_nested_recursive, lcs_length_dp, rouge_l_f1_dp
 
 
 def lcs_by_enumeration(a: list[str], b: list[str]) -> int:
@@ -189,6 +190,32 @@ class TestValueSimilarity:
         assert canonical_str(3.5) == "3.5"
         assert canonical_str(True) == "true"
         assert canonical_str(None) == "null"
+
+
+def nest(value, keys):
+    """``value`` wrapped once per key: in a list for None, else in ``{key: ...}``."""
+    for key in keys:
+        value = [value] if key is None else {key: value}
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=json_values, keys=st.lists(st.none() | st.text(max_size=2), max_size=50),
+       sibling=json_values)
+def test_canonical_rendering_matches_the_recursive_oracle(value, keys, sibling):
+    """JSON values up to 50 levels deep render as the recursive renderer did."""
+    for v in (value, nest(value, keys), [nest(value, keys), sibling]):
+        assert _canon_nested(v) == canon_nested_recursive(v)
+        assert canonical_str(v) == (v if isinstance(v, str) else
+                                    canon_nested_recursive(v))
+
+
+def test_values_as_deep_as_json_loads_builds_score():
+    # json.loads builds about 990 levels; the recursive renderer raised at 400
+    deep = nest(1, [None, "k"] * 450)
+    assert value_similarity(deep, nest(1.0, [None, "k"] * 450)) == 1.0
+    assert value_similarity(deep, nest(2, [None, "k"] * 450)) == 0.0
+    assert canonical_str(deep) == '{"k":[' * 450 + "1" + "]}" * 450
 
 
 def _call(args) -> ToolCall:
