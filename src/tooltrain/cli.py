@@ -45,10 +45,13 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _too_deep(where: str) -> ValueError:
-    """The error for a document nested deeper than ``json.loads`` goes, which
-    raises ``RecursionError`` there; ``main`` reports it on one line."""
-    return ValueError(f"{where}: invalid JSON (nesting too deep)")
+def _read_json(path: str, parse=json.loads):
+    """``parse`` of the file's UTF-8 text; a document nested deeper than
+    ``json.loads`` goes is a ``ValueError`` naming the file, not a ``RecursionError``."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON (nesting too deep)") from None
 
 
 def _iter_jsonl(path: str):
@@ -69,7 +72,7 @@ def _iter_jsonl(path: str):
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
             except RecursionError:
-                raise _too_deep(f"{path}:{n}") from None
+                raise ValueError(f"{path}:{n}: invalid JSON (nesting too deep)") from None
             del line
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{n}: expected a JSON object per line")
@@ -135,13 +138,8 @@ def _load_schema_ref(ref, base_schema: ToolSchema | None,
     key = json.dumps(ref, sort_keys=True)  # a path dumps quoted, unlike a schema
     if key not in loaded:
         from .chat_format import ToolSchema
-        if isinstance(ref, str):
-            try:
-                loaded[key] = ToolSchema.from_json(Path(ref).read_text(encoding="utf-8"))
-            except RecursionError:
-                raise _too_deep(ref) from None
-        else:
-            loaded[key] = ToolSchema.from_dict(ref)
+        loaded[key] = (_read_json(ref, ToolSchema.from_json) if isinstance(ref, str)
+                       else ToolSchema.from_dict(ref))
     return loaded[key]
 
 
@@ -278,14 +276,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         raise ValueError(f"trials={args.trials} must be at least 1")
     if args.dims < 1:
         raise ValueError(f"dims={args.dims} must be at least 1")
-    k = args.k if args.k is not None else 8
-    m = args.m if args.m is not None else 16
-    for name, value in (("k", k), ("m", m)):
+    for name, value in (("k", args.k), ("m", args.m)):
         if not 1 <= value <= args.dims:
             raise ValueError(f"{name}={value} out of range [1, dims={args.dims}]")
     _check_lambda(args.lambda_tail)
     results = gradcheck.run_gradient_suite(
-        seed=args.seed, trials=args.trials, vocab_size=args.dims, k=k, m=m,
+        seed=args.seed, trials=args.trials, vocab_size=args.dims, k=args.k, m=args.m,
         lambda_tail=args.lambda_tail)
     ok = True
     for name, result in results.items():
@@ -299,19 +295,18 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
-    from .toy_task import load_task
+    from .toy_task import ToyTask
     from .toy_trainer import ToyTrainConfig, _check_count, train_sim_rl
+    task_data = _read_json(args.task)
+    if not isinstance(task_data, dict):
+        raise ValueError(f"{args.task}: a task must be a JSON object")
     try:
-        task = load_task(args.task)
-    except (KeyError, TypeError) as exc:  # a task document of the wrong shape
-        raise ValueError(exc) from None
-    except RecursionError:
-        raise _too_deep(args.task) from None
-    try:
-        cfg_data = (json.loads(Path(args.config).read_text(encoding="utf-8"))
-                    if args.config else {})
-    except RecursionError:
-        raise _too_deep(args.config) from None
+        task = ToyTask.from_dict(task_data)
+    except KeyError as exc:  # a task document of the wrong shape
+        raise ValueError(f"{args.task}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.task}: {exc}") from None
+    cfg_data = _read_json(args.config) if args.config else {}
     if not isinstance(cfg_data, dict):
         raise ValueError("config must be a JSON object")
     iterations = cfg_data.pop("iterations", 500)
@@ -390,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--dims", type=int, default=32, help="vocabulary size")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--m", type=int, default=16)
     p.add_argument("--lambda", dest="lambda_tail", type=float,
                    default=DEFAULT_LAMBDA_TAIL)
     p.set_defaults(func=cmd_gradcheck)

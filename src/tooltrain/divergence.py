@@ -280,8 +280,8 @@ def _tail(indices, q, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tail_mass, grad, size
 
 
-def _rows(teacher: TopKRows, student_logits: np.ndarray, kl=None,
-          m: int | None = None, lambda_tail: float = 1.0) -> LossReport:
+def _rows(teacher: TopKRows, student_logits: np.ndarray, kl, m: int | None,
+          lambda_tail: float) -> LossReport:
     """Body of every kernel: ``kl + lambda_tail * tail`` at N positions, from
     a teacher (N, k) and student logits (N, V), with one softmax. ``kl`` is
     ``_fkl``, ``_rkl`` or None; the tail term is present when ``m`` is given.

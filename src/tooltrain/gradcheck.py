@@ -20,6 +20,7 @@ REL_TOL = 1e-6
 GRAD_SUM_TOL = 1e-8
 # membership margin in probability space; generous vs the O(q*h) probe shift
 TOPM_MARGIN = 1e-4
+MAX_TRIES = 200  # draws per instance before the margin counts as out of reach
 
 # Probe rows times vocabulary size per ``rows`` call: up to V=1,024 all 2V
 # probes of an instance go in one call, and larger V is probed in blocks.
@@ -27,15 +28,14 @@ PROBE_CELLS = 2 * 1024 * 1024
 
 
 def central_differences(loss: dv.LossKind, teacher: dv.TopKDistribution,
-                        z: np.ndarray, m: int, lambda_tail: float,
-                        step: float = FD_STEP) -> np.ndarray:
+                        z: np.ndarray, m: int, lambda_tail: float) -> np.ndarray:
     """Two-sided difference quotient of ``loss`` at ``z`` per coordinate.
 
-    The 2V probes are copies of ``z`` with one coordinate shifted by +-step,
+    The 2V probes are copies of ``z`` with one coordinate shifted by +-FD_STEP,
     taken through ``loss.rows`` (one call up to ``PROBE_CELLS``) against one
     ``TopKRows`` of the teacher built per instance; each row equals the loss
     at that probe alone, so every quotient is bit-identical to probing the
-    coordinate by itself. A shifted copy, not ``z + step * I``, leaves the
+    coordinate by itself. A shifted copy, not ``z + FD_STEP * I``, leaves the
     other coordinates as they are (-0.0 + 0.0 would be +0.0).
     """
     z = np.asarray(z, dtype=np.float64)
@@ -47,11 +47,11 @@ def central_differences(loss: dv.LossKind, teacher: dv.TopKDistribution,
         coords = np.arange(start, min(start + per_call, z.size))
         n = coords.size
         probes = np.tile(z, (2 * n, 1))
-        probes[np.arange(n), coords] += step
-        probes[np.arange(n, 2 * n), coords] -= step
+        probes[np.arange(n), coords] += FD_STEP
+        probes[np.arange(n, 2 * n), coords] -= FD_STEP
         block = teachers if n == per_call else teachers[:2 * n]  # the last may be short
         losses = loss.rows(block, probes, m, lambda_tail).loss
-        quotients.append((losses[:n] - losses[n:]) / (2.0 * step))
+        quotients.append((losses[:n] - losses[n:]) / (2.0 * FD_STEP))
     return np.concatenate(quotients)
 
 
@@ -64,25 +64,24 @@ def topm_boundary_gap(z: np.ndarray, m: int) -> float:
 
 
 def random_instance(rng: np.random.Generator, vocab_size: int, k: int, m: int,
-                    margin: float = TOPM_MARGIN, max_tries: int = 200,
                     stats: dict | None = None) -> tuple[dv.TopKDistribution, np.ndarray]:
     """Draw a teacher top-k and student logits clear of the top-m boundary.
 
-    Draws whose top-m boundary gap is inside the margin are rejected and
+    Draws whose top-m boundary gap is inside ``TOPM_MARGIN`` are rejected and
     counted in ``stats["rejected"]`` when a stats dict is passed. A
-    ``ValueError`` after ``max_tries`` rejections means the margin is out of
+    ``ValueError`` after ``MAX_TRIES`` rejections means the margin is out of
     reach for this V and m (at V=4,096, m=2,048 no draw clears 1e-4).
     """
     teacher_p = dv.softmax(rng.normal(size=vocab_size) * 2.0)
     teacher = dv.topk_of(teacher_p, k)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         z = rng.normal(size=vocab_size) * 1.5
-        if topm_boundary_gap(z, m) > margin:
+        if topm_boundary_gap(z, m) > TOPM_MARGIN:
             return teacher, z
         if stats is not None:
             stats["rejected"] = stats.get("rejected", 0) + 1
-    raise ValueError(f"no draw in {max_tries} cleared the top-m boundary by "
-                     f"{margin:g} at V={vocab_size}, m={m}")
+    raise ValueError(f"no draw in {MAX_TRIES} cleared the top-m boundary by "
+                     f"{TOPM_MARGIN:g} at V={vocab_size}, m={m}")
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -103,19 +102,19 @@ class SuiteResult:
 
 
 def run_gradient_suite(seed: int = 0, trials: int = 50, vocab_size: int = 32,
-                       k: int = 8, m: int = 16,
-                       lambda_tail: float = dv.DEFAULT_LAMBDA_TAIL,
-                       step: float = FD_STEP) -> dict[str, SuiteResult]:
-    """Gradcheck every kernel on ``trials`` boundary-filtered random instances."""
+                       k: int = 8, m: int = 16, lambda_tail: float = dv.DEFAULT_LAMBDA_TAIL
+                       ) -> dict[str, SuiteResult]:
+    """Gradcheck every kernel on one draw of ``trials`` boundary-filtered instances."""
+    rng = np.random.default_rng(seed)
+    stats: dict = {}
+    instances = [random_instance(rng, vocab_size, k, m, stats=stats)
+                 for _ in range(trials)]
     results: dict[str, SuiteResult] = {}
     for name, loss_fn in dv.LOSSES.items():
-        rng = np.random.default_rng(seed)
         rel_errs, grad_sums = [], []
-        stats: dict = {}
-        for _ in range(trials):
-            teacher, z = random_instance(rng, vocab_size, k, m, stats=stats)
+        for teacher, z in instances:
             report = loss_fn(teacher, z, m, lambda_tail)
-            numeric = central_differences(loss_fn, teacher, z, m, lambda_tail, step)
+            numeric = central_differences(loss_fn, teacher, z, m, lambda_tail)
             rel_errs.append(relative_error(report.grad, numeric))
             grad_sums.append(abs(float(report.grad.sum())))
         # np.max keeps a NaN, where max(0.0, nan) would drop it

@@ -103,17 +103,10 @@ def render_call_text(think: str, calls: list[ToolCall]) -> str:
         think=think, tool_calls=calls, response_text="", raw_errors=[]))
 
 
-_REQUIRED = object()
-
-
-def _fn(name: str, description: str, params: list[tuple[str, str, Any]]) -> FunctionDef:
-    specs = {}
-    for pname, type_tag, default in params:
-        if default is _REQUIRED:
-            specs[pname] = ParamSpec(description=pname, type_tag=type_tag)
-        else:
-            specs[pname] = ParamSpec(description=pname, type_tag=type_tag,
-                                     default=default)
+def _fn(name: str, description: str, params: list[tuple]) -> FunctionDef:
+    """Parameters as ``(name, type)``, or ``(name, type, default)`` if optional."""
+    specs = {pname: ParamSpec(pname, type_tag, *default)
+             for pname, type_tag, *default in params}
     return FunctionDef(name=name, description=description, parameters=specs)
 
 
@@ -126,13 +119,13 @@ def bundled_default_task() -> ToyTask:
     """
     schema = ToolSchema([
         _fn("get_weather", "Current weather for a city.",
-            [("city", "str", _REQUIRED), ("units", "str", "celsius")]),
+            [("city", "str"), ("units", "str", "celsius")]),
         _fn("convert_currency", "Convert an amount into a target currency.",
-            [("amount", "number", _REQUIRED), ("target", "str", _REQUIRED)]),
+            [("amount", "number"), ("target", "str")]),
         _fn("get_time", "Current time in a timezone.",
-            [("zone", "str", _REQUIRED)]),
+            [("zone", "str")]),
         _fn("translate", "Translate text into a target language.",
-            [("text", "str", _REQUIRED), ("target_language", "str", _REQUIRED)]),
+            [("text", "str"), ("target_language", "str")]),
     ])
     domains = {
         "get_weather": {"city": ["paris", "tokyo", "sydney"],
@@ -165,11 +158,11 @@ def bundled_optional_param_task() -> ToyTask:
     """
     schema = ToolSchema([
         _fn("summarize_report", "Summarize a stored report.",
-            [("title", "str", _REQUIRED),
+            [("title", "str"),
              ("style", "str", "bullet points"),
              ("language", "str", "english")]),
         _fn("archive_report", "Move a report into cold storage.",
-            [("title", "str", _REQUIRED)]),
+            [("title", "str")]),
     ])
     domains = {
         "summarize_report": {

@@ -97,6 +97,7 @@ class TrainLog:
         return len(self.mean_reward)
 
     def trailing_mean_reward(self, window: int = 50) -> float:
+        _check_count("window", window, 1)  # [-0:] would be the whole log
         tail = self.mean_reward[-window:]
         return float(np.mean(tail)) if tail else float("nan")
 
@@ -348,10 +349,12 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
     value, n_groups = 0.0, len(samples)
     for sample in samples:
         advantages = np.asarray(sample.advantages, dtype=np.float64)
-        if advantages.shape != (sample.group.size,):
+        size, group_value = sample.group.size, 0.0
+        if advantages.shape != (size,):
+            raise LengthMismatch(f"{advantages.size} advantages for {size} rollouts")
+        if len(sample.trajectories) != size:
             raise LengthMismatch(
-                f"{advantages.size} advantages for {sample.group.size} rollouts")
-        size, group_value = len(sample.trajectories), 0.0
+                f"{len(sample.trajectories)} trajectories for {size} rollouts")
         for traj, rollout, adv, bits in zip(sample.trajectories, sample.group.rollouts,
                                             advantages.tolist(),
                                             advantages.view(np.int64).tolist()):
@@ -377,7 +380,7 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
             group_value += member[0]
             for slot, term in member[1]:
                 folds.setdefault(slot, []).append(term)
-        value += group_value / sample.group.size / n_groups
+        value += group_value / size / n_groups
     grads = {}
     for slot, slot_terms in folds.items():
         probs = view.probs(slot)

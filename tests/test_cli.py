@@ -1097,6 +1097,58 @@ class TestTrainToy:
         assert main(["train-toy", "--task", str(task_path), flag, "inf"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("spoil, error", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "schema"},
+         "missing key 'schema'"),
+        (lambda doc: "a task", "a task must be a JSON object"),
+        (lambda doc: [doc], "a task must be a JSON object"),
+        (lambda doc: {**doc, "prompts": [{"prompt_id": "p0"}]},
+         "missing key 'ground_truth'"),
+    ], ids=["no-schema", "string", "list", "prompt-without-ground-truth"])
+    def test_malformed_task_names_its_file(self, spoil, error, tmp_path, capsys):
+        task_path = tmp_path / "task.json"
+        task_path.write_text(json.dumps(spoil(bundled_default_task().to_dict())))
+        out = tmp_path / "log.csv"
+        assert main(["train-toy", "--task", str(task_path), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {task_path}: {error}\n")
+        assert not out.exists()
+
+
+class TestTracedNames:
+    """A tracer wraps the public kernels by their names in ``tooltrain.divergence``;
+    the CLI must still reach each one there, once per call it makes."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls, kernel = [], getattr(dv, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dv, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("loss, kernel", [  # kd offers every loss but the tail alone
+        ("fkl", "fkl_topk"), ("ckd", "ckd_loss"), ("rkl", "rkl_topk_masked"),
+        ("rkl-stab", "rkl_topk_stabilized")])
+    def test_kd_calls_its_kernel_once_per_position(self, loss, kernel, tmp_path,
+                                                   monkeypatch):
+        calls = self._count_calls(monkeypatch, kernel)
+        inp = tmp_path / "kd.jsonl"
+        make_kd_file(inp, positions=5)
+        assert main(["kd", "--input", str(inp), "--loss", loss,
+                     "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert len(calls) == 5
+
+    def test_gradcheck_calls_each_kernel_once_per_trial(self, monkeypatch, capsys):
+        names = ["fkl_topk", "tail_penalty", "ckd_loss", "rkl_topk_masked",
+                 "rkl_topk_stabilized"]
+        calls = [self._count_calls(monkeypatch, name) for name in names]
+        assert main(["gradcheck", "--trials", "3", "--dims", "16", "--k", "4",
+                     "--m", "8"]) == 0
+        assert [len(c) for c in calls] == [3] * 5
+
 
 class TestAdvantages:
     def test_stdout_is_utf8_whatever_the_locale(self, tmp_path, monkeypatch):

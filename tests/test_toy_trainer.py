@@ -390,17 +390,20 @@ class TestScoreMemo:
     def test_each_distinct_trajectory_is_scored_once_per_run(self, monkeypatch):
         task, cfg = bundled_default_task(), ToyTrainConfig()
         keys = set()
-        train_unmemoised(task, cfg, 500, 0, monkeypatch, keys)
+        _, unwrapped_log = train_unmemoised(task, cfg, 500, 0, monkeypatch, keys)
         calls = []
 
         def counting_total_reward(*args, **kwargs):
             calls.append(args[:2])  # (text, ground truth)
             return total_reward(*args, **kwargs)
 
+        # a tracer wraps the reward by this name: it sees every scoring and
+        # leaves the run as it was
         monkeypatch.setattr(toy_trainer, "total_reward", counting_total_reward)
-        train_sim_rl(task, cfg, 500, 0)
-        assert len(calls) == len(keys) < 500 * len(task.prompts) * cfg.group_size
+        _, log = train_sim_rl(task, cfg, 500, 0)
+        assert 0 < len(calls) == len(keys) < 500 * len(task.prompts) * cfg.group_size
         assert len(set(calls)) == len(calls)
+        assert log == unwrapped_log
 
     def test_group_without_memo_dedups_within_the_group(self, monkeypatch):
         calls = []
@@ -756,6 +759,16 @@ class TestUpdateOracle:
         with pytest.raises(error, match="advantages|equally sized|finite"):
             update(policy, [broken], ToyTrainConfig().grpo())
 
+    @pytest.mark.parametrize("count", [5, 11], ids=["shorter", "longer"])
+    def test_trajectory_count_must_equal_the_rollout_count(self, count):
+        # zip once stopped at the shorter list and returned a value for the rest
+        policy, samples = drifted_minibatch(bundled_default_task, 3, 0.05)
+        sample = samples[0]
+        trajectories = (sample.trajectories * 2)[:count]
+        broken = GroupSample(sample.group, trajectories, sample.advantages)
+        with pytest.raises(LengthMismatch, match=f"{count} trajectories for 8 rollouts"):
+            objective_and_gradient(policy, [broken], ToyTrainConfig().grpo())
+
 
 class TestTraining:
     @pytest.mark.parametrize("make_task", [bundled_default_task,
@@ -917,6 +930,13 @@ class TestTrainLog:
         log = TrainLog(mean_reward=[0.0] * 10 + [1.0] * 50,
                        mean_entropy=[0.0] * 60, filtered_fraction=[0.0] * 60)
         assert log.trailing_mean_reward(50) == 1.0
+
+    @pytest.mark.parametrize("window", [0, -1, 1.5, True])
+    def test_window_must_be_a_positive_integer(self, window):
+        # a window of 0 once took the slice [-0:], the whole log
+        log = TrainLog(mean_reward=[0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="window must be an integer of at least 1"):
+            log.trailing_mean_reward(window)
 
 
 class TestKdFit:
