@@ -74,9 +74,6 @@ class ToolSchema:
         self.functions = list(functions)
         self._by_name = {f.name: f for f in self.functions}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def get(self, name: str) -> FunctionDef | None:
         return self._by_name.get(name)
 

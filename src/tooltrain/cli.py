@@ -45,13 +45,19 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _read_json(path: str, parse=json.loads):
-    """``parse`` of the file's UTF-8 text; a document nested deeper than
-    ``json.loads`` goes is a ``ValueError`` naming the file, not a ``RecursionError``."""
+def _read_json(path: str, parse):
+    """``parse`` of the file's UTF-8 text. Any error in the document (bytes, JSON, or
+    ``parse``'s ``KeyError``, ``TypeError`` or ``ValueError``) names the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise ValueError(f"{path}: invalid JSON (nesting too deep)") from None
+    except KeyError as exc:  # a document of the wrong shape
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _iter_jsonl(path: str):
@@ -187,7 +193,11 @@ def _kd_position(record: dict, vocab_size: int, m: int,
     die with the call, so the next line is read and parsed beside none of them."""
     import numpy as np
     from . import divergence as dv
-    topk = record["teacher_topk"]
+    topk, logits = record["teacher_topk"], record.pop("student_logits")
+    if not isinstance(topk, dict):  # by name, before a subscript or numpy reads it
+        raise ValueError("teacher_topk must be a JSON object")
+    if not isinstance(logits, list):
+        raise ValueError("student_logits must be a JSON array")
     # numpy would truncate a float index and read a bool or string
     for name, types, kind in (("indices", (int,), "integers"),
                               ("probs", (int, float), "numbers")):
@@ -196,7 +206,6 @@ def _kd_position(record: dict, vocab_size: int, m: int,
             raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
     indices = np.asarray(topk["indices"], dtype=np.int64)
     probs = np.asarray(topk["probs"], dtype=np.float64)
-    logits = record.pop("student_logits")
     z = np.asarray(logits, dtype=np.float64)
     # as for probs; a nested list is left to the kernel's 1-d check
     if z.ndim == 1 and not set(map(type, logits)) <= {int, float}:
@@ -220,19 +229,12 @@ def _kd_position(record: dict, vocab_size: int, m: int,
     return report.loss, report.aux["escape_mass"], report.aux["entropy"]
 
 
-def _check_lambda(lambda_tail: float) -> None:  # kd's and gradcheck's, before any work
-    if not math.isfinite(lambda_tail):
-        raise ValueError(f"lambda={lambda_tail} must be finite")
-    if lambda_tail < 0:
-        raise ValueError(f"lambda={lambda_tail} must be non-negative")
-
-
 def cmd_kd(args: argparse.Namespace) -> int:
     import numpy as np
     from . import divergence as dv
     if args.k is not None and args.k < 1:
         raise ValueError(f"k={args.k} must be at least 1")
-    _check_lambda(args.lambda_tail)
+    dv.check_lambda(args.lambda_tail)  # before any record, whatever the loss
     out_lines, notes = [], []
     losses, escapes, entropies = [], [], []
     rows = _iter_jsonl(args.input)
@@ -271,7 +273,7 @@ def cmd_kd(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    from . import gradcheck
+    from . import divergence as dv, gradcheck
     if args.trials < 1:
         raise ValueError(f"trials={args.trials} must be at least 1")
     if args.dims < 1:
@@ -279,7 +281,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for name, value in (("k", args.k), ("m", args.m)):
         if not 1 <= value <= args.dims:
             raise ValueError(f"{name}={value} out of range [1, dims={args.dims}]")
-    _check_lambda(args.lambda_tail)
+    dv.check_lambda(args.lambda_tail)  # before any suite, whatever the loss
     results = gradcheck.run_gradient_suite(
         seed=args.seed, trials=args.trials, vocab_size=args.dims, k=args.k, m=args.m,
         lambda_tail=args.lambda_tail)
@@ -297,23 +299,21 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_train_toy(args: argparse.Namespace) -> int:
     from .toy_task import ToyTask
     from .toy_trainer import ToyTrainConfig, _check_count, train_sim_rl
-    task_data = _read_json(args.task)
-    if not isinstance(task_data, dict):
-        raise ValueError(f"{args.task}: a task must be a JSON object")
-    try:
-        task = ToyTask.from_dict(task_data)
-    except KeyError as exc:  # a task document of the wrong shape
-        raise ValueError(f"{args.task}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{args.task}: {exc}") from None
-    cfg_data = _read_json(args.config) if args.config else {}
-    if not isinstance(cfg_data, dict):
-        raise ValueError("config must be a JSON object")
-    iterations = cfg_data.pop("iterations", 500)
-    _check_count("iterations", iterations, 1)
-    if args.beta is not None:
-        cfg_data["beta"] = args.beta
-    cfg = ToyTrainConfig.from_dict(cfg_data)
+
+    def config(text: str) -> tuple[int, ToyTrainConfig]:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        iterations = data.pop("iterations", 500)
+        _check_count("iterations", iterations, 1)
+        if args.beta is not None:
+            data["beta"] = args.beta
+        return iterations, ToyTrainConfig.from_dict(data)
+
+    task = _read_json(args.task, lambda text: ToyTask.from_dict(json.loads(text)))
+    if args.beta is not None:  # checked before the config, so its error names no file
+        ToyTrainConfig(beta=args.beta)
+    iterations, cfg = _read_json(args.config, config) if args.config else config("{}")
     _, log = train_sim_rl(task, cfg, iterations, seed=args.seed)
     if args.output:
         log.to_csv(args.output)

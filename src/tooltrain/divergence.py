@@ -61,12 +61,11 @@ class DegenerateTeacher(ValueError):
 class TopKRows:
     """Teacher top-k entries at N positions, indices and probabilities (N, k),
     with what every loss derives from the teacher alone: the row-index column,
-    the smallest and largest index, P per row, log p, the ``p > 0`` mask and
-    the rows where it fails. It holds read-only copies, so a later change to
-    the caller's arrays cannot reach it. Its indices are distinct within a
+    the largest index, P per row, log p, the ``p > 0`` mask and the rows where
+    it fails. It holds read-only copies, so a later change to the caller's
+    arrays cannot reach it. Its indices are non-negative and distinct within a
     row, its probabilities finite and within [0, 1], and each row sums to at
-    most one; a negative index is left to the loss, which raises
-    ``IndexError`` for it as for one past the vocabulary."""
+    most one; the loss raises ``IndexError`` for an index past the vocabulary."""
 
     def __init__(self, indices: np.ndarray, probs: np.ndarray):
         self.indices = np.array(indices, dtype=np.int64)
@@ -75,6 +74,8 @@ class TopKRows:
                 or self.indices.size == 0:
             raise ValueError("teacher indices and probs must be non-empty (N, k) "
                              "arrays of equal shape")
+        if self.indices.min() < 0:
+            raise ValueError(f"teacher index {int(self.indices.min())} is negative")
         if (np.diff(np.sort(self.indices, axis=1), axis=1) == 0).any():
             raise ValueError("top-k indices must be distinct within a row")
         if not ((self.probs >= 0.0) & (self.probs <= 1.0)).all():  # NaN fails both
@@ -84,7 +85,7 @@ class TopKRows:
         if over.size:  # name the first row that sums past one
             raise ValueError(f"top-k probabilities sum to {over[0]} > 1")
         self.row_index = np.arange(len(self.indices))[:, None]
-        self.low, self.high = int(self.indices.min()), int(self.indices.max())
+        self.high = int(self.indices.max())
         self.live = self.probs > 0.0
         self.dead_rows = np.flatnonzero(~self.live.all(axis=1))
         with np.errstate(divide="ignore"):
@@ -120,8 +121,6 @@ class TopKDistribution:
             raise ValueError("indices and probs must be 1-d arrays of equal length")
         if indices.size == 0:
             raise ValueError("top-k set must be non-empty")
-        if indices.min() < 0:
-            raise ValueError(f"teacher index {int(indices.min())} is negative")
         rows = TopKRows(indices[None], probs[None])
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "indices", rows.indices[0])
@@ -149,6 +148,14 @@ def entropy(q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     nz = q[q > 0]
     return float(-np.sum(nz * np.log(nz)))
+
+
+def check_lambda(lambda_tail: float) -> None:
+    """Raise ``ValueError`` unless the tail weight is finite and non-negative."""
+    if not math.isfinite(lambda_tail):
+        raise ValueError(f"lambda={lambda_tail} must be finite")
+    if lambda_tail < 0:
+        raise ValueError(f"lambda={lambda_tail} must be non-negative")
 
 
 def _row_sums(terms: np.ndarray, live: np.ndarray,
@@ -290,18 +297,14 @@ def _rows(teacher: TopKRows, student_logits: np.ndarray, kl, m: int | None,
     between rows are taken row by row. An error names the bad entries of the
     whole batch: ``LossKind.rows`` replays every row but the last alone before
     it lets a batch's error through, so that error comes from one row."""
-    if not math.isfinite(lambda_tail):
-        raise ValueError("lambda_tail must be finite")
-    if lambda_tail < 0:
-        raise ValueError("lambda_tail must be non-negative")
+    check_lambda(lambda_tail)
     z = np.asarray(student_logits, dtype=np.float64)
     if z.ndim != 2:  # a stack of single positions' vectors
         raise ValueError("student logits must be a 1-d vector")
     if not np.isfinite(z).all():
         raise ValueError("student logits must be finite")
-    if teacher.high >= z.shape[1] or teacher.low < 0:  # the largest, if too large
-        bad = teacher.high if teacher.high >= z.shape[1] else teacher.low
-        raise IndexError(f"teacher index {bad} out of bounds for vocabulary "
+    if teacher.high >= z.shape[1]:
+        raise IndexError(f"teacher index {teacher.high} out of bounds for vocabulary "
                          f"of size {z.shape[1]}")
     q = softmax(z)
     q_top = q[teacher.row_index, teacher.indices]

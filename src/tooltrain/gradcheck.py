@@ -105,6 +105,8 @@ def run_gradient_suite(seed: int = 0, trials: int = 50, vocab_size: int = 32,
                        k: int = 8, m: int = 16, lambda_tail: float = dv.DEFAULT_LAMBDA_TAIL
                        ) -> dict[str, SuiteResult]:
     """Gradcheck every kernel on one draw of ``trials`` boundary-filtered instances."""
+    if trials < 1:  # no instance would pass every check vacuously
+        raise ValueError(f"trials={trials} must be at least 1")
     rng = np.random.default_rng(seed)
     stats: dict = {}
     instances = [random_instance(rng, vocab_size, k, m, stats=stats)

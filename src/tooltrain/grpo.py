@@ -126,13 +126,8 @@ def kl_k2(logp_new, logp_ref):
     return 0.5 * diff * diff
 
 
-@dataclass
-class ObjectiveReport:
-    value: float
-
-
 def grpo_objective(group: RolloutGroup, advantages: Iterable[float],
-                   cfg: GrpoConfig) -> ObjectiveReport:
+                   cfg: GrpoConfig) -> float:
     """Clipped surrogate objective for one group.
 
     Per token: ratio r = exp(logp_new - logp_old) and
@@ -140,9 +135,10 @@ def grpo_objective(group: RolloutGroup, advantages: Iterable[float],
     averaged over each rollout's tokens, then over the group.
     """
     advantages = np.asarray(list(advantages), dtype=np.float64)
+    if not group.size:
+        raise ValueError("a group needs at least one rollout")
     if advantages.size != group.size:
-        raise LengthMismatch(
-            f"{advantages.size} advantages for {group.size} rollouts")
+        raise LengthMismatch(f"{advantages.size} advantages for {group.size} rollouts")
     rollout_means = np.zeros(group.size)
     for i, rollout in enumerate(group.rollouts):
         ratio = np.exp(rollout.logp_new - rollout.logp_old)
@@ -152,4 +148,4 @@ def grpo_objective(group: RolloutGroup, advantages: Iterable[float],
         kl = kl_k2(rollout.logp_new, rollout.logp_ref)
         term = surrogate - cfg.beta * kl
         rollout_means[i] = term.mean()
-    return ObjectiveReport(value=float(rollout_means.mean()))
+    return float(rollout_means.mean())

@@ -80,6 +80,8 @@ class ToyTask:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ToyTask":
+        if not isinstance(data, dict):
+            raise ValueError("a task must be a JSON object")
         return cls(
             schema=ToolSchema.from_dict(data["schema"]),
             domains=data["domains"],

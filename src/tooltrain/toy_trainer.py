@@ -248,10 +248,6 @@ def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
                                    map(rng.random, repeat(UNIFORM_BLOCK))))
 
 
-def render_trajectory(call: ToolCall) -> str:
-    return render_call_text("select the matching tool", [call])
-
-
 def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, ...],
           reward_mode: str, paths: dict) -> Trajectory:
     """The path of ``actions`` under ``prompt_id``, memoised in ``paths``.
@@ -269,7 +265,8 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
                      *map(Decision, policy.arg_slots[prompt_id][fn], values)]
         arguments = {d.slot[3]: value for d in decisions[1:]
                      if (value := policy.actions[d.slot][d.action]) is not OMIT}
-        text = render_trajectory(ToolCall(policy.actions[prompt_id, "fn"][fn], arguments))
+        call = ToolCall(policy.actions[prompt_id, "fn"][fn], arguments)
+        text = render_call_text("select the matching tool", [call])
         graded = total_reward(text, task.prompt(prompt_id).ground_truth,
                               task.schema).total
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
@@ -350,6 +347,8 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
     for sample in samples:
         advantages = np.asarray(sample.advantages, dtype=np.float64)
         size, group_value = sample.group.size, 0.0
+        if not size:
+            raise ValueError("a group needs at least one rollout")
         if advantages.shape != (size,):
             raise LengthMismatch(f"{advantages.size} advantages for {size} rollouts")
         if len(sample.trajectories) != size:

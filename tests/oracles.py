@@ -24,6 +24,7 @@ from tooltrain.gradcheck import FD_STEP
 from tooltrain.grpo import Rollout, RolloutGroup, grpo_objective
 from tooltrain.reward import total_reward
 from tooltrain.similarity import _is_number
+from tooltrain.toy_task import render_call_text
 
 
 def lcs_length_dp(a: list[str], b: list[str]) -> int:
@@ -274,9 +275,9 @@ def kernel_per_row(teacher: dv.TopKDistribution, student_logits: np.ndarray, kl=
     ``_rkl_per_row`` or None and the tail term is present when ``m`` is given.
     Its aux has no ``confident_size``."""
     if not np.isfinite(lambda_tail):
-        raise ValueError("lambda_tail must be finite")
+        raise ValueError(f"lambda={lambda_tail} must be finite")
     if lambda_tail < 0:
-        raise ValueError("lambda_tail must be non-negative")
+        raise ValueError(f"lambda={lambda_tail} must be non-negative")
     z = np.asarray(student_logits, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("student logits must be a 1-d vector")
@@ -364,7 +365,7 @@ def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim
     trajectories = []
     for _ in range(group_size):
         decisions, call = sample_path(policy, prompt_id, rng, view)
-        text = toy_trainer.render_trajectory(call)
+        text = render_call_text("select the matching tool", [call])
         graded = total_reward(text, task.prompt(prompt_id).ground_truth,
                               task.schema).total
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
@@ -401,8 +402,7 @@ def objective_and_gradient_per_token(policy, samples, cfg, view=None):
                     logp_ref=rollout_rec.logp_ref, reward=rollout_rec.reward)
             group_rollouts.append(current[key])
         live = RolloutGroup(sample.group.prompt_id, group_rollouts)
-        report = grpo_objective(live, sample.advantages, cfg)
-        value += report.value / n_groups
+        value += grpo_objective(live, sample.advantages, cfg) / n_groups
 
         for i, (traj, roll) in enumerate(zip(sample.trajectories, group_rollouts)):
             adv = sample.advantages[i]

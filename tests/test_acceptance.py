@@ -177,8 +177,8 @@ def test_grpo_criteria():
     cfg = GrpoConfig(epsilon=0.2, beta=0.0)
     one = RolloutGroup("c", [Rollout(np.array([np.log(2.0)]), np.array([0.0]),
                                      np.array([0.0]), reward=0.0)])
-    plus = grpo_objective(one, [1.0], cfg).value
-    minus = grpo_objective(one, [-1.0], cfg).value
+    plus = grpo_objective(one, [1.0], cfg)
+    minus = grpo_objective(one, [-1.0], cfg)
     criterion("clip example r=2, A=+1, eps=0.2 gives 1.2",
               plus == pytest.approx(1.2, abs=1e-9), f"value={plus}")
     criterion("clip example r=2, A=-1, eps=0.2 gives -2.0",

@@ -375,9 +375,29 @@ class TestScore:
         schema_path.write_text(json.dumps([{"parameters": {}}]))
         assert main(["score", "--input", str(input_path),
                      "--schema", str(schema_path)]) == 2
-        assert capsys.readouterr() == ("", "error: schema entry {'parameters': {}} "
-                                           "needs a string name and a parameters "
-                                           "object of objects\n")
+        assert capsys.readouterr() == ("", f"error: {schema_path}: schema entry "
+                                           "{'parameters': {}} needs a string name "
+                                           "and a parameters object of objects\n")
+
+    def test_invalid_json_schema_file_names_its_file(self, score_files, capsys):
+        schema_path, input_path = score_files
+        schema_path.write_text("{bad")
+        assert main(["score", "--input", str(input_path),
+                     "--schema", str(schema_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {schema_path}: invalid JSON "
+                "(Expecting property name enclosed in double quotes)\n")
+
+    def test_malformed_schema_ref_names_its_file(self, tmp_path, capsys):
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps({"functions": "f"}))
+        inp = tmp_path / "records.jsonl"
+        inp.write_text(json.dumps({**GOLDEN_RECORDS[0], "id": "r",
+                                   "schema_ref": str(ref)}) + "\n")
+        assert main(["score", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: record 'r': {ref}: schema document must be a list of "
+                "functions or an object with a 'functions' list\n")
 
 
 def dumps(obj) -> str:
@@ -752,7 +772,7 @@ class TestKd:
           "teacher_topk": {"indices": [0], "probs": [0.5]}},
          "student logits must be finite"),
         ({"student_logits": [0, 0, 0, 0], "teacher_topk": [0]},
-         "list indices must be integers or slices, not str"),
+         "teacher_topk must be a JSON object"),
         ({"student_logits": [[0, 0], [0, 0]],
           "teacher_topk": {"indices": [0], "probs": [0.5]}},
          "student logits must be a 1-d vector"),
@@ -767,6 +787,27 @@ class TestKd:
                      "--output", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"error: position 'p': {message}\n"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"teacher_topk": [1], "student_logits": [0, 0]},
+         "teacher_topk must be a JSON object"),
+        ({"teacher_topk": "x", "student_logits": [0, 0]},
+         "teacher_topk must be a JSON object"),
+        ({"teacher_topk": {"indices": [0], "probs": [1.0]}, "student_logits": 5},
+         "student_logits must be a JSON array"),
+        ({"teacher_topk": {"indices": [0], "probs": [1.0]}, "student_logits": "00"},
+         "student_logits must be a JSON array"),
+        ({"teacher_topk": {"indices": [0], "probs": [1.0]}, "student_logits": {"0": 0}},
+         "student_logits must be a JSON array"),
+    ], ids=["topk list", "topk string", "logits number", "logits string", "logits object"])
+    def test_record_of_the_wrong_shape_is_named(self, record, message, tmp_path, capsys):
+        # a list or string teacher_topk once gave Python's subscript error, and
+        # a number was read as a 1-vector whose length disagreed with the header
+        inp = tmp_path / "kd.jsonl"
+        inp.write_text(json.dumps({"vocab_size": 2}) + "\n"
+                       + json.dumps({"position_id": "p", **record}) + "\n")
+        assert main(["kd", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == ("", f"error: position 'p': {message}\n")
 
     @pytest.mark.parametrize("rows", [
         kd_rows(), kd_rows()[:1], [kd_rows()[0], {"position_id": "bad"}],
@@ -1066,7 +1107,8 @@ class TestTrainToy:
         out = tmp_path / "log.csv"
         assert main(["train-toy", "--task", str(task_path), "--config",
                      str(cfg_path), "--output", str(out)]) == 2
-        assert capsys.readouterr() == ("", "error: unknown config keys: 'epsilon'\n")
+        assert capsys.readouterr() == (
+            "", f"error: {cfg_path}: unknown config keys: 'epsilon'\n")
         assert not out.exists()
 
 
@@ -1112,6 +1154,63 @@ class TestTrainToy:
         assert main(["train-toy", "--task", str(task_path), "--output", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {task_path}: {error}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, error", [
+        ("[1]", "config must be a JSON object"),
+        ('{"bogus": 1}', "unknown config keys: 'bogus'"),
+        ('{"iterations": 0}', "iterations must be an integer of at least 1, got 0"),
+        ('{"group_size": 1}', "group_size must be an integer of at least 2, got 1"),
+        ('{"beta": NaN}', "beta must be a finite number, got nan"),
+        ("{bad", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ], ids=["list", "unknown key", "iterations", "value", "beta", "invalid JSON"])
+    def test_config_errors_name_the_config_file(self, config, error, tmp_path, capsys):
+        task_path, cfg_path = tmp_path / "task.json", tmp_path / "cfg.json"
+        save_task(bundled_default_task(), task_path)
+        cfg_path.write_text(config)
+        assert main(["train-toy", "--task", str(task_path), "--config",
+                     str(cfg_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg_path}: {error}\n")
+
+    @pytest.mark.parametrize("config", [None, '{"iterations": 3}', '{"beta": 0.5}'])
+    def test_beta_flag_errors_name_no_file(self, config, tmp_path, capsys):
+        task_path, cfg_path = tmp_path / "task.json", tmp_path / "cfg.json"
+        save_task(bundled_default_task(), task_path)
+        flags = []
+        if config is not None:
+            cfg_path.write_text(config)
+            flags = ["--config", str(cfg_path)]
+        assert main(["train-toy", "--task", str(task_path), *flags,
+                     "--beta", "nan"]) == 2
+        assert capsys.readouterr() == ("", "error: beta must be a finite number, got nan\n")
+        assert main(["train-toy", "--task", str(task_path), *flags,
+                     "--beta=-1"]) == 2
+        assert capsys.readouterr() == ("", "error: beta must be non-negative\n")
+
+    def test_beta_flag_overrides_a_bad_config_beta(self, tmp_path, capsys):
+        task_path, cfg_path = tmp_path / "task.json", tmp_path / "cfg.json"
+        save_task(bundled_default_task(), task_path)
+        cfg_path.write_text('{"iterations": 2, "beta": -1.0}')
+        assert main(["train-toy", "--task", str(task_path), "--config", str(cfg_path),
+                     "--beta", "0.0"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        task_path, cfg_path = tmp_path / "task.json", tmp_path / "cfg.json"
+        save_task(bundled_default_task(), task_path)
+        cfg_path.write_bytes(b"{\xff}")
+        assert main(["train-toy", "--task", str(task_path), "--config",
+                     str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_invalid_json_task_names_its_file(self, tmp_path, capsys):
+        task_path = tmp_path / "task.json"
+        task_path.write_text("{bad")
+        assert main(["train-toy", "--task", str(task_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {task_path}: invalid JSON "
+                "(Expecting property name enclosed in double quotes)\n")
 
 
 class TestTracedNames:

@@ -90,6 +90,13 @@ class TestTopK:
             dv.TopKDistribution(indices=np.array([0, 1]), probs=np.array([0.7, 0.7]))
         with pytest.raises(ValueError, match="^teacher index -2 is negative$"):
             dv.TopKDistribution(indices=np.array([0, -2]), probs=np.array([0.4, 0.3]))
+        # the sign is checked before the entries are, as it was before TopKRows
+        with pytest.raises(ValueError, match="^teacher index -2 is negative$"):
+            dv.TopKDistribution(indices=np.array([-2, -2]), probs=np.array([0.7, 0.7]))
+        with pytest.raises(ValueError, match="^indices and probs must be 1-d"):
+            dv.TopKDistribution(indices=np.array([[-2]]), probs=np.array([[0.4]]))
+        with pytest.raises(ValueError, match="^top-k set must be non-empty$"):
+            dv.TopKDistribution(indices=np.array([], dtype=int), probs=np.array([]))
 
 
 def _topk_vector(data) -> np.ndarray:
@@ -426,12 +433,11 @@ class TestOneBody:
                 assert _outcome(lambda: report) == single, (name, r)
 
     @pytest.mark.parametrize("indices, named", [
-        ([[0, 1], [2, -1], [-3, 9]], -1), ([[0, 1], [-3, 9]], 9), ([[-3, -2]], -3),
+        ([[0, 1], [2, 5], [3, 9]], 5), ([[0, 1], [3, 9]], 9), ([[4, 2]], 4),
         ([[1, 0], [2, 3], [0, 4]], 4),
     ])
-    def test_rows_reject_indices_below_zero_and_from_vocab_size(self, indices, named):
-        """The first bad row names its largest index if that is too large,
-        else its smallest; a negative index never wraps to the vocabulary's end."""
+    def test_rows_reject_indices_from_vocab_size(self, indices, named):
+        """The first bad row names its largest index."""
         n = len(indices)
         for name, loss in dv.LOSSES.items():
             with pytest.raises(IndexError) as exc:
@@ -439,6 +445,15 @@ class TestOneBody:
                           2, 1.0)
             assert str(exc.value) == \
                 f"teacher index {named} out of bounds for vocabulary of size 4", name
+
+    @pytest.mark.parametrize("indices, named", [
+        ([[0, 1], [2, -1], [-3, 9]], -3), ([[0, 1], [-3, 9]], -3), ([[-3, -2]], -3),
+    ])
+    def test_negative_index_is_rejected_when_the_teacher_is_built(self, indices, named):
+        """A negative index never reaches a loss, where numpy would wrap it to
+        the vocabulary's end; the rows name their smallest index."""
+        with pytest.raises(ValueError, match=f"^teacher index {named} is negative$"):
+            dv.TopKRows(indices, np.full((len(indices), 2), 0.4))
 
     def test_degenerate_messages(self):
         teacher = dv.TopKDistribution(indices=np.array([3, 1, 2]),
@@ -535,8 +550,8 @@ class TestTopKRows:
                               np.zeros((n, 4)), 2, 10.0)
 
     @pytest.mark.parametrize("lam, message", [
-        (math.nan, "lambda_tail must be finite"), (math.inf, "lambda_tail must be finite"),
-        (-1.0, "lambda_tail must be non-negative"),
+        (math.nan, "lambda=nan must be finite"), (math.inf, "lambda=inf must be finite"),
+        (-1.0, "lambda=-1.0 must be non-negative"),
     ])
     def test_bad_lambda_is_rejected_where_it_weights_a_term(self, lam, message):
         """A composite rejects a NaN, infinite or negative lambda, at one row
@@ -679,6 +694,12 @@ class TestGradientSuite:
                 batched = central_differences(loss, teacher, z, m, 10.0)
                 oracle = central_difference(lambda zz: loss(teacher, zz, m, 10.0).loss, z)
                 assert batched.tobytes() == oracle.tobytes(), name
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_an_error(self, trials):
+        # with no instance every loss once passed, with max_rel_err 0.0
+        with pytest.raises(ValueError, match=f"^trials={trials} must be at least 1$"):
+            run_gradient_suite(trials=trials)
 
     def test_nan_gradient_fails_the_suite(self, monkeypatch):
         # max(0.0, nan) is 0.0, so a running Python max once passed this kernel

@@ -126,29 +126,38 @@ class TestObjective:
         group = group_of([1.0, 0.0, 0.0, 1.0], tokens=3)
         adv = standardize_advantages(group.rewards())
         cfg = GrpoConfig(epsilon=0.2, beta=0.0)
-        report = grpo_objective(group, adv, cfg)
-        assert report.value == pytest.approx(adv.mean())
+        value = grpo_objective(group, adv, cfg)
+        assert value == pytest.approx(adv.mean())
 
     def test_positive_advantage_clip(self):
         # single token, r = 2, A = 1: min(2, 1.2) = 1.2
         rollout = single_token_rollout(np.log(2.0), 0.0, 0.0)
         group = RolloutGroup("p", [rollout])
-        report = grpo_objective(group, [1.0], GrpoConfig(epsilon=0.2, beta=0.0))
-        assert report.value == pytest.approx(1.2)
+        value = grpo_objective(group, [1.0], GrpoConfig(epsilon=0.2, beta=0.0))
+        assert value == pytest.approx(1.2)
 
     def test_negative_advantage_not_rescued(self):
         # single token, r = 2, A = -1: min(-2, -1.2) = -2
         rollout = single_token_rollout(np.log(2.0), 0.0, 0.0)
         group = RolloutGroup("p", [rollout])
-        report = grpo_objective(group, [-1.0], GrpoConfig(epsilon=0.2, beta=0.0))
-        assert report.value == pytest.approx(-2.0)
+        value = grpo_objective(group, [-1.0], GrpoConfig(epsilon=0.2, beta=0.0))
+        assert value == pytest.approx(-2.0)
 
     def test_kl_penalty_subtracts(self):
         rollout = single_token_rollout(-1.0, -1.0, -2.0)
         group = RolloutGroup("p", [rollout])
         with_kl = grpo_objective(group, [0.5], GrpoConfig(epsilon=0.2, beta=0.1))
         without = grpo_objective(group, [0.5], GrpoConfig(epsilon=0.2, beta=0.0))
-        assert with_kl.value == pytest.approx(without.value - 0.1 * 0.5)
+        assert with_kl == pytest.approx(without - 0.1 * 0.5)
+
+    def test_empty_group_raises(self):
+        # the mean of no rollout once warned "Mean of empty slice" and gave NaN
+        with pytest.raises(ValueError, match="^a group needs at least one rollout$"):
+            grpo_objective(RolloutGroup("p"), [], GrpoConfig())
+
+    def test_returns_a_float(self):
+        value = grpo_objective(group_of([1.0, 0.0]), [1.0, -1.0], GrpoConfig())
+        assert type(value) is float
 
     def test_length_mismatch(self):
         group = group_of([1.0, 0.0])
@@ -164,10 +173,10 @@ class TestObjective:
                     for _ in range(5)]
         group = RolloutGroup("p", rollouts)
         adv = standardize_advantages(group.rewards())
-        base = grpo_objective(group, adv, GrpoConfig()).value
+        base = grpo_objective(group, adv, GrpoConfig())
         perm = rng.permutation(5)
         shuffled = RolloutGroup("p", [rollouts[i] for i in perm])
-        assert grpo_objective(shuffled, adv[perm], GrpoConfig()).value \
+        assert grpo_objective(shuffled, adv[perm], GrpoConfig()) \
             == pytest.approx(base)
 
     def test_unclipped_importance_estimator_single_token(self):
@@ -183,7 +192,7 @@ class TestObjective:
         expected = np.mean([
             np.exp(r.logp_new[0] - r.logp_old[0]) * a
             for r, a in zip(rollouts, adv)])
-        assert grpo_objective(group, adv, cfg).value == pytest.approx(expected)
+        assert grpo_objective(group, adv, cfg) == pytest.approx(expected)
 
     def test_token_mean_per_rollout_normalization(self):
         # a long rollout must not outweigh a short one
@@ -192,8 +201,8 @@ class TestObjective:
         short = single_token_rollout(-1.0, -1.0, -1.0, reward=0.0)
         group = RolloutGroup("p", [long, short])
         adv = standardize_advantages(group.rewards())
-        report = grpo_objective(group, adv, GrpoConfig(beta=0.0))
-        assert report.value == pytest.approx((adv[0] + adv[1]) / 2)
+        value = grpo_objective(group, adv, GrpoConfig(beta=0.0))
+        assert value == pytest.approx((adv[0] + adv[1]) / 2)
 
 
 class TestValidation:

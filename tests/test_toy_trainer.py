@@ -319,7 +319,7 @@ def evaluate_unmemoised(policy, task, samples_per_prompt, seed):
     for prompt in task.prompts:
         for _ in range(samples_per_prompt):
             _, call = sample_path(policy, prompt.prompt_id, rng, view)
-            text = toy_trainer.render_trajectory(call)
+            text = render_call_text("select the matching tool", [call])
             graded.append(total_reward(text, prompt.ground_truth, task.schema).total)
     return float(np.mean(graded))
 
@@ -759,6 +759,15 @@ class TestUpdateOracle:
         with pytest.raises(error, match="advantages|equally sized|finite"):
             update(policy, [broken], ToyTrainConfig().grpo())
 
+    @pytest.mark.parametrize("update", [objective_and_gradient,
+                                        objective_and_gradient_per_token])
+    def test_empty_group_raises(self, update):
+        # its value was once group_value / 0, a ZeroDivisionError
+        policy, samples = drifted_minibatch(bundled_default_task, 0, 0.05)
+        empty = GroupSample(RolloutGroup(samples[0].group.prompt_id), [], np.zeros(0))
+        with pytest.raises(ValueError, match="^a group needs at least one rollout$"):
+            update(policy, [*samples, empty], ToyTrainConfig().grpo())
+
     @pytest.mark.parametrize("count", [5, 11], ids=["shorter", "longer"])
     def test_trajectory_count_must_equal_the_rollout_count(self, count):
         # zip once stopped at the shorter list and returned a value for the rest
@@ -1004,7 +1013,7 @@ class TestKdFit:
         ({"step_size": math.nan}, "step_size must be a finite number, got nan"),
         ({"step_size": -math.inf}, "step_size must be a finite number, got -inf"),
         ({"teachers": []}, "kd_fit needs at least one teacher position"),
-        ({"lambda_tail": math.nan}, "lambda_tail must be finite"),
+        ({"lambda_tail": math.nan}, "lambda=nan must be finite"),
     ])
     def test_rejects_bad_arguments(self, arguments, message):
         arguments = {"teachers": adversarial_teacher_family(positions=2), "steps": 2,
@@ -1015,8 +1024,8 @@ class TestKdFit:
 
     @pytest.mark.parametrize("steps", [0, 1])
     @pytest.mark.parametrize("arguments, error, message", [
-        ({"lambda_tail": math.nan}, ValueError, "lambda_tail must be finite"),
-        ({"lambda_tail": -1.0}, ValueError, "lambda_tail must be non-negative"),
+        ({"lambda_tail": math.nan}, ValueError, "lambda=nan must be finite"),
+        ({"lambda_tail": -1.0}, ValueError, "lambda=-1.0 must be non-negative"),
         ({"m": 0}, ValueError, "m must be at least 1"),
         ({"vocab_size": 4}, IndexError, "teacher index {high} out of bounds for "
                                         "vocabulary of size 4"),
