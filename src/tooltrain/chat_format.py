@@ -122,11 +122,19 @@ class ToolSchema:
         Falls back to one-JSON-object-per-line when the document as a whole
         does not parse, which is the literal layout of a ``<tools>`` block.
         Its lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, as the CLI's do.
+        A bad line raises its error placed in ``text``; a bad first line means
+        no such block, so the whole document's error is raised instead.
         """
         try:
             return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError:
-            entries = [json.loads(x) for x in re.split(r"\r\n?|\n", text) if x.strip()]
+        except json.JSONDecodeError as whole:
+            entries = []
+            for line in filter(lambda m: m[0].strip(), re.finditer(r"[^\r\n]+", text)):
+                try:
+                    entries.append(json.loads(line[0]))
+                except json.JSONDecodeError as exc:
+                    raise json.JSONDecodeError(exc.msg, text, line.start() + exc.pos) \
+                        if entries else whole from None
             return cls.from_dict(entries)
 
     def to_dict(self) -> list[dict[str, Any]]:

@@ -51,7 +51,7 @@ def _read_json(path: str, parse):
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc.msg})") from None
+        raise ValueError(f"{path}: invalid JSON (line {exc.lineno}: {exc.msg})") from None
     except RecursionError:
         raise ValueError(f"{path}: invalid JSON (nesting too deep)") from None
     except KeyError as exc:  # a document of the wrong shape
@@ -242,8 +242,9 @@ def cmd_kd(args: argparse.Namespace) -> int:
     if header is None or "vocab_size" not in header:
         raise ValueError("first line must be a header with 'vocab_size'")
     vocab_size = header["vocab_size"]
-    if type(vocab_size) is not int:  # bool is no size, and 4.7 is not 4
-        raise ValueError(f"header vocab_size must be an integer, got {vocab_size!r}")
+    if type(vocab_size) is not int or vocab_size < 1:  # bool is no size, 4.7 not 4
+        raise ValueError(
+            f"header vocab_size must be a positive integer, got {vocab_size!r}")
     m = args.m if args.m is not None else min(dv.DEFAULT_TOPM, vocab_size)
     if not 1 <= m <= vocab_size:
         raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")

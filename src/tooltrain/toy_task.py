@@ -41,6 +41,8 @@ class ToyTask:
     prompts: list[ToyPrompt]
 
     def __post_init__(self):
+        if not self.schema.functions:
+            raise ValueError("a task needs at least one function")
         for fdef in self.schema.functions:
             fdom = self.domains.get(fdef.name) if isinstance(self.domains, dict) else None
             if not isinstance(fdom, dict) or set(fdom) != set(fdef.parameters):

@@ -3,8 +3,9 @@
 Two demos live here:
 
 * a tabular categorical policy over a synthetic function-calling task,
-  optimized with the clipped group-relative objective against the real
-  reward pipeline (the policy renders template text, the scorer parses it);
+  optimized by the group-relative policy gradient at importance ratio 1
+  against the real reward pipeline (the policy renders template text, the
+  scorer parses it);
 * a distillation-dynamics fit of free student logits against fixed teacher
   top-k distributions, tracking escape mass and entropy per step.
 
@@ -33,7 +34,6 @@ import numpy as np
 from . import divergence as dv
 from .chat_format import ToolCall
 from .grpo import (
-    GrpoConfig,
     LengthMismatch,
     Rollout,
     RolloutGroup,
@@ -70,12 +70,8 @@ class ToyTrainConfig:
             raise ValueError(f"filter_groups must be a bool, got {self.filter_groups!r}")
         if self.reward_mode not in ("sim", "binary"):
             raise ValueError("reward_mode must be 'sim' or 'binary'")
-        # built here so that its range checks surface with the config's own; the
-        # clip range keeps its default, which cannot act (see ``train_sim_rl``)
-        object.__setattr__(self, "_grpo", GrpoConfig(beta=self.beta))
-
-    def grpo(self) -> GrpoConfig:
-        return self._grpo
+        if self.beta < 0:
+            raise ValueError("beta must be non-negative")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ToyTrainConfig":
@@ -316,41 +312,39 @@ class GroupSample:
 
 
 def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
-                           cfg: GrpoConfig, view: SlotView | None = None
-                           ) -> tuple[float, dict[tuple, np.ndarray]]:
-    """Mean clipped objective over groups and its exact slot-table gradient.
+                           beta: float, view: SlotView | None = None
+                           ) -> dict[tuple, np.ndarray]:
+    """Exact slot-table gradient of the mean group-relative objective at the
+    tables the minibatch was sampled from, where every importance ratio is 1.
 
     Each token's contribution to the gradient of the objective J with respect
     to its slot logits z is
 
         c * (onehot(action) - softmax(z)),
-        c = (A * r * [unclipped branch active] - beta * (logp_new - logp_ref))
-            / (n_groups * G * T_i)
+        c = (A - beta * (logp_new - logp_ref)) / (n_groups * G * T_i)
 
-    where the unclipped branch of min(r*A, clip(r)*A) is active for A >= 0
-    when r <= 1 + eps and for A < 0 when r >= 1 - eps.
-
-    ``view`` is a view of ``policy.tables``, fresh when None. Each distinct
-    member (its trajectory and rollout, its advantage's bits, as 0.0 ==
-    -0.0, and its group size) takes its ratios, KL gaps, token coefficients
-    and value term once, in Python floats.
-    Each touched slot's (coefficient, action) terms are folded into its
-    gradient once at the end, in member and token order: the IEEE operations
-    of a per-token numpy loop. The value is the mean of ``grpo_objective`` over
-    the groups up to rounding. The gradient holds only the touched slots.
+    the gradient of ``grpo.grpo_objective`` at r = 1. ``view`` is a view of
+    ``policy.tables``, fresh when None; a rollout whose logp_old differs from
+    its log-probabilities there raises ``ValueError``. Each distinct member
+    (its trajectory and rollout, its advantage's bits, as 0.0 == -0.0, and its
+    group size) takes its token coefficients once, in Python floats, and each
+    touched slot's (coefficient, action) terms are folded into its gradient,
+    which holds only the touched slots, once at the end, in member and token
+    order: the IEEE operations of a per-token numpy loop.
     """
     view = SlotView(policy.tables) if view is None else view
-    lo, hi = 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
-    members: dict = {}  # (value term, [(slot, (coef, action))]) per distinct member
+    members: dict = {}  # the [(slot, (coef, action))] terms of each distinct member
     folds: dict[tuple, list] = {}  # the (coef, action) terms of each touched slot
-    value, n_groups = 0.0, len(samples)
+    n_groups = len(samples)
     for sample in samples:
         advantages = np.asarray(sample.advantages, dtype=np.float64)
-        size, group_value = sample.group.size, 0.0
+        size = sample.group.size
         if not size:
             raise ValueError("a group needs at least one rollout")
         if advantages.shape != (size,):
             raise LengthMismatch(f"{advantages.size} advantages for {size} rollouts")
+        if not np.isfinite(advantages).all():
+            raise ValueError("advantages must be finite")
         if len(sample.trajectories) != size:
             raise LengthMismatch(
                 f"{len(sample.trajectories)} trajectories for {size} rollouts")
@@ -358,28 +352,22 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
                                             advantages.tolist(),
                                             advantages.view(np.int64).tolist()):
             key = id(traj), id(rollout), bits, size
-            if (member := members.get(key)) is None:
+            if (terms := members.get(key)) is None:
                 logp_new = view.logps(traj.decisions)
                 if not logp_new.shape == rollout.logp_old.shape == rollout.logp_ref.shape:
                     raise ValueError("log-prob arrays must be 1-d and equally sized")
-                gaps = logp_new - np.array((rollout.logp_old, rollout.logp_ref))
-                if not np.isfinite(gaps).all():
+                gaps = logp_new - rollout.logp_ref
+                if not (np.isfinite(gaps).all() and np.isfinite(rollout.logp_old).all()):
                     raise ValueError("log-probabilities must be finite")
-                ratios, gaps = np.exp(gaps[0]).tolist(), gaps[1].tolist()
-                tokens, member_value, token_terms = len(ratios), 0.0, []
-                for decision, r, gap in zip(traj.decisions, ratios, gaps):
-                    # a running sum: from Python 3.12 the builtin sum() compensates
-                    member_value += min(r * adv, min(max(r, lo), hi) * adv) \
-                        - cfg.beta * (0.5 * gap * gap)
-                    active = (adv >= 0 and r <= hi) or (adv < 0 and r >= lo)
-                    coef = (adv * r if active else 0.0) - cfg.beta * gap
-                    coef /= n_groups * size * tokens
-                    token_terms.append((decision.slot, (coef, decision.action)))
-                member = members[key] = member_value / tokens, token_terms
-            group_value += member[0]
-            for slot, term in member[1]:
+                if (logp_new != rollout.logp_old).any():
+                    raise ValueError("logp_old differs from the view's log-probabilities"
+                                     ": the rollout was sampled from other tables")
+                scale = n_groups * size * len(traj.decisions)
+                terms = members[key] = [
+                    (decision.slot, ((adv - beta * gap) / scale, decision.action))
+                    for decision, gap in zip(traj.decisions, gaps.tolist())]
+            for slot, term in terms:
                 folds.setdefault(slot, []).append(term)
-        value += group_value / size / n_groups
     grads = {}
     for slot, slot_terms in folds.items():
         probs = view.probs(slot)
@@ -388,7 +376,7 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
             grad = [g - coef * p for g, p in zip(grad, probs)]
             grad[action] += coef
         grads[slot] = np.array(grad)
-    return value, grads
+    return grads
 
 
 def _advantages(rewards: np.ndarray, memo: dict) -> np.ndarray:
@@ -407,10 +395,10 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
 
     Each iteration samples one group per prompt from a single sequential
     seeded generator, drops homogeneous groups, standardizes the surviving
-    rewards, and ascends the clipped objective once, from the view the batch
-    was sampled from: every ratio is 1, so the clip range cannot act and is
-    no setting of the trainer. Identical (task, cfg, seed) reproduce the log
-    exactly. The run reads its generator's doubles through one
+    rewards, and ascends the group-relative objective once, from the view the
+    batch was sampled from: every ratio is 1, so no clip range is needed and
+    none is a setting of the trainer. Identical (task, cfg, seed) reproduce
+    the log exactly. The run reads its generator's doubles through one
     ``uniform_stream``, and keeps one path memo and one ``SlotView`` per table
     state, i.e. until an update, whose mean entropy it logs and whose
     probabilities the update takes. The next view re-derives only the tables
@@ -418,7 +406,7 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     run (see ``_advantages``).
     """
     _check_count("iterations", iterations, 0)
-    rng, policy, grpo_cfg = np.random.default_rng(seed), ToyPolicy(task), cfg.grpo()
+    rng, policy = np.random.default_rng(seed), ToyPolicy(task)
     uniforms = uniform_stream(rng)
     log, paths, view, advantages = TrainLog(), {}, SlotView(policy.tables), {}
     for _ in range(iterations):
@@ -435,7 +423,7 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
                                _advantages(group.rewards(), advantages))
                    for group in survivors]
         if samples:
-            _, grads = objective_and_gradient(policy, samples, grpo_cfg, view)
+            grads = objective_and_gradient(policy, samples, cfg.beta, view)
             for key, grad in grads.items():
                 policy.tables[key] += cfg.learning_rate * grad
             view = SlotView(policy.tables, view, grads)

@@ -21,7 +21,7 @@ from tooltrain.chat_format import (
     _parse_call_payload,
 )
 from tooltrain.gradcheck import FD_STEP
-from tooltrain.grpo import Rollout, RolloutGroup, grpo_objective
+from tooltrain.grpo import GrpoConfig, Rollout, RolloutGroup, grpo_objective
 from tooltrain.reward import total_reward
 from tooltrain.similarity import _is_number
 from tooltrain.toy_task import render_call_text
@@ -384,10 +384,11 @@ def mean_entropy_per_table(tables) -> float:
 
 
 def objective_and_gradient_per_token(policy, samples, cfg, view=None):
-    """``toy_trainer.objective_and_gradient`` as a numpy loop over tokens: a
-    live ``Rollout`` per distinct sampled one and ``grpo_objective`` per group
-    for the value, and per token a softmax and a numpy update of the slot's
-    gradient. ``view`` is ignored; everything comes from ``policy.tables``."""
+    """The mean clipped objective over groups and its slot-table gradient, as
+    a numpy loop over tokens: a live ``Rollout`` per distinct sampled one and
+    ``grpo_objective`` per group for the value, and per token a softmax and a
+    numpy update of the slot's gradient, with the clip active off ratio 1.
+    ``view`` is ignored; everything comes from ``policy.tables``."""
     view = RecomputingSlotView(policy.tables)
     grads = {key: np.zeros_like(z) for key, z in policy.tables.items()}
     value = 0.0
@@ -418,3 +419,10 @@ def objective_and_gradient_per_token(policy, samples, cfg, view=None):
                 grads[decision.slot] -= coef * view.probs(decision.slot)
                 grads[decision.slot][decision.action] += coef
     return value, grads
+
+
+def gradient_per_token(policy, samples, beta, view=None):
+    """``objective_and_gradient_per_token``'s gradient, called as
+    ``toy_trainer.objective_and_gradient`` is, at the default clip range."""
+    return objective_and_gradient_per_token(policy, samples, GrpoConfig(beta=beta),
+                                            view)[1]

@@ -295,6 +295,19 @@ class TestSchema:
         with pytest.raises(json.JSONDecodeError, match="Unterminated string"):
             ToolSchema.from_json('{"name": "a"}\r\n{"name": "b')
 
+    @pytest.mark.parametrize("text, msg, pos", [
+        # no <tools> block, as line 1 alone does not parse: the document's error
+        ('[\n{"name": "f", "parameters": {}},\nbad\n]', "Expecting value", 35),
+        # a <tools> block with line 2 cut off: that line's error, in the text
+        ('{"name": "f"}\n\n{"name": "g", "parameters": {\n',
+         "Expecting property name enclosed in double quotes", 44),
+    ])
+    def test_from_json_places_the_error_at_the_bad_line(self, text, msg, pos):
+        with pytest.raises(json.JSONDecodeError) as info:
+            ToolSchema.from_json(text)
+        assert (info.value.msg, info.value.doc, info.value.pos) == (msg, text, pos)
+        assert info.value.lineno == text.count("\n", 0, pos) + 1 == 3
+
     def test_default_absent_vs_present(self):
         schema = ToolSchema.from_json(json.dumps([
             {"name": "a", "parameters": {

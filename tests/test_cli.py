@@ -38,7 +38,7 @@ from tooltrain.toy_task import (
 
 from fuzzing import json_values
 from golden import GOLDEN_RECORDS, GOLDEN_SCHEMA
-from oracles import RecomputingSlotView, objective_and_gradient_per_token
+from oracles import RecomputingSlotView, gradient_per_token
 
 
 @pytest.fixture
@@ -379,14 +379,22 @@ class TestScore:
                                            "{'parameters': {}} needs a string name "
                                            "and a parameters object of objects\n")
 
-    def test_invalid_json_schema_file_names_its_file(self, score_files, capsys):
+    @pytest.mark.parametrize("text, error", [
+        ("{bad", "line 1: Expecting property name enclosed in double quotes"),
+        # a list whose line 1 alone is no object: the document's own error
+        ('[\n{"name": "f", "parameters": {}},\nbad\n]\n', "line 3: Expecting value"),
+        # <tools> lines, the second cut off: that line's error
+        ('{"name": "f", "parameters": {}}\n{"name": "g", "parameters": {\n',
+         "line 2: Expecting property name enclosed in double quotes"),
+    ], ids=["one-line", "document", "tools-lines"])
+    def test_invalid_json_schema_file_names_its_file(self, text, error, score_files,
+                                                     capsys):
         schema_path, input_path = score_files
-        schema_path.write_text("{bad")
+        schema_path.write_text(text)
         assert main(["score", "--input", str(input_path),
                      "--schema", str(schema_path)]) == 2
         assert capsys.readouterr() == (
-            "", f"error: {schema_path}: invalid JSON "
-                "(Expecting property name enclosed in double quotes)\n")
+            "", f"error: {schema_path}: invalid JSON ({error})\n")
 
     def test_malformed_schema_ref_names_its_file(self, tmp_path, capsys):
         ref = tmp_path / "ref.json"
@@ -635,15 +643,16 @@ class TestKd:
         assert main(["kd", "--input", str(inp)]) == 2
 
     # a string, a fraction, a bool and NaN once ran (as 4, 4, 1) or ended in
-    # int()'s own message
-    @pytest.mark.parametrize("vocab_size", [[4], None, "4", 4.7, True, float("nan")])
-    def test_non_integer_vocab_size_is_format_error(self, vocab_size, tmp_path,
-                                                    capsys):
+    # int()'s own message; a size below 1 once blamed the --m it defaulted
+    @pytest.mark.parametrize("vocab_size", [[4], None, "4", 4.7, True, float("nan"),
+                                            0, -5])
+    def test_non_positive_integer_vocab_size_is_format_error(self, vocab_size, tmp_path,
+                                                             capsys):
         inp = tmp_path / "kd.jsonl"
         inp.write_text(json.dumps({"vocab_size": vocab_size}) + "\n")
         assert main(["kd", "--input", str(inp)]) == 2
         assert capsys.readouterr().err == (
-            f"error: header vocab_size must be an integer, got {vocab_size!r}\n")
+            f"error: header vocab_size must be a positive integer, got {vocab_size!r}\n")
 
     def test_degenerate_student_is_per_record_failure(self, tmp_path):
         inp = tmp_path / "kd.jsonl"
@@ -1072,8 +1081,7 @@ class TestTrainToy:
 
         csv = run(tmp_path / "fast.csv")
         monkeypatch.setattr(toy_trainer, "SlotView", RecomputingSlotView)
-        monkeypatch.setattr(toy_trainer, "objective_and_gradient",
-                            objective_and_gradient_per_token)
+        monkeypatch.setattr(toy_trainer, "objective_and_gradient", gradient_per_token)
         assert run(tmp_path / "oracle.csv") == csv
 
     def test_missing_task_file(self, tmp_path, capsys):
@@ -1146,7 +1154,10 @@ class TestTrainToy:
         (lambda doc: [doc], "a task must be a JSON object"),
         (lambda doc: {**doc, "prompts": [{"prompt_id": "p0"}]},
          "missing key 'ground_truth'"),
-    ], ids=["no-schema", "string", "list", "prompt-without-ground-truth"])
+        (lambda doc: {"schema": [], "domains": {},
+                      "prompts": [{"prompt_id": "p", "ground_truth": "<think>t</think>ok"}]},
+         "a task needs at least one function"),
+    ], ids=["no-schema", "string", "list", "prompt-without-ground-truth", "no-function"])
     def test_malformed_task_names_its_file(self, spoil, error, tmp_path, capsys):
         task_path = tmp_path / "task.json"
         task_path.write_text(json.dumps(spoil(bundled_default_task().to_dict())))
@@ -1161,7 +1172,7 @@ class TestTrainToy:
         ('{"iterations": 0}', "iterations must be an integer of at least 1, got 0"),
         ('{"group_size": 1}', "group_size must be an integer of at least 2, got 1"),
         ('{"beta": NaN}', "beta must be a finite number, got nan"),
-        ("{bad", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("{bad", "invalid JSON (line 1: Expecting property name enclosed in double quotes)"),
     ], ids=["list", "unknown key", "iterations", "value", "beta", "invalid JSON"])
     def test_config_errors_name_the_config_file(self, config, error, tmp_path, capsys):
         task_path, cfg_path = tmp_path / "task.json", tmp_path / "cfg.json"
@@ -1210,7 +1221,7 @@ class TestTrainToy:
         assert main(["train-toy", "--task", str(task_path)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {task_path}: invalid JSON "
-                "(Expecting property name enclosed in double quotes)\n")
+                "(line 1: Expecting property name enclosed in double quotes)\n")
 
 
 class TestTracedNames:
