@@ -60,6 +60,47 @@ def _read_json(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
+# orjson reads an integer literal outside [-2**63, 2**64) as a float this wide,
+# and nests without limit, where json.loads stops near the recursion limit
+_WIDE, _DEPTH = 2.0 ** 63, 100
+
+
+def _loads(text: str):
+    """``json.loads(text)``, decoded by orjson where that gives the same objects,
+    types, float bits, key order and errors; orjson is imported on the first
+    call, not with this module. ``json.loads`` decodes the text again when
+    orjson raises (NaN, the infinities, ``1e400``, a lone surrogate, bad JSON)
+    or returns a float of magnitude 2**63 or more, or nests past ``_DEPTH``."""
+    import orjson
+    try:
+        obj = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
+    level = [[obj]]
+    for _ in range(_DEPTH):
+        inner = []
+        for node in level:
+            if type(node) is dict:
+                node = node.values()
+            elif node and type(node[0]) in (int, float):  # all numbers, perhaps
+                try:  # hypot >= each |x|, so under 2**62 none is wide; slices copy little
+                    if all(math.hypot(*node[i:i + 4096]) < _WIDE / 2
+                           for i in range(0, len(node), 4096)):
+                        continue
+                except TypeError:  # a string, container or null after all
+                    pass
+            for x in node:
+                kind = type(x)
+                if kind is float:
+                    if not -_WIDE < x < _WIDE:
+                        return json.loads(text)
+                elif kind is list or kind is dict:
+                    inner.append(x)
+        if not (level := inner):
+            return obj
+    return json.loads(text)
+
+
 def _iter_jsonl(path: str):
     """Yield the JSON object on each non-blank line, reading one line at a time.
 
@@ -74,7 +115,7 @@ def _iter_jsonl(path: str):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
             except RecursionError:
@@ -174,7 +215,9 @@ def cmd_score(args: argparse.Namespace) -> int:
             notes.append(f"record {rid!r}: {exc}\n")
             out_lines.append(_dump({"id": rid, "error": str(exc)}))
             continue
-        except (OSError, KeyError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"record {rid!r}: missing key {exc}") from None
+        except (OSError, ValueError) as exc:
             raise ValueError(f"record {rid!r}: {exc}") from None
         totals.append(breakdown.total)
         out_lines.append(_score_line(rid, breakdown))
@@ -256,7 +299,9 @@ def cmd_kd(args: argparse.Namespace) -> int:
             notes.append(f"position {pid!r}: {exc}\n")
             out_lines.append(_dump({"position_id": pid, "error": str(exc)}))
             continue
-        except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"position {pid!r}: missing key {exc}") from None
+        except (ValueError, IndexError, TypeError, OverflowError) as exc:
             raise ValueError(f"position {pid!r}: {exc}") from None
         losses.append(loss)
         escapes.append(escape)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tooltrain
+import tooltrain.cli as cli
 import tooltrain.divergence as dv
 import tooltrain.toy_trainer as toy_trainer
 from tooltrain.chat_format import (
@@ -28,7 +30,7 @@ from tooltrain.chat_format import (
     FormatViolation,
     ToolSchema,
 )
-from tooltrain.cli import _dump, _iter_jsonl, _score_line, build_parser, main
+from tooltrain.cli import _dump, _iter_jsonl, _loads, _score_line, build_parser, main
 from tooltrain.reward import CallMatch, RewardBreakdown, total_reward
 from tooltrain.toy_task import (
     bundled_default_task,
@@ -945,6 +947,111 @@ def test_reader_splits_at_line_ends_only(records, sep, last):
         assert list(_iter_jsonl(str(inp))) == records
 
 
+# literals where orjson and json.loads could part: each side of the integer
+# edges orjson reads exactly, what only json.loads reads, and escapes and raw
+# text that orjson must decode as json.loads does
+EDGE_LITERALS = [str(n) for edge in (-2**63, 2**63, 2**64) for n in (edge - 1, edge, edge + 1)]
+EDGE_LITERALS += [str(10**30), "1e19", "NaN", "Infinity", "-Infinity", "1e400", "-0",
+                  "-0.0", "true", "false", "null", '"\\ud800"', '"\\ud83d\\ude00"', '"\u2028"']
+_json_atoms = (
+    st.sampled_from(EDGE_LITERALS)
+    | st.integers(0, 2**64 - 1).map(  # random-bit doubles, NaN and inf spelt as repr
+        lambda bits: repr(struct.unpack("<d", bits.to_bytes(8, "little"))[0]))
+    | st.from_regex(r"-?[1-9][0-9]{0,24}(\.[0-9]{1,8})?([eE][-+]?[0-9]{1,3})?",
+                    fullmatch=True)
+    | st.text(max_size=4).map(json.dumps)
+    | st.text(max_size=4).map(lambda s: json.dumps(s, ensure_ascii=False)))
+_json_keys = st.sampled_from(['"a"', '"\\u0061"', '"b"']) | st.text(max_size=2).map(json.dumps)
+json_texts = st.recursive(_json_atoms, lambda inner: (
+    st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]")
+    | st.lists(st.tuples(_json_keys, inner), max_size=4).map(  # keys repeat
+        lambda pairs: "{" + ",".join(f"{k}: {v}" for k, v in pairs) + "}")), max_leaves=12)
+
+
+def _typed(value):
+    """``value`` with its type at every node, each float as its bits, in key order."""
+    if type(value) is dict:
+        return dict, [(key, _typed(item)) for key, item in value.items()]
+    if type(value) is list:
+        return list, [_typed(item) for item in value]
+    return type(value), struct.pack("<d", value) if type(value) is float else value
+
+
+def _decoded(decode, text):
+    try:
+        return _typed(decode(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=json_texts, edit=st.none() | st.tuples(
+    st.integers(0), st.sampled_from(list(' \t,:[]{}"\\-.0eE1nN')), st.booleans()))
+def test_loads_is_json_loads(text, edit):
+    """The same object, types, float bits and key order, or the same error, on
+    JSON texts and on texts one character away from them."""
+    if edit is not None:
+        at, char, replace = edit
+        at %= len(text) + 1
+        text = text[:at] + char + text[at + replace:]
+    assert _decoded(_loads, text) == _decoded(json.loads, text)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 1100 + "]" * 1100, "[" * 100000, "[" * 300 + "1" + "]" * 300,
+    "[" * 60 + "18446744073709551616" + "]" * 60,
+    '{"a": 0, "b": [[1.5, {"c": -9223372036854775809}]], "a": 2}',
+], ids=["1100 deep", "100000 open", "300 deep", "wide int 60 deep", "wide int in dict"])
+def test_loads_is_json_loads_on_deep_and_wide_lines(text):
+    assert _decoded(_loads, text) == _decoded(json.loads, text)
+
+
+def test_kd_writes_what_json_loads_gives(tmp_path, capsys, monkeypatch):
+    """Every byte and exit code of ``kd`` is that of a run decoding each line
+    with ``json.loads``, on ids orjson alone would read as floats."""
+    rows = kd_rows(vocab_size=4096, positions=8, seed=27)
+    rows += [{**rows[1], "position_id": pid} for pid in (2**64, -2**63 - 1, 1e19, [2**64])]
+    inp, wide = tmp_path / "kd.jsonl", tmp_path / "wide.jsonl"
+    inp.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    wide.write_text("".join(json.dumps(row) + "\n" for row in
+                            [{"version": 1, "vocab_size": 2**64}, rows[1]]))
+    runs = [["kd", "--input", str(inp), "--loss", "ckd"],
+            ["kd", "--input", str(inp), "--loss", "rkl-stab"], ["kd", "--input", str(wide)]]
+
+    def outcomes():
+        return [(main(argv), *capsys.readouterr()) for argv in runs]
+
+    fast = outcomes()
+    monkeypatch.setattr(cli, "_loads", json.loads)
+    assert outcomes() == fast
+    assert [status for status, _, _ in fast] == [0, 0, 2]
+    ids = [json.loads(line)["position_id"] for line in fast[0][1].splitlines()[8:-1]]
+    assert ids == [2**64, -2**63 - 1, 1e19, [2**64]]
+    assert fast[2][1:] == ("", "error: position 'pos0': student_logits has length "
+                               "4096, header declares 18446744073709551616\n")
+
+
+@pytest.mark.parametrize("command, record, key", [
+    ("score", {"id": "r", "ground_truth": "<think>t</think>hi"}, "generation"),
+    ("score", {"id": "r", "generation": "<think>t</think>hi"}, "ground_truth"),
+    ("kd", {"position_id": "p", "student_logits": [0.0, 0.0]}, "teacher_topk"),
+    ("kd", {"position_id": "p", "student_logits": [0.0, 0.0],
+            "teacher_topk": {"probs": [1.0]}}, "indices"),
+    ("kd", {"position_id": "p", "teacher_topk": {"indices": [0], "probs": [1.0]}},
+     "student_logits"),
+])
+def test_record_without_a_key_names_it(command, record, key, score_files, tmp_path,
+                                       capsys):
+    schema_path, _ = score_files
+    inp = tmp_path / "in.jsonl"
+    head = [{"version": 1, "vocab_size": 2}] if command == "kd" else []
+    inp.write_text("".join(json.dumps(row) + "\n" for row in [*head, record]))
+    flags = ["--schema", str(schema_path)] if command == "score" else []
+    assert main([command, "--input", str(inp), *flags]) == 2
+    what = "record 'r'" if command == "score" else "position 'p'"
+    assert capsys.readouterr() == ("", f"error: {what}: missing key '{key}'\n")
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_kd_k_ignores_teacher_entry_order(data):
@@ -1653,8 +1760,8 @@ def _fresh_python(argv, cwd):
 
 
 def test_parser_loads_no_subcommand_only_module(tmp_path):
-    """The parser loads no submodule but the CLI, and whole ``kd``,
-    ``gradcheck`` and ``advantages`` runs load no reward layer."""
+    """The parser loads no submodule but the CLI, nor orjson, and whole
+    ``kd``, ``gradcheck`` and ``advantages`` runs load no reward layer."""
     (tmp_path / "kd.jsonl").write_text(
         "".join(json.dumps(row) + "\n" for row in kd_rows(positions=1)))
     (tmp_path / "groups.jsonl").write_text(
@@ -1662,7 +1769,8 @@ def test_parser_loads_no_subcommand_only_module(tmp_path):
     code = """
 import sys, tooltrain.cli
 def loaded():
-    print(*sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "tooltrain")))
+    print(*sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("numpy", "orjson", "tooltrain")))
 tooltrain.cli.build_parser()
 loaded()
 status = [tooltrain.cli.main(argv) for argv in (
@@ -1674,6 +1782,7 @@ loaded()
     lines = _fresh_python(["-c", code], tmp_path).splitlines()
     assert lines[0] == "tooltrain tooltrain.cli"
     assert lines[-2] == "0 0 0"
+    assert "orjson" in lines[-1].split()
     assert {m for m in lines[-1].split() if m.startswith("tooltrain")} == {
         "tooltrain", "tooltrain.cli", "tooltrain.divergence",
         "tooltrain.gradcheck", "tooltrain.grpo"}
