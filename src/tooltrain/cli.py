@@ -127,8 +127,15 @@ def _iter_jsonl(path: str):
 
 
 # json.dumps with these options, minus the encoder it builds on every call; a
-# NaN or infinity, say an echoed id, is a ValueError
+# NaN or infinity is a ValueError, so an echoed id is checked by _check_id first
 _dump = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False).encode
+
+
+def _check_id(what: str, key: str, value) -> None:
+    """Raise a ``ValueError`` that names the record when its id, echoed in
+    every output line about it, is NaN or an infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} {value!r}: {key} must be finite")
 
 
 def _score_line(rid, breakdown: RewardBreakdown) -> str:
@@ -200,6 +207,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         rid = record.get("id")
         if isinstance(rid, (list, dict)):
             raise ValueError(f"record {rid!r}: id must be a string, number or null")
+        _check_id("record", "id", rid)
         if rid is not None:  # by type too: 1, 1.0 and true are distinct ids
             if (type(rid), rid) in seen_ids:
                 raise ValueError(f"duplicate record id {rid!r}")
@@ -293,6 +301,7 @@ def cmd_kd(args: argparse.Namespace) -> int:
         raise ValueError(f"m={m} out of range [1, vocab_size={vocab_size}]")
     for record in rows:
         pid = record.get("position_id")
+        _check_id("position", "position_id", pid)
         try:
             loss, escape, entropy = _kd_position(record, vocab_size, m, args)
         except (dv.DegenerateStudent, dv.DegenerateTeacher) as exc:
@@ -320,6 +329,8 @@ def cmd_kd(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     from . import divergence as dv, gradcheck
+    if args.seed < 0:  # numpy's own error would name no flag
+        raise ValueError(f"seed={args.seed} must be non-negative")
     if args.trials < 1:
         raise ValueError(f"trials={args.trials} must be at least 1")
     if args.dims < 1:
@@ -343,6 +354,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
+    if args.seed < 0:  # before any file is read; numpy's error would name no flag
+        raise ValueError(f"seed={args.seed} must be non-negative")
     from .toy_task import ToyTask
     from .toy_trainer import ToyTrainConfig, _check_count, train_sim_rl
 
@@ -385,6 +398,7 @@ def cmd_advantages(args: argparse.Namespace) -> int:
     out_lines, notes = [], []
     for record in _iter_jsonl(args.input):
         pid = record.get("prompt_id")
+        _check_id("group", "prompt_id", pid)
         rewards = record.get("rewards")
         if not isinstance(rewards, list) or len(rewards) < 2:
             error = "a group needs at least two rewards"

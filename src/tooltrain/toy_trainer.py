@@ -33,14 +33,7 @@ import numpy as np
 
 from . import divergence as dv
 from .chat_format import ToolCall
-from .grpo import (
-    LengthMismatch,
-    Rollout,
-    RolloutGroup,
-    check_finite_real,
-    filter_homogeneous,
-    standardize_advantages,
-)
+from .grpo import LengthMismatch, check_finite_real, standardize_advantages
 from .reward import total_reward
 from .toy_task import ToyTask, render_call_text
 
@@ -111,7 +104,7 @@ class Decision:
     action: int
 
 
-@dataclass(eq=False)  # hashed by identity, as ``SlotView.rollouts`` keys it
+@dataclass(eq=False)  # one per drawn path: the update keys members by identity
 class Trajectory:
     decisions: list[Decision]
     text: str
@@ -173,14 +166,14 @@ class SlotView:
     mean softmax entropy, derived in one stacked pass per table size.
 
     Each is bit-identical to its per-table derivation (``dv.softmax``, its
-    normalised cumsum, ``z - logsumexp(z)``, ``dv.entropy``). A view holds only
-    while its tables do, and so does what it derives from them: each prompt's
-    CDF lists (``bind``) and, in ``rollouts``, the ``Rollout`` of each path
-    ``sample_group`` drew from it, by ``Trajectory``. Given ``previous``, a
-    view of the same tables before the slots in ``changed`` were edited, only
-    those slots are derived and the rest are taken from it; the result equals
-    a fresh view bit for bit, and ``mean_entropy`` is still the mean over
-    every slot in table order. A table holding inf or NaN raises ``ValueError``.
+    normalised cumsum, ``z - logsumexp(z)``, ``dv.entropy``). All are taken
+    when the view is built, so tables edited in place later leave them as they
+    were; each prompt's CDF lists (``bind``) are bound once per view. Given
+    ``previous``, a view of the same tables before the slots in ``changed``
+    were edited, only those slots are derived and the rest are taken from it;
+    the result equals a fresh view bit for bit, and ``mean_entropy`` is still
+    the mean over every slot in table order. A table holding inf or NaN raises
+    ``ValueError``.
     """
 
     def __init__(self, tables: dict[tuple, np.ndarray], previous: SlotView | None = None,
@@ -210,7 +203,6 @@ class SlotView:
                                              dv.entropy_rows(probs).tolist())))
         self.mean_entropy = float(np.mean([row[3] for row in self._rows.values()]))
         self._bound: dict[str, tuple] = {}
-        self.rollouts: dict[Trajectory, Rollout] = {}
 
     def bind(self, prompt_id: str, arg_slots: list[list[tuple]]) -> tuple[list, list]:
         """A prompt's function CDF and its ``arg_slots``' CDFs, bound once per view."""
@@ -271,97 +263,88 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
     return path
 
 
+@dataclass
+class DrawnGroup:
+    """One prompt's sampled paths, in draw order, and the view they were drawn from."""
+
+    view: SlotView
+    trajectories: list[Trajectory]
+
+
 def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
                  rng: np.random.Generator, reward_mode: str = "sim",
                  paths: dict | None = None, view: SlotView | None = None,
-                 uniforms: Iterator[float] | None = None
-                 ) -> tuple[RolloutGroup, list[Trajectory]]:
-    """Sample a rollout group and keep the decision paths for the update.
-
-    At sampling time logp_old equals logp_new; logp_ref comes from the frozen
-    initial tables. The members are drawn by ``ToyPolicy.sample_paths`` from
-    ``uniforms``, a ``uniform_stream`` of ``rng`` that the caller keeps across
-    calls, or from one ``rng.random()`` call per decision when None. ``paths``
-    memoises each distinct path (see ``_path``) and ``view.rollouts`` its
-    ``Rollout`` under ``view``, so a repeated draw costs only its random
+                 uniforms: Iterator[float] | None = None) -> DrawnGroup:
+    """``group_size`` paths for ``prompt_id``, drawn by ``ToyPolicy.sample_paths``
+    from ``view``, which the group names, and from ``uniforms``, a
+    ``uniform_stream`` of ``rng`` that the caller keeps across calls, or one
+    ``rng.random()`` call per decision when None. ``paths`` memoises each
+    distinct path (see ``_path``), so a repeated draw costs only its random
     numbers. ``paths`` and ``view`` are fresh for the call when None.
     """
     paths = {} if paths is None else paths
     view = SlotView(policy.tables) if view is None else view
     # a callable iterator: rng.random() never returns the sentinel
     uniforms = iter(rng.random, None) if uniforms is None else uniforms
-    group, trajectories = RolloutGroup(prompt_id), []
-    for actions in policy.sample_paths(prompt_id, group_size, uniforms, view):
-        path = paths.get((prompt_id, actions)) or \
-            _path(policy.task, policy, prompt_id, actions, reward_mode, paths)
-        if (rollout := view.rollouts.get(path)) is None:
-            logp = view.logps(path.decisions)
-            rollout = view.rollouts[path] = Rollout(
-                logp_new=logp, logp_old=logp.copy(), logp_ref=path.logp_ref,
-                reward=path.reward)
-        group.rollouts.append(rollout)
-        trajectories.append(path)
-    return group, trajectories
+    return DrawnGroup(view, [
+        paths.get((prompt_id, actions))
+        or _path(policy.task, policy, prompt_id, actions, reward_mode, paths)
+        for actions in policy.sample_paths(prompt_id, group_size, uniforms, view)])
 
 
 @dataclass
 class GroupSample:
-    group: RolloutGroup
-    trajectories: list[Trajectory]
+    """A drawn group and one advantage per member, in draw order."""
+
+    group: DrawnGroup
     advantages: np.ndarray
 
 
-def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
-                           beta: float, view: SlotView | None = None
+def objective_and_gradient(samples: list[GroupSample], beta: float
                            ) -> dict[tuple, np.ndarray]:
     """Exact slot-table gradient of the mean group-relative objective at the
-    tables the minibatch was sampled from, where every importance ratio is 1.
+    table state the minibatch was drawn from, where every importance ratio is 1.
 
     Each token's contribution to the gradient of the objective J with respect
     to its slot logits z is
 
         c * (onehot(action) - softmax(z)),
-        c = (A - beta * (logp_new - logp_ref)) / (n_groups * G * T_i)
+        c = (A - beta * (logp - logp_ref)) / (n_groups * G * T_i)
 
-    the gradient of ``grpo.grpo_objective`` at r = 1. ``view`` is a view of
-    ``policy.tables``, fresh when None; a rollout whose logp_old differs from
-    its log-probabilities there raises ``ValueError``. Each distinct member
-    (its trajectory and rollout, its advantage's bits, as 0.0 == -0.0, and its
+    the gradient of ``grpo.grpo_objective`` at r = 1, ``logp`` from the one
+    view all groups were drawn from (else ``ValueError``). Each distinct
+    member (its trajectory, its advantage's bits, as 0.0 == -0.0, and its
     group size) takes its token coefficients once, in Python floats, and each
     touched slot's (coefficient, action) terms are folded into its gradient,
     which holds only the touched slots, once at the end, in member and token
     order: the IEEE operations of a per-token numpy loop.
     """
-    view = SlotView(policy.tables) if view is None else view
     members: dict = {}  # the [(slot, (coef, action))] terms of each distinct member
     folds: dict[tuple, list] = {}  # the (coef, action) terms of each touched slot
     n_groups = len(samples)
+    view = samples[0].group.view if samples else None
     for sample in samples:
+        if sample.group.view is not view:
+            raise ValueError("the batch's groups were drawn from different views")
+        trajectories = sample.group.trajectories
         advantages = np.asarray(sample.advantages, dtype=np.float64)
-        size = sample.group.size
+        size = len(trajectories)
         if not size:
             raise ValueError("a group needs at least one rollout")
         if advantages.shape != (size,):
             raise LengthMismatch(f"{advantages.size} advantages for {size} rollouts")
         if not np.isfinite(advantages).all():
             raise ValueError("advantages must be finite")
-        if len(sample.trajectories) != size:
-            raise LengthMismatch(
-                f"{len(sample.trajectories)} trajectories for {size} rollouts")
-        for traj, rollout, adv, bits in zip(sample.trajectories, sample.group.rollouts,
-                                            advantages.tolist(),
-                                            advantages.view(np.int64).tolist()):
-            key = id(traj), id(rollout), bits, size
+        for traj, adv, bits in zip(trajectories, advantages.tolist(),
+                                   advantages.view(np.int64).tolist()):
+            key = id(traj), bits, size
             if (terms := members.get(key)) is None:
-                logp_new = view.logps(traj.decisions)
-                if not logp_new.shape == rollout.logp_old.shape == rollout.logp_ref.shape:
+                logp = view.logps(traj.decisions)
+                if logp.shape != traj.logp_ref.shape:
                     raise ValueError("log-prob arrays must be 1-d and equally sized")
-                gaps = logp_new - rollout.logp_ref
-                if not (np.isfinite(gaps).all() and np.isfinite(rollout.logp_old).all()):
+                gaps = logp - traj.logp_ref
+                if not np.isfinite(gaps).all():
                     raise ValueError("log-probabilities must be finite")
-                if (logp_new != rollout.logp_old).any():
-                    raise ValueError("logp_old differs from the view's log-probabilities"
-                                     ": the rollout was sampled from other tables")
                 scale = n_groups * size * len(traj.decisions)
                 terms = members[key] = [
                     (decision.slot, ((adv - beta * gap) / scale, decision.action))
@@ -380,12 +363,10 @@ def objective_and_gradient(policy: ToyPolicy, samples: list[GroupSample],
 
 
 def _advantages(rewards: np.ndarray, memo: dict) -> np.ndarray:
-    """Standardized ``rewards``, memoised in ``memo`` by their bytes. An
-    unfiltered homogeneous group has no advantage signal and gets zeros."""
+    """Standardized ``rewards``, memoised in ``memo`` by their bytes."""
     key = rewards.tobytes()
     if key not in memo:
-        memo[key] = standardize_advantages(rewards) if rewards.max() != rewards.min() \
-            else np.zeros(rewards.size)
+        memo[key] = standardize_advantages(rewards)
     return memo[key]
 
 
@@ -394,42 +375,40 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     """Optimize a fresh tabular policy with one plain ascent step per batch.
 
     Each iteration samples one group per prompt from a single sequential
-    seeded generator, drops homogeneous groups, standardizes the surviving
-    rewards, and ascends the group-relative objective once, from the view the
-    batch was sampled from: every ratio is 1, so no clip range is needed and
-    none is a setting of the trainer. Identical (task, cfg, seed) reproduce
-    the log exactly. The run reads its generator's doubles through one
-    ``uniform_stream``, and keeps one path memo and one ``SlotView`` per table
-    state, i.e. until an update, whose mean entropy it logs and whose
-    probabilities the update takes. The next view re-derives only the tables
-    the update touched. Each distinct reward vector is standardized once per
-    run (see ``_advantages``).
+    seeded generator, drops homogeneous groups (or, unfiltered, gives them zero
+    advantages), standardizes the other rewards, and ascends the group-relative
+    objective once, from the view the batch was sampled from: every ratio is 1,
+    so no clip range is needed and none is a setting of the trainer. Identical
+    (task, cfg, seed) reproduce the log exactly. The run reads its generator's
+    doubles through one ``uniform_stream``, and keeps one path memo and one
+    ``SlotView`` per table state, i.e. until an update, whose mean entropy it
+    logs and whose log-probabilities the update takes. The next view re-derives
+    only the tables the update touched. Each distinct reward vector is
+    standardized once per run (see ``_advantages``).
     """
     _check_count("iterations", iterations, 0)
     rng, policy = np.random.default_rng(seed), ToyPolicy(task)
     uniforms = uniform_stream(rng)
     log, paths, view, advantages = TrainLog(), {}, SlotView(policy.tables), {}
     for _ in range(iterations):
-        graded, groups, by_id = [], [], {}
+        graded, samples = [], []
         for prompt in task.prompts:
-            group, trajectories = sample_group(policy, prompt.prompt_id,
-                                               cfg.group_size, rng, cfg.reward_mode,
-                                               paths, view, uniforms)
-            graded.extend(t.graded_reward for t in trajectories)
-            groups.append(group)
-            by_id[prompt.prompt_id] = trajectories
-        survivors = filter_homogeneous(groups) if cfg.filter_groups else groups
-        samples = [GroupSample(group, by_id[group.prompt_id],
-                               _advantages(group.rewards(), advantages))
-                   for group in survivors]
+            group = sample_group(policy, prompt.prompt_id, cfg.group_size, rng,
+                                 cfg.reward_mode, paths, view, uniforms)
+            graded.extend(t.graded_reward for t in group.trajectories)
+            rewards = np.array([t.reward for t in group.trajectories])
+            if rewards.max() != rewards.min():
+                samples.append(GroupSample(group, _advantages(rewards, advantages)))
+            elif not cfg.filter_groups:  # no advantage signal
+                samples.append(GroupSample(group, np.zeros(rewards.size)))
         if samples:
-            grads = objective_and_gradient(policy, samples, cfg.beta, view)
+            grads = objective_and_gradient(samples, cfg.beta)
             for key, grad in grads.items():
                 policy.tables[key] += cfg.learning_rate * grad
             view = SlotView(policy.tables, view, grads)
         log.mean_reward.append(float(np.mean(graded)))
         log.mean_entropy.append(view.mean_entropy)
-        log.filtered_fraction.append(1.0 - len(survivors) / len(groups))
+        log.filtered_fraction.append(1.0 - len(samples) / len(task.prompts))
     return policy, log
 
 

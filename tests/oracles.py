@@ -152,11 +152,10 @@ class RecomputingSlotView:
     a softmax and ``Generator.choice`` per draw, a softmax and cumsum per CDF,
     a softmax per gradient token, a log-normaliser per decision, a softmax
     per table for the entropy and a CDF per slot on every ``bind``. It ignores
-    a previous view; ``rollouts`` starts empty, as on a fresh view."""
+    a previous view."""
 
     def __init__(self, tables, previous=None, changed=()):
         self.tables = tables
-        self.rollouts = {}
 
     @property
     def mean_entropy(self):
@@ -357,11 +356,11 @@ def sample_path(policy, prompt_id, rng, view):
 
 def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim"):
     """``toy_trainer.sample_group`` that draws, renders and scores every sampled
-    trajectory, repeats included, each with its own ``Rollout``."""
+    trajectory, repeats included, from a view made for the call, which the
+    group names, and derives each one's reference log-probabilities."""
     view = toy_trainer.SlotView(policy.tables)
     ref_view = toy_trainer.SlotView(policy.ref_tables)
     task = policy.task
-    rollouts = []
     trajectories = []
     for _ in range(group_size):
         decisions, call = sample_path(policy, prompt_id, rng, view)
@@ -369,13 +368,10 @@ def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim
         graded = total_reward(text, task.prompt(prompt_id).ground_truth,
                               task.schema).total
         reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
-        logp, logp_ref = view.logps(decisions), ref_view.logps(decisions)
-        rollouts.append(Rollout(logp_new=logp, logp_old=logp.copy(),
-                                logp_ref=logp_ref, reward=reward))
         trajectories.append(toy_trainer.Trajectory(
             decisions=decisions, text=text, reward=reward, graded_reward=graded,
-            logp_ref=logp_ref))
-    return RolloutGroup(prompt_id=prompt_id, rollouts=rollouts), trajectories
+            logp_ref=ref_view.logps(decisions)))
+    return toy_trainer.DrawnGroup(view, trajectories)
 
 
 def mean_entropy_per_table(tables) -> float:
@@ -383,29 +379,31 @@ def mean_entropy_per_table(tables) -> float:
     return float(np.mean([dv.entropy(dv.softmax(z)) for z in tables.values()]))
 
 
-def objective_and_gradient_per_token(policy, samples, cfg, view=None):
+def objective_and_gradient_per_token(tables, samples, cfg):
     """The mean clipped objective over groups and its slot-table gradient, as
-    a numpy loop over tokens: a live ``Rollout`` per distinct sampled one and
-    ``grpo_objective`` per group for the value, and per token a softmax and a
-    numpy update of the slot's gradient, with the clip active off ratio 1.
-    ``view`` is ignored; everything comes from ``policy.tables``."""
-    view = RecomputingSlotView(policy.tables)
-    grads = {key: np.zeros_like(z) for key, z in policy.tables.items()}
+    a numpy loop over tokens: a ``Rollout`` per distinct sampled trajectory,
+    whose logp_new comes from ``tables`` as they are now and whose
+    logp_old from the view that drew its group, and ``grpo_objective`` per
+    group for the value; per token a softmax and a numpy update of the slot's
+    gradient, with the clip active off ratio 1."""
+    live = RecomputingSlotView(tables)
+    grads = {key: np.zeros_like(z) for key, z in tables.items()}
     value = 0.0
     n_groups = len(samples)
-    current = {}
+    rollouts = {}
     for sample in samples:
-        group_rollouts = []
-        for traj, rollout_rec in zip(sample.trajectories, sample.group.rollouts):
-            if (key := (id(traj), id(rollout_rec))) not in current:
-                current[key] = Rollout(
-                    logp_new=view.logps(traj.decisions), logp_old=rollout_rec.logp_old,
-                    logp_ref=rollout_rec.logp_ref, reward=rollout_rec.reward)
-            group_rollouts.append(current[key])
-        live = RolloutGroup(sample.group.prompt_id, group_rollouts)
-        value += grpo_objective(live, sample.advantages, cfg) / n_groups
+        group = sample.group
+        for traj in group.trajectories:
+            if id(traj) not in rollouts:
+                rollouts[id(traj)] = Rollout(
+                    logp_new=live.logps(traj.decisions),
+                    logp_old=group.view.logps(traj.decisions),
+                    logp_ref=traj.logp_ref, reward=traj.reward)
+        group_rollouts = [rollouts[id(traj)] for traj in group.trajectories]
+        value += grpo_objective(RolloutGroup("p", group_rollouts), sample.advantages,
+                                cfg) / n_groups
 
-        for i, (traj, roll) in enumerate(zip(sample.trajectories, group_rollouts)):
+        for i, (traj, roll) in enumerate(zip(group.trajectories, group_rollouts)):
             adv = sample.advantages[i]
             ratio = np.exp(roll.logp_new - roll.logp_old)
             tokens = len(traj.decisions)
@@ -415,14 +413,15 @@ def objective_and_gradient_per_token(policy, samples, cfg, view=None):
                     (adv < 0 and r >= 1.0 - cfg.epsilon)
                 coef = (adv * r if active else 0.0) \
                     - cfg.beta * (roll.logp_new[t] - roll.logp_ref[t])
-                coef /= n_groups * len(sample.trajectories) * tokens
-                grads[decision.slot] -= coef * view.probs(decision.slot)
+                coef /= n_groups * len(group.trajectories) * tokens
+                grads[decision.slot] -= coef * live.probs(decision.slot)
                 grads[decision.slot][decision.action] += coef
     return value, grads
 
 
-def gradient_per_token(policy, samples, beta, view=None):
+def gradient_per_token(samples, beta):
     """``objective_and_gradient_per_token``'s gradient, called as
-    ``toy_trainer.objective_and_gradient`` is, at the default clip range."""
-    return objective_and_gradient_per_token(policy, samples, GrpoConfig(beta=beta),
-                                            view)[1]
+    ``toy_trainer.objective_and_gradient`` is, at the default clip range; the
+    live tables are those of the first group's view."""
+    return objective_and_gradient_per_token(samples[0].group.view.tables, samples,
+                                            GrpoConfig(beta=beta))[1]

@@ -369,8 +369,7 @@ class TestScore:
         assert main(["score", "--input", str(input_path), "--schema",
                      str(schema_path), "--output", str(out)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err.startswith(
-            "error: Out of range float values are not JSON compliant")
+        assert capsys.readouterr() == ("", f"error: record {rid!r}: id must be finite\n")
 
     def test_malformed_schema_file_is_format_error(self, score_files, capsys):
         schema_path, input_path = score_files
@@ -1104,6 +1103,8 @@ class TestGradcheck:
         # kd's rule, checked before the suite runs: the kernel once rejected
         # it only after the fkl and tail suites had run
         (["--lambda", "-1"], "lambda=-1.0 must be non-negative"),
+        # numpy's "expected non-negative integer" once named no flag
+        (["--seed", "-1"], "seed=-1 must be non-negative"),
     ])
     def test_out_of_range_flag_is_one_error_line(self, capsys, argv, message):
         # --trials 0 was once a vacuous pass with exit 0
@@ -1190,6 +1191,12 @@ class TestTrainToy:
         monkeypatch.setattr(toy_trainer, "SlotView", RecomputingSlotView)
         monkeypatch.setattr(toy_trainer, "objective_and_gradient", gradient_per_token)
         assert run(tmp_path / "oracle.csv") == csv
+
+    def test_negative_seed_is_rejected_before_the_task_is_read(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" once named no flag
+        assert main(["train-toy", "--task", str(tmp_path / "gone.json"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed=-1 must be non-negative\n")
 
     def test_missing_task_file(self, tmp_path, capsys):
         status = main(["train-toy", "--task", str(tmp_path / "gone.json")])
@@ -1492,6 +1499,21 @@ def test_unencodable_id_leaves_the_output_as_it_was(command, to_file, tmp_path, 
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("kd", '{"position_id": Infinity, "teacher_topk": {"indices": [0], "probs": [1.0]},'
+           ' "student_logits": [0.0, 0.0]}', "position inf: position_id must be finite"),
+    ("advantages", '{"prompt_id": NaN, "rewards": [1, 0]}',
+     "group nan: prompt_id must be finite"),
+], ids=["kd", "advantages"])
+def test_a_non_finite_id_names_its_record(command, line, message, tmp_path, capsys):
+    # each once ended in "Out of range float values are not JSON compliant";
+    # score's id is checked in TestScore.test_non_finite_id_is_format_error
+    inp = tmp_path / "in.jsonl"
+    inp.write_text(('{"vocab_size": 2}\n' if command == "kd" else "") + line + "\n")
+    assert main([command, "--input", str(inp)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 DEEP = "[" * 100_000  # far past json.loads' nesting limit, on every Python
 TOO_DEEP = "invalid JSON (nesting too deep)"
 
@@ -1775,13 +1797,14 @@ tooltrain.cli.build_parser()
 loaded()
 status = [tooltrain.cli.main(argv) for argv in (
     ["kd", "--input", "kd.jsonl", "--output", "kd.out"], ["gradcheck", "--trials", "1"],
+    ["gradcheck", "--seed", "-1"],
     ["advantages", "--input", "groups.jsonl", "--output", "groups.out"])]
 print(*status)
 loaded()
 """
     lines = _fresh_python(["-c", code], tmp_path).splitlines()
     assert lines[0] == "tooltrain tooltrain.cli"
-    assert lines[-2] == "0 0 0"
+    assert lines[-2] == "0 0 2 0"
     assert "orjson" in lines[-1].split()
     assert {m for m in lines[-1].split() if m.startswith("tooltrain")} == {
         "tooltrain", "tooltrain.cli", "tooltrain.divergence",

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import itertools
 import math
@@ -12,13 +13,7 @@ from hypothesis import strategies as st
 import tooltrain.divergence as dv
 import tooltrain.toy_trainer as toy_trainer
 from tooltrain import ToolSchema
-from tooltrain.grpo import (
-    GrpoConfig,
-    LengthMismatch,
-    Rollout,
-    RolloutGroup,
-    standardize_advantages,
-)
+from tooltrain.grpo import GrpoConfig, LengthMismatch, Rollout, standardize_advantages
 from tooltrain.toy_task import (
     ToyPrompt,
     ToyTask,
@@ -32,6 +27,7 @@ from tooltrain.toy_trainer import (
     OMIT,
     UNIFORM_BLOCK,
     Decision,
+    DrawnGroup,
     GroupSample,
     SlotView,
     ToyPolicy,
@@ -165,8 +161,7 @@ class TestRollouts:
         policy = ToyPolicy(task)
         rng = np.random.default_rng(0)
         for prompt in task.prompts:
-            group, trajectories = sample_group(policy, prompt.prompt_id, 16, rng)
-            for traj in trajectories:
+            for traj in sample_group(policy, prompt.prompt_id, 16, rng).trajectories:
                 breakdown = total_reward(traj.text, prompt.ground_truth, task.schema)
                 assert breakdown.r_format == 1
                 assert traj.graded_reward == breakdown.total
@@ -174,20 +169,20 @@ class TestRollouts:
     def test_seeded_rollout_reproducible(self):
         task = bundled_default_task()
         policy = ToyPolicy(task)
-        a = sample_group(policy, "p0", 8, np.random.default_rng(5))[0]
-        b = sample_group(policy, "p0", 8, np.random.default_rng(5))[0]
-        assert [r.reward for r in a.rollouts] == [r.reward for r in b.rollouts]
-        for ra, rb in zip(a.rollouts, b.rollouts):
-            np.testing.assert_array_equal(ra.logp_new, rb.logp_new)
+        a = sample_group(policy, "p0", 8, np.random.default_rng(5))
+        b = sample_group(policy, "p0", 8, np.random.default_rng(5))
+        assert [t.reward for t in a.trajectories] == [t.reward for t in b.trajectories]
+        for ta, tb in zip(a.trajectories, b.trajectories):
+            np.testing.assert_array_equal(a.view.logps(ta.decisions),
+                                          b.view.logps(tb.decisions))
 
     def test_one_hot_policy_gives_homogeneous_group(self):
         task = tiny_task()
         policy = ToyPolicy(task)
         policy.tables[("t0", "fn")][0] = 1e3
         policy.tables[("t0", "arg", "f1", "a")][0] = 1e3
-        group = sample_group(policy, "t0", 8, np.random.default_rng(1))[0]
-        rewards = group.rewards()
-        assert rewards.min() == rewards.max() == 1.0
+        group = sample_group(policy, "t0", 8, np.random.default_rng(1))
+        assert {t.reward for t in group.trajectories} == {1.0}
 
     def test_uniform_policy_matches_enumeration_oracle(self):
         task = tiny_task()
@@ -195,7 +190,7 @@ class TestRollouts:
         exact = enumerate_expected_reward(policy, task, "t0")
         assert exact == pytest.approx(0.25)  # 1/2 * 1/2 chance of the exact call
         rng = np.random.default_rng(2)
-        _, trajectories = sample_group(policy, "t0", 3000, rng)
+        trajectories = sample_group(policy, "t0", 3000, rng).trajectories
         mc = np.mean([t.graded_reward for t in trajectories])
         sigma = np.std([t.graded_reward for t in trajectories]) / np.sqrt(3000)
         assert abs(mc - exact) < 4 * sigma + 1e-3
@@ -205,10 +200,11 @@ class TestRollouts:
         policy = ToyPolicy(task)
         # single-entry drift: a whole-row shift would be softmax-invariant
         policy.tables[("t0", "fn")][0] += 1.5
-        group = sample_group(policy, "t0", 4, np.random.default_rng(3))[0]
-        for r in group.rollouts:
-            np.testing.assert_array_equal(r.logp_new, r.logp_old)
-            assert not np.allclose(r.logp_new[0], r.logp_ref[0])
+        group = sample_group(policy, "t0", 4, np.random.default_rng(3))
+        for traj in group.trajectories:
+            np.testing.assert_array_equal(traj.logp_ref,
+                                          policy.ref_view.logps(traj.decisions))
+            assert not np.allclose(group.view.logps(traj.decisions)[0], traj.logp_ref[0])
 
 
 @st.composite
@@ -310,12 +306,10 @@ def train_unmemoised(task, cfg, iterations, seed, monkeypatch, keys=None):
     ``random()`` call per decision and leaves the run's uniform stream unread."""
     def sample_group(policy, prompt_id, group_size, rng, reward_mode, paths, view,
                      uniforms):
-        group, trajectories = sample_group_unmemoised(policy, prompt_id,
-                                                      group_size, rng, reward_mode)
+        group = sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode)
         if keys is not None:
-            keys.update((prompt_id, tuple(d.action for d in t.decisions))
-                        for t in trajectories)
-        return group, trajectories
+            keys.update(path_keys(group.trajectories))
+        return group
 
     with monkeypatch.context() as patch:
         patch.setattr(toy_trainer, "sample_group", sample_group)
@@ -374,9 +368,9 @@ class TestUniformStream:
         stream_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
         stream = uniform_stream(stream_rng)
         for prompt in task.prompts * 3:
-            _, from_stream = sample_group(policy, prompt.prompt_id, 8, stream_rng,
-                                          uniforms=stream)
-            _, from_rng = sample_group(policy, prompt.prompt_id, 8, rng)
+            from_stream = sample_group(policy, prompt.prompt_id, 8, stream_rng,
+                                       uniforms=stream).trajectories
+            from_rng = sample_group(policy, prompt.prompt_id, 8, rng).trajectories
             assert [t.decisions for t in from_stream] == [t.decisions for t in from_rng]
 
 
@@ -422,8 +416,8 @@ class TestScoreMemo:
         monkeypatch.setattr(toy_trainer, "total_reward",
                             lambda *a: calls.append(a) or total_reward(*a))
         task = tiny_task()
-        _, trajectories = sample_group(ToyPolicy(task), "t0", 64,
-                                       np.random.default_rng(0))
+        trajectories = sample_group(ToyPolicy(task), "t0", 64,
+                                    np.random.default_rng(0)).trajectories
         # f1 takes a in {1, 2}; f2 takes b in {x, y} or omits it
         assert len(calls) == len({t.text for t in trajectories}) == 5
 
@@ -451,8 +445,10 @@ class FixedDraws:
         return next(self.values)
 
 
-def path_keys(prompt_id, trajectories):
-    return {(prompt_id, tuple(d.action for d in t.decisions)) for t in trajectories}
+def path_keys(trajectories):
+    """Each trajectory's path memo key: its prompt and its actions."""
+    return {(t.decisions[0].slot[0], tuple(d.action for d in t.decisions))
+            for t in trajectories}
 
 
 class TestPathMemo:
@@ -498,19 +494,17 @@ class TestPathMemo:
             assert policy.sample_paths("p0", 16, iter(uniforms),
                                        SlotView(policy.tables)) == oracle_paths()
 
-    def test_one_view_keeps_each_memos_rollouts_apart(self):
+    def test_one_view_keeps_each_memos_paths_apart(self):
         # the same draws under both modes: equal paths whose rewards differ
         policy = ToyPolicy(bundled_default_task())
-        view, groups = SlotView(policy.tables), {}
+        view, rewards = SlotView(policy.tables), {}
         for mode in ("sim", "binary"):
-            groups[mode] = sample_group(policy, "p0", 16, np.random.default_rng(4), mode,
-                                        {}, view)
-            fresh, _ = sample_group(policy, "p0", 16, np.random.default_rng(4), mode)
-            assert groups[mode][0].rewards().tolist() == fresh.rewards().tolist()
-        for group, trajectories in groups.values():
-            assert group.rewards().tolist() == [t.reward for t in trajectories]
-        (sim, _), (binary, _) = groups.values()
-        assert sim.rewards().tolist() != binary.rewards().tolist()
+            group = sample_group(policy, "p0", 16, np.random.default_rng(4), mode, {}, view)
+            fresh = sample_group(policy, "p0", 16, np.random.default_rng(4), mode)
+            assert group.view is view is not fresh.view
+            rewards[mode] = [t.reward for t in group.trajectories]
+            assert rewards[mode] == [t.reward for t in fresh.trajectories]
+        assert rewards["sim"] != rewards["binary"]
 
     def test_a_view_dies_with_its_last_reference(self):
         task = bundled_default_task()
@@ -528,7 +522,7 @@ class TestPathMemo:
         finally:
             gc.enable()
 
-    def test_paths_rollouts_and_entropies_are_derived_once_per_table_state(
+    def test_paths_logps_and_entropies_are_derived_once_per_table_state(
             self, monkeypatch):
         task, cfg, iterations = bundled_default_task(), ToyTrainConfig(), 200
         # the oracle run: the paths drawn at each table state, the distinct
@@ -536,20 +530,18 @@ class TestPathMemo:
         # each iteration starts from
         state, drawn, kept, entropies = [0], set(), [], []
 
-        def oracle_objective(policy, samples, beta, view):
-            kept.append(set().union(*(path_keys(s.group.prompt_id, s.trajectories)
-                                      for s in samples)))
+        def oracle_objective(samples, beta):
+            kept.append(set().union(*(path_keys(s.group.trajectories) for s in samples)))
             state[0] += 1
-            return gradient_per_token(policy, samples, beta, view)
+            return gradient_per_token(samples, beta)
 
         def oracle_sample_group(policy, prompt_id, group_size, rng, mode, paths, view,
                                 uniforms):
             if prompt_id == task.prompts[0].prompt_id:
                 entropies.append(mean_entropy_per_table(policy.tables))
-            group, trajectories = sample_group_unmemoised(policy, prompt_id,
-                                                          group_size, rng, mode)
-            drawn.update((state[0], key) for key in path_keys(prompt_id, trajectories))
-            return group, trajectories
+            group = sample_group_unmemoised(policy, prompt_id, group_size, rng, mode)
+            drawn.update((state[0], key) for key in path_keys(group.trajectories))
+            return group
 
         with monkeypatch.context() as patch:
             patch.setattr(toy_trainer, "sample_group", oracle_sample_group)
@@ -560,6 +552,7 @@ class TestPathMemo:
             entropies[1:] + [mean_entropy_per_table(oracle_policy.tables)]
 
         counts, policies, views, ref_paths = collections.Counter(), [], [], []
+        phase = ["sampling"]
         rollout_init, view_init, logps = Rollout.__post_init__, SlotView.__init__, \
             SlotView.logps
         objective = toy_trainer.objective_and_gradient
@@ -572,6 +565,14 @@ class TestPathMemo:
         def counted(name, fn):
             return lambda *args: counts.update([name]) or fn(*args)
 
+        def update(samples, beta):
+            counts.update(["update"])
+            phase[0] = "update"
+            try:
+                return objective(samples, beta)
+            finally:
+                phase[0] = "sampling"
+
         def recorded_view(view, tables, *previous_and_changed):
             views.append(tables)
             view_init(view, tables, *previous_and_changed)
@@ -580,25 +581,22 @@ class TestPathMemo:
             if view.tables is policies[0].ref_tables:
                 ref_paths.append(tuple(decisions))
             else:
-                counts.update(["live logps"])
+                counts.update([f"live logps while {phase[0]}"])
             return logps(view, decisions)
 
         monkeypatch.setattr(toy_trainer, "ToyPolicy", RecordedPolicy)
         monkeypatch.setattr(Rollout, "__post_init__", counted("rollout", rollout_init))
         monkeypatch.setattr(SlotView, "__init__", recorded_view)
         monkeypatch.setattr(SlotView, "logps", recorded_logps)
-        monkeypatch.setattr(toy_trainer, "objective_and_gradient",
-                            counted("update", objective))
+        monkeypatch.setattr(toy_trainer, "objective_and_gradient", update)
         log = train_sim_rl(task, cfg, iterations, seed=0)[1]
 
         assert log == oracle_log
-        # one rollout per distinct path per table state while sampling, and
-        # none in the update
-        assert counts["rollout"] == len(drawn) < \
-            iterations * len(task.prompts) * cfg.group_size
-        # live log-probs once per distinct path per table state while
-        # sampling, and once per distinct kept path in each update
-        assert counts["live logps"] == len(drawn) + sum(map(len, kept))
+        # no Rollout at all: each drawn path is its one Trajectory
+        assert counts["rollout"] == 0
+        # live log-probs only in the updates, once per distinct kept path
+        assert counts["live logps while sampling"] == 0
+        assert counts["live logps while update"] == sum(map(len, kept)) > 0
         # reference log-probs once per distinct path for the whole run
         assert len(ref_paths) == len(set(ref_paths)) == len({key for _, key in drawn})
         # one view per table state and one of the reference tables per run
@@ -620,14 +618,12 @@ class TestPolicyGradient:
         for key, table in policy.tables.items():
             policy.tables[key] = table + 0.5 * rng.normal(size=table.size)
         for seed in range(10):  # first seed whose group has reward spread
-            group, trajectories = sample_group(policy, "opt0", 8,
-                                               np.random.default_rng(seed))
-            rewards = group.rewards()
+            group = sample_group(policy, "opt0", 8, np.random.default_rng(seed))
+            rewards = np.array([t.reward for t in group.trajectories])
             if rewards.max() != rewards.min():
                 break
-        samples = [GroupSample(group=group, trajectories=trajectories,
-                               advantages=standardize_advantages(rewards))]
-        grads = objective_and_gradient(policy, samples, beta)
+        samples = [GroupSample(group=group, advantages=standardize_advantages(rewards))]
+        grads = objective_and_gradient(samples, beta)
         cfg = GrpoConfig(beta=beta)
 
         step = 1e-6
@@ -635,9 +631,9 @@ class TestPolicyGradient:
             for idx in range(table.size):
                 original = table[idx]
                 table[idx] = original + step
-                up, _ = objective_and_gradient_per_token(policy, samples, cfg)
+                up, _ = objective_and_gradient_per_token(policy.tables, samples, cfg)
                 table[idx] = original - step
-                down, _ = objective_and_gradient_per_token(policy, samples, cfg)
+                down, _ = objective_and_gradient_per_token(policy.tables, samples, cfg)
                 table[idx] = original
                 numeric = (up - down) / (2 * step)
                 got = grads[key][idx] if key in grads else 0.0
@@ -646,25 +642,24 @@ class TestPolicyGradient:
 
 def on_policy_minibatch(make_task, seed, offset):
     """One group per prompt plus a copy of the first with every member twice,
-    zero advantages for a homogeneous group, all sampled after the live tables
-    move off the reference by ``offset`` standard normals per entry: every
-    ratio at the live tables is 1, and the KL gaps are not 0."""
+    zero advantages for a homogeneous group, all drawn from one view after the
+    live tables move off the reference by ``offset`` standard normals per
+    entry: every ratio at the live tables is 1, and the KL gaps are not 0."""
     task = make_task()
     policy = ToyPolicy(task)
     rng = np.random.default_rng(seed)
     for key, table in policy.tables.items():
         policy.tables[key] = table + offset * rng.normal(size=table.size)
-    samples = []
+    view, samples = SlotView(policy.tables), []
     for prompt in task.prompts:
-        group, trajectories = sample_group(policy, prompt.prompt_id, 8, rng)
-        rewards = group.rewards()
+        group = sample_group(policy, prompt.prompt_id, 8, rng, view=view)
+        rewards = np.array([t.reward for t in group.trajectories])
         advantages = standardize_advantages(rewards) \
             if rewards.max() != rewards.min() else np.zeros(rewards.size)
-        samples.append(GroupSample(group, trajectories, advantages))
+        samples.append(GroupSample(group, advantages))
     first = samples[0]
-    samples.append(GroupSample(
-        RolloutGroup(first.group.prompt_id, first.group.rollouts * 2),
-        first.trajectories * 2, np.concatenate([first.advantages] * 2)))
+    samples.append(GroupSample(DrawnGroup(view, first.group.trajectories * 2),
+                               np.concatenate([first.advantages] * 2)))
     return policy, samples
 
 
@@ -672,14 +667,13 @@ advantage_values = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-3.0, 3.0
 
 
 def member_pool(offset):
-    """The six (trajectory, rollout) members of a group sampled on the
-    optional-parameter task, and its policy, whose tables moved off the
-    reference by ``offset`` standard normals per entry before sampling."""
+    """A group of six members sampled on the optional-parameter task after
+    the policy's tables moved off the reference by ``offset`` standard
+    normals per entry."""
     policy, rng = ToyPolicy(bundled_optional_param_task()), np.random.default_rng(2)
     for key, table in policy.tables.items():
         policy.tables[key] = table + offset * rng.normal(size=table.size)
-    group, trajectories = sample_group(policy, "opt0", 6, rng)
-    return policy, list(zip(trajectories, group.rollouts))
+    return sample_group(policy, "opt0", 6, rng)
 
 
 class TestUpdateOracle:
@@ -689,9 +683,9 @@ class TestUpdateOracle:
     @pytest.mark.parametrize("offset", [0.05, 1.0])
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1])
     def test_gradient_equals_the_per_token_oracle(self, make_task, seed, offset, beta):
-        policy, samples = on_policy_minibatch(make_task, seed, offset)
-        grads = objective_and_gradient(policy, samples, beta)
-        oracle_grads = gradient_per_token(policy, samples, beta)
+        _, samples = on_policy_minibatch(make_task, seed, offset)
+        grads = objective_and_gradient(samples, beta)
+        oracle_grads = gradient_per_token(samples, beta)
         assert grads.keys() <= oracle_grads.keys()
         for key, oracle_grad in oracle_grads.items():
             if key in grads:
@@ -712,13 +706,13 @@ class TestUpdateOracle:
     # one member with a 0.0 and a -0.0 advantage in one call
     @example(groups=[[(0, 0.0), (1, 1.0)], [(0, -0.0), (1, -1.0)]], offset=0.0, beta=0.0)
     def test_shared_members_equal_the_per_token_oracle(self, groups, offset, beta):
-        policy, pool = member_pool(offset)
-        samples = [GroupSample(RolloutGroup("p", [pool[i][1] for i, _ in members]),
-                               [pool[i][0] for i, _ in members],
+        pool = member_pool(offset)
+        samples = [GroupSample(DrawnGroup(pool.view,
+                                          [pool.trajectories[i] for i, _ in members]),
                                np.array([adv for _, adv in members]))
                    for members in groups]
-        grads = objective_and_gradient(policy, samples, beta)
-        oracle_grads = gradient_per_token(policy, samples, beta)
+        grads = objective_and_gradient(samples, beta)
+        oracle_grads = gradient_per_token(samples, beta)
         assert grads.keys() <= oracle_grads.keys()
         for key, oracle_grad in oracle_grads.items():
             got = grads.get(key, np.zeros_like(oracle_grad))
@@ -732,73 +726,62 @@ class TestUpdateOracle:
                       for adv in sample.advantages.tolist()]
         assert min(advantages) < 0 < max(advantages) and 0.0 in advantages
 
-    @pytest.mark.parametrize("drift", ["tables", "one ulp"])
-    def test_a_minibatch_from_other_tables_raises(self, drift):
-        # the update is exact at ratio 1 only, so it takes no off-policy batch
+    def test_a_batch_from_two_views_raises(self):
+        # the update is exact at ratio 1 only, at the tables that drew the batch
         policy, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        if drift == "tables":
-            rng = np.random.default_rng(1)
-            for key, table in policy.tables.items():
-                policy.tables[key] = table + rng.normal(size=table.size)
-        else:
-            rollout = samples[-1].group.rollouts[-1]
-            rollout.logp_old = rollout.logp_old.copy()
-            rollout.logp_old[-1] = np.nextafter(rollout.logp_old[-1], 0.0)
-        with pytest.raises(ValueError, match="^logp_old differs from the view's "
-                                             "log-probabilities: the rollout was "
-                                             "sampled from other tables$"):
-            objective_and_gradient(policy, samples, 1e-3)
+        other = sample_group(policy, "p0", 8, np.random.default_rng(1))
+        assert other.view is not samples[0].group.view
+        with pytest.raises(ValueError, match="^the batch's groups were drawn from "
+                                             "different views$"):
+            objective_and_gradient([*samples, GroupSample(other, np.ones(8))], 1e-3)
+
+    def test_tables_edited_after_sampling_leave_the_gradient(self):
+        # the gradient is taken at the view's table state, not at the live tables
+        policy, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        before = objective_and_gradient(samples, 1e-3)
+        rng = np.random.default_rng(1)
+        for table in policy.tables.values():
+            table += rng.normal(size=table.size)
+        after = objective_and_gradient(samples, 1e-3)
+        assert before.keys() == after.keys()
+        for key, grad in before.items():
+            assert grad.tobytes() == after[key].tobytes(), key
 
     @pytest.mark.parametrize("update", [objective_and_gradient, gradient_per_token])
-    @pytest.mark.parametrize("fault", ["advantage count", "length", "nan logp_ref",
-                                       "inf logp_old"])
+    @pytest.mark.parametrize("fault", ["advantage count", "length", "nan logp_ref"])
     def test_malformed_minibatches_raise(self, update, fault):
-        policy, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
         sample = samples[0]
-        rollouts, advantages = list(sample.group.rollouts), sample.advantages
-        first, error = rollouts[0], ValueError
+        trajectories, advantages = list(sample.group.trajectories), sample.advantages
+        first, error = trajectories[0], ValueError
         if fault == "advantage count":
             advantages, error = advantages[:-1], LengthMismatch
         elif fault == "length":
-            longer = np.append(first.logp_old, 0.0)
-            rollouts[0] = Rollout(longer, longer, longer, first.reward)
+            trajectories[0] = dataclasses.replace(
+                first, logp_ref=np.append(first.logp_ref, 0.0))
         else:
-            # Rollout checks only at construction, so spoil a copy afterwards
-            rollouts[0] = Rollout(first.logp_new, first.logp_old, first.logp_ref,
-                                  first.reward)
-            value, name = fault.split()
-            setattr(rollouts[0], name, np.full(first.logp_old.size, float(value)))
-        broken = GroupSample(RolloutGroup(sample.group.prompt_id, rollouts),
-                             sample.trajectories, advantages)
+            trajectories[0] = dataclasses.replace(
+                first, logp_ref=np.full(first.logp_ref.size, math.nan))
+        broken = GroupSample(DrawnGroup(sample.group.view, trajectories), advantages)
         with pytest.raises(error, match="advantages|equally sized|finite"):
-            update(policy, [broken], ToyTrainConfig().beta)
+            update([broken], ToyTrainConfig().beta)
 
     @pytest.mark.parametrize("update", [objective_and_gradient, gradient_per_token])
     def test_empty_group_raises(self, update):
         # its value was once group_value / 0, a ZeroDivisionError
-        policy, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        empty = GroupSample(RolloutGroup(samples[0].group.prompt_id), [], np.zeros(0))
+        _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        empty = GroupSample(DrawnGroup(samples[0].group.view, []), np.zeros(0))
         with pytest.raises(ValueError, match="^a group needs at least one rollout$"):
-            update(policy, [*samples, empty], ToyTrainConfig().beta)
+            update([*samples, empty], ToyTrainConfig().beta)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_advantage_raises(self, bad):
         # the clip test once dropped a NaN's term and kept the KL term; at ratio
         # 1 it would reach the tables
-        policy, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
         samples[0].advantages[3] = bad
         with pytest.raises(ValueError, match="^advantages must be finite$"):
-            objective_and_gradient(policy, samples, 1e-3)
-
-    @pytest.mark.parametrize("count", [5, 11], ids=["shorter", "longer"])
-    def test_trajectory_count_must_equal_the_rollout_count(self, count):
-        # zip once stopped at the shorter list and returned a value for the rest
-        policy, samples = on_policy_minibatch(bundled_default_task, 3, 0.05)
-        sample = samples[0]
-        trajectories = (sample.trajectories * 2)[:count]
-        broken = GroupSample(sample.group, trajectories, sample.advantages)
-        with pytest.raises(LengthMismatch, match=f"{count} trajectories for 8 rollouts"):
-            objective_and_gradient(policy, [broken], ToyTrainConfig().beta)
+            objective_and_gradient(samples, 1e-3)
 
 
 class TestTraining:
@@ -808,19 +791,29 @@ class TestTraining:
         {}, {"reward_mode": "binary", "filter_groups": False}, {"beta": 0.1},
     ], ids=["default", "binary unfiltered", "wide kl"])
     def test_every_update_ratio_is_one(self, make_task, kwargs, monkeypatch):
-        # one update per batch, from the view the batch was sampled from, so the
-        # clip range cannot act; an inner-epoch loop must fail here
-        members = []
+        # one update per batch, from the view that drew it, which holds the
+        # live tables, so the clip range cannot act; an inner-epoch loop must
+        # fail here
+        task, drawn, members = make_task(), [], []
 
-        def checked_update(policy, samples, beta, view):
+        def recorded_sample_group(*args):
+            drawn.append(sample_group(*args))
+            return drawn[-1]
+
+        def checked_update(samples, beta):
+            view, this_round = drawn[-1].view, drawn[-len(task.prompts):]
+            live = SlotView(view.tables)
             for sample in samples:
-                for traj, rollout in zip(sample.trajectories, sample.group.rollouts):
-                    members.append(view.logps(traj.decisions).tobytes()
-                                   == rollout.logp_old.tobytes())
-            return objective_and_gradient(policy, samples, beta, view)
+                assert any(sample.group is group for group in this_round)
+                assert sample.group.view is view
+                members.extend(view.logps(traj.decisions).tobytes()
+                               == live.logps(traj.decisions).tobytes()
+                               for traj in sample.group.trajectories)
+            return objective_and_gradient(samples, beta)
 
+        monkeypatch.setattr(toy_trainer, "sample_group", recorded_sample_group)
         monkeypatch.setattr(toy_trainer, "objective_and_gradient", checked_update)
-        train_sim_rl(make_task(), ToyTrainConfig(**kwargs), iterations=60, seed=0)
+        train_sim_rl(task, ToyTrainConfig(**kwargs), iterations=60, seed=0)
         assert len(members) > 100 and all(members)
 
     def test_deterministic_logs(self):
