@@ -66,16 +66,16 @@ _WIDE, _DEPTH = 2.0 ** 63, 100
 
 
 def _loads(text: str):
-    """``json.loads(text)``, decoded by orjson where that gives the same objects,
-    types, float bits, key order and errors; orjson is imported on the first
-    call, not with this module. ``json.loads`` decodes the text again when
-    orjson raises (NaN, the infinities, ``1e400``, a lone surrogate, bad JSON)
-    or returns a float of magnitude 2**63 or more, or nests past ``_DEPTH``."""
-    import orjson
+    """``json.loads`` of ``text`` less one ending ``\\n``, decoded by orjson where that
+    gives the same objects, types, float bits, key order and errors. ``json.loads``
+    decodes the text again when orjson raises (NaN, the infinities, ``1e400``, a lone
+    surrogate, bad JSON; the ``\\n`` is stripped here, for bad JSON's messages), returns
+    a float of magnitude 2**63 or more, or nests past ``_DEPTH``."""
+    import orjson  # on the first call, not with this module
     try:
-        obj = orjson.loads(text)
+        obj = orjson.loads(text)  # a "\n" is JSON whitespace to orjson
     except orjson.JSONDecodeError:
-        return json.loads(text)
+        return json.loads(text.removesuffix("\n"))
     level = [[obj]]
     for _ in range(_DEPTH):
         inner = []
@@ -111,8 +111,7 @@ def _iter_jsonl(path: str):
     with open(path, encoding="utf-8") as handle:
         for line in handle:  # one form of one line: its text, then its object
             n += 1
-            line = line.rstrip("\n")  # else a cut-off string ends in a control char
-            if not line.strip():
+            if line.isspace():  # strip()'s test of blankness, with no copy
                 continue
             try:
                 obj = _loads(line)
@@ -133,9 +132,12 @@ _dump = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False).en
 
 def _check_id(what: str, key: str, value) -> None:
     """Raise a ``ValueError`` that names the record when its id, echoed in
-    every output line about it, is NaN or an infinity."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{what} {value!r}: {key} must be finite")
+    every output line about it, is or holds NaN or an infinity, as ``_dump`` finds."""
+    if isinstance(value, (float, list, dict)):  # the ids that can be or hold a float
+        try:
+            _dump(value)
+        except ValueError:
+            raise ValueError(f"{what} {value!r}: {key} must be finite") from None
 
 
 def _score_line(rid, breakdown: RewardBreakdown) -> str:
@@ -242,6 +244,8 @@ def _kd_position(record: dict, vocab_size: int, m: int,
     """One ``kd`` record's loss, escape mass and entropy. The logit list
     leaves ``record`` and is dropped once converted, and the arrays built here
     die with the call, so the next line is read and parsed beside none of them."""
+    from array import array
+
     import numpy as np
     from . import divergence as dv
     topk, logits = record["teacher_topk"], record.pop("student_logits")
@@ -257,10 +261,16 @@ def _kd_position(record: dict, vocab_size: int, m: int,
             raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
     indices = np.asarray(topk["indices"], dtype=np.int64)
     probs = np.asarray(topk["probs"], dtype=np.float64)
-    z = np.asarray(logits, dtype=np.float64)
-    # as for probs; a nested list is left to the kernel's 1-d check
-    if z.ndim == 1 and not set(map(type, logits)) <= {int, float}:
-        raise ValueError("student_logits are not all numbers")
+    try:  # one C pass to numpy's values; it reads a bool as 0 or 1, hence the type check
+        z = np.frombuffer(array("d", logits), dtype=np.float64)
+        fast = not ((z == 0) | (z == 1)).any() or set(map(type, logits)) <= {int, float}
+    except (TypeError, OverflowError):  # a string, null, list or int past 1e308
+        fast = False
+    if not fast:  # numpy's conversion, then the check, for their messages in order
+        z = np.asarray(logits, dtype=np.float64)
+        # as for probs; a nested list is left to the kernel's 1-d check
+        if z.ndim == 1 and not set(map(type, logits)) <= {int, float}:
+            raise ValueError("student_logits are not all numbers")
     del logits
     if z.size != vocab_size:
         raise ValueError(f"student_logits has length {z.size}, "

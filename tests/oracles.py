@@ -425,3 +425,13 @@ def gradient_per_token(samples, beta):
     live tables are those of the first group's view."""
     return objective_and_gradient_per_token(samples[0].group.view.tables, samples,
                                             GrpoConfig(beta=beta))[1]
+
+
+def student_logits_asarray(logits: list) -> np.ndarray:
+    """``kd``'s conversion of a record's ``student_logits`` as it was before its
+    one-pass form: ``np.asarray``, then a check of every entry's type, with a
+    nested list left to the kernel's 1-d check."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim == 1 and not set(map(type, logits)) <= {int, float}:
+        raise ValueError("student_logits are not all numbers")
+    return z

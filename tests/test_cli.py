@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,10 +12,11 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tooltrain
@@ -40,7 +42,7 @@ from tooltrain.toy_task import (
 
 from fuzzing import json_values
 from golden import GOLDEN_RECORDS, GOLDEN_SCHEMA
-from oracles import RecomputingSlotView, gradient_per_token
+from oracles import RecomputingSlotView, gradient_per_token, student_logits_asarray
 
 
 @pytest.fixture
@@ -996,6 +998,69 @@ def test_loads_is_json_loads(text, edit):
     assert _decoded(_loads, text) == _decoded(json.loads, text)
 
 
+@settings(max_examples=120, deadline=None)
+@given(text=json_texts, edit=st.none() | st.tuples(
+    st.integers(0), st.sampled_from(list(' \t,:[]{}"\\-.0eE1nN')), st.booleans()))
+@example(text='{"a": "cut off', edit=None)
+@example(text='[NaN, "cut off', edit=None)
+@example(text='"a\\', edit=None)
+def test_loads_reads_a_line_as_json_loads_reads_it_without_its_end(text, edit):
+    """A line is decoded with its ``\\n``, as ``json.loads`` decodes the line
+    without it: the same objects, float bits and key order, or the same error,
+    a cut-off string's included."""
+    if edit is not None:
+        at, char, replace = edit
+        at %= len(text) + 1
+        text = text[:at] + char + text[at + replace:]
+    assert _decoded(_loads, text + "\n") == _decoded(json.loads, text)
+
+
+_logit_entries = (st.floats() | st.sampled_from([-0.0, 0.0, 1.0, math.nan])
+                  | st.integers(-2**70, 2**70)
+                  | st.sampled_from([0, 1, 2**63, 2**64 + 1, -2**63 - 1, 2**1024, -2**1030])
+                  | st.booleans() | st.none() | st.text(max_size=3)
+                  | st.sampled_from(["0.5", "1", "nan", "inf"]))
+_student_logits = (st.lists(_logit_entries | st.lists(_logit_entries, min_size=1, max_size=3),
+                            min_size=1, max_size=12)
+                   | st.lists(st.lists(st.floats(), min_size=2, max_size=2),
+                              min_size=1, max_size=3))
+
+
+def _converted(convert, logits):
+    try:
+        z = convert(logits)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return z.dtype, z.shape, z.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(logits=_student_logits)
+@example(logits=[0.0, True, 1.0])
+@example(logits=[-0.0, 1, 0, 2**64 + 1])
+def test_kd_converts_logits_as_asarray_then_a_type_check(logits):
+    """The array a loss receives from ``_kd_position`` has the bits of the
+    oracle's, or the record fails with the oracle's error, on lists of floats,
+    ints past int64 and the float range, bools, nulls, strings and lists."""
+    want = _converted(student_logits_asarray, logits)
+    vocab_size = len(want[2]) // 8 if len(want) == 3 else len(logits)  # passes its check
+    seen = []
+
+    def capture(teacher, z, m, lambda_tail):
+        seen.append(z)
+        return dv.LossReport(0.0, z, {"escape_mass": 0.0, "entropy": 0.0})
+
+    def fast(logits):
+        record = {"teacher_topk": {"indices": [0], "probs": [1.0]},
+                  "student_logits": list(logits)}
+        args = argparse.Namespace(k=None, loss="capture", lambda_tail=0.0)
+        with mock.patch.dict(dv.LOSSES, capture=capture):
+            cli._kd_position(record, vocab_size, 1, args)
+        return seen[0]
+
+    assert _converted(fast, logits) == want
+
+
 @pytest.mark.parametrize("text", [
     "[" * 1100 + "]" * 1100, "[" * 100000, "[" * 300 + "1" + "]" * 300,
     "[" * 60 + "18446744073709551616" + "]" * 60,
@@ -1504,7 +1569,11 @@ def test_unencodable_id_leaves_the_output_as_it_was(command, to_file, tmp_path, 
            ' "student_logits": [0.0, 0.0]}', "position inf: position_id must be finite"),
     ("advantages", '{"prompt_id": NaN, "rewards": [1, 0]}',
      "group nan: prompt_id must be finite"),
-], ids=["kd", "advantages"])
+    ("kd", '{"position_id": [NaN], "teacher_topk": {"indices": [0], "probs": [1.0]},'
+           ' "student_logits": [0.0, 0.0]}', "position [nan]: position_id must be finite"),
+    ("advantages", '{"prompt_id": {"a": Infinity}, "rewards": [1, 0]}',
+     "group {'a': inf}: prompt_id must be finite"),
+], ids=["kd", "advantages", "kd nested", "advantages nested"])
 def test_a_non_finite_id_names_its_record(command, line, message, tmp_path, capsys):
     # each once ended in "Out of range float values are not JSON compliant";
     # score's id is checked in TestScore.test_non_finite_id_is_format_error
