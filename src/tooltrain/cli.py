@@ -65,17 +65,17 @@ def _read_json(path: str, parse):
 _WIDE, _DEPTH = 2.0 ** 63, 100
 
 
-def _loads(text: str):
-    """``json.loads`` of ``text`` less one ending ``\\n``, decoded by orjson where that
-    gives the same objects, types, float bits, key order and errors. ``json.loads``
-    decodes the text again when orjson raises (NaN, the infinities, ``1e400``, a lone
-    surrogate, bad JSON; the ``\\n`` is stripped here, for bad JSON's messages), returns
-    a float of magnitude 2**63 or more, or nests past ``_DEPTH``."""
+def _loads(text: str | bytearray):
+    """``json.loads`` of ``text`` (a ``str`` less one ending ``\\n``, or UTF-8 bytes),
+    decoded by orjson where that gives the same objects, types, float bits, key order
+    and errors. ``_json_loads`` decodes the text again when orjson raises (NaN, the
+    infinities, ``1e400``, a lone surrogate, bad JSON or UTF-8), returns a float of
+    magnitude 2**63 or more, or nests past ``_DEPTH``."""
     import orjson  # on the first call, not with this module
     try:
         obj = orjson.loads(text)  # a "\n" is JSON whitespace to orjson
     except orjson.JSONDecodeError:
-        return json.loads(text.removesuffix("\n"))
+        return _json_loads(text)
     level = [[obj]]
     for _ in range(_DEPTH):
         inner = []
@@ -93,33 +93,90 @@ def _loads(text: str):
                 kind = type(x)
                 if kind is float:
                     if not -_WIDE < x < _WIDE:
-                        return json.loads(text)
+                        return _json_loads(text)
                 elif kind is list or kind is dict:
                     inner.append(x)
         if not (level := inner):
             return obj
-    return json.loads(text)
+    return _json_loads(text)
+
+
+def _json_loads(text: str | bytearray):
+    """``json.loads`` of ``text`` less one ending ``\\n``, for bad JSON's messages, and
+    of bytes as strict UTF-8, so bad UTF-8 raises ``UnicodeDecodeError`` (``json.loads``
+    would guess their encoding and pass encoded surrogates)."""
+    return json.loads(text.removesuffix("\n") if isinstance(text, str) else text.decode())
+
+
+_READ = 1 << 16  # bytes asked of each read
+
+
+def _lines(handle):
+    """Yield each physical line of the unbuffered binary ``handle`` without its end,
+    which is ``\\n``, ``\\r\\n`` or ``\\r`` as in text mode, also where a read parts a
+    ``\\r\\n``. Each read fills one fixed chunk, whose bytes are copied once into one
+    ``bytearray`` yielded for every line; it keeps its storage unless a line needs under
+    half of it, so long lines free and fault in no line-sized block per line."""
+    chunk, line = bytearray(_READ), bytearray()
+    view = memoryview(chunk)
+    pos = got = size = 0  # chunk[pos:got] is read and not yet in line[:size]
+    nl = cr = -1  # where chunk's next "\n" and "\r" at or after pos are, or -1
+    after_cr = False  # the last line ended at "\r", so a "\n" next ends no line
+    while True:
+        if pos == got:
+            pos, got = 0, handle.readinto(chunk)
+            if not got:
+                break
+            nl, cr = chunk.find(b"\n", 0, got), chunk.find(b"\r", 0, got)
+        if after_cr:
+            after_cr = False
+            if pos == nl:
+                pos += 1
+                continue
+        if 0 <= nl < pos:
+            nl = chunk.find(b"\n", pos, got)
+        if 0 <= cr < pos:
+            cr = chunk.find(b"\r", pos, got)
+        end = min(nl, cr) if nl >= 0 and cr >= 0 else max(nl, cr)
+        stop = got if end < 0 else end
+        line[size:stop - pos + size] = view[pos:stop]  # overwrites, or grows past len
+        size += stop - pos
+        if end < 0:
+            pos = got
+            continue
+        pos, after_cr = end + 1, end == cr
+        del line[size:]  # keeps the storage while size is at least half of it
+        yield line
+        size = 0
+    if size:
+        del line[size:]
+        yield line
 
 
 def _iter_jsonl(path: str):
     """Yield the JSON object on each non-blank line, reading one line at a time.
 
-    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, not at U+2028 or its kin;
-    lines are numbered from 1 in messages, and a bad line raises ``ValueError``.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, not at U+2028 or its kin, and
+    is blank when it is empty or its text is all ``str.isspace()`` whitespace. Lines
+    are numbered from 1 in messages, and a bad line, bad UTF-8 included, raises
+    ``ValueError``.
     """
-    n = 0  # not enumerate, whose cached tuple would keep the text alive
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:  # one form of one line: its text, then its object
-            n += 1
-            if line.isspace():  # strip()'s test of blankness, with no copy
-                continue
+    with open(path, "rb", buffering=0) as handle:
+        for n, line in enumerate(_lines(handle), 1):  # its bytes, then its object
             try:
+                # a record starts with "{", so only another line can be blank
+                if not line.startswith(b"{") and (not line or line.decode().isspace()):
+                    continue
                 obj = _loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{n}: invalid UTF-8 "
+                                 f"({exc.reason} at column {exc.start + 1})") from None
             except RecursionError:
                 raise ValueError(f"{path}:{n}: invalid JSON (nesting too deep)") from None
-            del line
+            except ValueError as exc:  # an integer literal past int()'s digit limit
+                raise ValueError(f"{path}:{n}: {exc}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{n}: expected a JSON object per line")
             yield obj

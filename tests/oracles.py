@@ -20,6 +20,7 @@ from tooltrain.chat_format import (
     ToolCall,
     _parse_call_payload,
 )
+from tooltrain.cli import _loads
 from tooltrain.gradcheck import FD_STEP
 from tooltrain.grpo import GrpoConfig, Rollout, RolloutGroup, grpo_objective
 from tooltrain.reward import total_reward
@@ -435,3 +436,25 @@ def student_logits_asarray(logits: list) -> np.ndarray:
     if z.ndim == 1 and not set(map(type, logits)) <= {int, float}:
         raise ValueError("student_logits are not all numbers")
     return z
+
+
+def iter_jsonl_text(path: str):
+    """``cli._iter_jsonl`` as it was before its binary reader: text mode, so a fresh
+    ``str`` per line, whose blank test is ``str.isspace`` of the line with its end,
+    and which the decoder of the file's 8 KB chunks has already checked as UTF-8."""
+    n = 0  # not enumerate, whose cached tuple would keep the text alive
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:  # one form of one line: its text, then its object
+            n += 1
+            if line.isspace():  # strip()'s test of blankness, with no copy
+                continue
+            try:
+                obj = _loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
+            except RecursionError:
+                raise ValueError(f"{path}:{n}: invalid JSON (nesting too deep)") from None
+            del line
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{n}: expected a JSON object per line")
+            yield obj

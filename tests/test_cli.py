@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -42,7 +43,12 @@ from tooltrain.toy_task import (
 
 from fuzzing import json_values
 from golden import GOLDEN_RECORDS, GOLDEN_SCHEMA
-from oracles import RecomputingSlotView, gradient_per_token, student_logits_asarray
+from oracles import (
+    RecomputingSlotView,
+    gradient_per_token,
+    iter_jsonl_text,
+    student_logits_asarray,
+)
 
 
 @pytest.fixture
@@ -948,6 +954,52 @@ def test_reader_splits_at_line_ends_only(records, sep, last):
         assert list(_iter_jsonl(str(inp))) == records
 
 
+STR_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000"  # str.isspace(), not all bytes.isspace()
+_records = st.dictionaries(_text, _text | st.integers() | st.floats(allow_nan=False,
+                                                                  allow_infinity=False),
+                           max_size=3).map(_dump)
+_jsonl_lines = (
+    _records
+    | st.text(st.sampled_from(STR_BLANKS), max_size=3)  # the empty line too
+    | st.tuples(_records, st.integers(0)).map(  # cut anywhere, in a string or not
+        lambda cut: cut[0][:cut[1] % (len(cut[0]) + 1)])
+    | st.sampled_from(['{bad', '[1]', '"\u2028"', '{"a": 1} x', '{"a": NaN}', "\ufeff{}",
+                       ' {"a": 1}', '\xa0{"a": 1}\u3000', '{"a": "\u2028\u2029\x85"}'])
+    | st.integers(0, 40).map(lambda pad: _dump({"pad": "x" * pad})))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.tuples(_jsonl_lines, st.sampled_from(["\n", "\r\n", "\r"])),
+                      max_size=8),
+       last=st.booleans(), read=st.sampled_from([1, 2, 3, 5, 16, cli._READ]))
+@example(lines=[('{"a": 1}', "\r\n"), ('{"b": 2}', "\r\n")], last=True, read=9)  # "\r" ends a read
+@example(lines=[(_dump({"pad": "x" * 2 * cli._READ}), "\r"), ("{}", "\n")], last=False,
+         read=cli._READ)
+@example(lines=[("\xa0", "\r"), ("", "\r\n"), ('{"a": "cut', "\n")], last=False, read=1)
+def test_reader_reads_as_the_text_reader(lines, last, read):
+    """The objects the text-mode reader gave, or its error message, on records,
+    blank lines of ``str`` whitespace, bad and cut-off lines and lines longer than
+    a read, joined by any line end, with reads so short that they part a ``\\r\\n``."""
+    text = "".join(line + sep for line, sep in lines)
+    if lines and not last:
+        text = text.removesuffix(lines[-1][1])
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "in.jsonl"
+        inp.write_bytes(text.encode("utf-8"))
+
+        def outcome(reader):
+            objects = []
+            try:
+                for obj in reader(str(inp)):
+                    objects.append(_typed(obj))
+            except ValueError as exc:
+                return objects, str(exc)
+            return objects, None
+
+        with mock.patch.object(cli, "_READ", read):
+            assert outcome(_iter_jsonl) == outcome(iter_jsonl_text)
+
+
 # literals where orjson and json.loads could part: each side of the integer
 # edges orjson reads exactly, what only json.loads reads, and escapes and raw
 # text that orjson must decode as json.loads does
@@ -1581,6 +1633,92 @@ def test_a_non_finite_id_names_its_record(command, line, message, tmp_path, caps
     inp.write_text(('{"vocab_size": 2}\n' if command == "kd" else "") + line + "\n")
     assert main([command, "--input", str(inp)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+FIRST_LINES = {"score": GOLDEN_RECORDS[0], "kd": {"version": 1, "vocab_size": 2},
+               "advantages": {"prompt_id": "p", "rewards": [1, 0]}}
+
+
+class TestJsonlBytes:
+    """Input lines are read as bytes: an error in one names its file and line,
+    and the first bad line in file order is the one reported."""
+
+    def run(self, command, inp, score_files):
+        schema = ["--schema", str(score_files[0])] if command == "score" else []
+        return main([command, "--input", str(inp), *schema])
+
+    @pytest.mark.parametrize("command", list(FIRST_LINES))
+    def test_integer_past_the_digit_limit_names_its_line(self, command, score_files,
+                                                          tmp_path, capsys):
+        # json.loads raises a plain ValueError here, once printed with no file or line
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps(FIRST_LINES[command]) + "\n" + "1" * 4301 + "\n")
+        with pytest.raises(ValueError) as limit:
+            json.loads("1" * 4301)
+        assert self.run(command, inp, score_files) == 2
+        assert capsys.readouterr() == ("", f"error: {inp}:2: {limit.value}\n")
+
+    @pytest.mark.parametrize("command", list(FIRST_LINES))
+    @pytest.mark.parametrize("bad, message", [
+        (b'{"id": "\xff"}', "invalid start byte at column 9"),
+        (b"\xc2\xa0\xff", "invalid start byte at column 3"),  # no "{", so read as text
+        (b'{"id": "\xed\xa0\x80"}', "invalid continuation byte at column 9"),
+        (b'{"id": "\xe2\x82', "unexpected end of data at column 9"),
+    ], ids=["record", "blank", "surrogate", "cut at the end"])
+    def test_invalid_utf8_names_its_line(self, command, bad, message, score_files,
+                                         tmp_path, capsys):
+        # the decoder's message once counted its position from the start of an 8 KB
+        # chunk and named no file
+        inp = tmp_path / "in.jsonl"
+        first = json.dumps(FIRST_LINES[command]).encode()
+        inp.write_bytes(first + b"\r" + "\xa0".encode() + b"\r\n\r\n" + bad)
+        assert self.run(command, inp, score_files) == 2
+        assert capsys.readouterr() == ("", f"error: {inp}:4: invalid UTF-8 ({message})\n")
+
+    @pytest.mark.parametrize("utf8_first", [False, True])
+    def test_first_bad_line_in_file_order_is_reported(self, utf8_first, tmp_path,
+                                                       capsys):
+        # the text reader decoded 8 KB at a time, so bad UTF-8 anywhere in the
+        # chunk was reported before a bad line above it
+        lines = [json.dumps(FIRST_LINES["advantages"]).encode(), b"{bad", b'{"p": "\xff"}']
+        if utf8_first:
+            lines[1], lines[2] = lines[2], lines[1]
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["advantages", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == ("", f"error: {inp}:2: " + (
+            "invalid UTF-8 (invalid start byte at column 8)\n" if utf8_first
+            else "invalid JSON (Expecting property name enclosed in double quotes)\n"))
+
+    def test_fifo_reads_as_a_file(self, tmp_path, capsys):
+        # a pipe's reads end wherever its writes did, "\r\n" parted included
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        text = "".join(json.dumps({"prompt_id": i, "rewards": [i, 0]}) + "\r\n"
+                       for i in range(1, 40)).encode()
+        inp, fifo = tmp_path / "in.jsonl", tmp_path / "in.fifo"
+        inp.write_bytes(text)
+        assert main(["advantages", "--input", str(inp)]) == 0
+        want = capsys.readouterr()
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb", buffering=0) as pipe:
+                for at in range(0, len(text), 37):  # 37 parts some "\r\n"
+                    pipe.write(text[at:at + 37])
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            assert main(["advantages", "--input", str(fifo)]) == 0
+        finally:
+            writer.join(timeout=10)
+            if writer.is_alive():  # main never opened the pipe: open it, so write() ends
+                with open(fifo, "rb") as pipe:
+                    pipe.read()
+                writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr() == want
 
 
 DEEP = "[" * 100_000  # far past json.loads' nesting limit, on every Python
