@@ -3,9 +3,10 @@
 Each iteration samples a group of 8 rollouts per prompt, renders them to
 template text, scores them with the full reward pipeline, drops homogeneous
 groups, standardizes rewards within each surviving group, and takes one
-ascent step on the clipped objective. A second run on the optional-parameter
-task compares the graded reward against a strict exact-match baseline at the
-same budget.
+ascent step along the objective's gradient at importance ratio 1, from the
+tables that drew the batch, so the clip never acts. A second run on the
+optional-parameter task compares the graded reward against a strict
+exact-match baseline at the same budget.
 
 Run: python demos/train_toy_policy.py
 """

@@ -5,7 +5,8 @@ group rewards standardized with the population standard deviation, so a
 zero-variance (homogeneous) group carries no learning signal and is dropped
 rather than smoothed. The objective is the clipped importance-weighted
 surrogate with a ``0.5 * (log pi - log pi_ref)**2`` KL penalty per token,
-averaged per rollout over its tokens and then over the group.
+averaged per rollout over its tokens and then over the group. ``token_terms``
+gives each token's term and its derivative, the toy trainer's token coefficient.
 """
 
 from __future__ import annotations
@@ -126,26 +127,35 @@ def kl_k2(logp_new, logp_ref):
     return 0.5 * diff * diff
 
 
+def check_group(size: int, advantages) -> np.ndarray:
+    """``advantages`` as float64, one finite value per rollout of a non-empty group."""
+    advantages = np.asarray(advantages, dtype=np.float64)
+    if not size:
+        raise ValueError("a group needs at least one rollout")
+    if advantages.shape != (size,):
+        raise LengthMismatch(f"{advantages.size} advantages for {size} rollouts")
+    if not np.isfinite(advantages).all():
+        raise ValueError("advantages must be finite")
+    return advantages
+
+
+def token_terms(logp_new, logp_old, logp_ref, advantages, cfg: GrpoConfig):
+    """Per token, elementwise: the term min(r * A, clip(r, lo, hi) * A) - beta * k2,
+    where r = exp(logp_new - logp_old) and [lo, hi] = [1 - eps, 1 + eps], and its
+    derivative in logp_new: r * A where the unclipped branch is the minimum (A >= 0
+    and r <= hi, or A < 0 and r >= lo), else 0, minus beta * (logp_new - logp_ref)."""
+    ratio, lo, hi = np.exp(logp_new - logp_old), 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
+    unclipped = ratio * advantages
+    terms = np.minimum(unclipped, np.clip(ratio, lo, hi) * advantages) \
+        - cfg.beta * kl_k2(logp_new, logp_ref)
+    active = np.where(advantages >= 0, ratio <= hi, ratio >= lo)
+    return terms, np.where(active, unclipped, 0.0) - cfg.beta * (logp_new - logp_ref)
+
+
 def grpo_objective(group: RolloutGroup, advantages: Iterable[float],
                    cfg: GrpoConfig) -> float:
-    """Clipped surrogate objective for one group.
-
-    Per token: ratio r = exp(logp_new - logp_old) and
-    term = min(r * A, clip(r, 1 - eps, 1 + eps) * A) - beta * k2. Terms are
-    averaged over each rollout's tokens, then over the group.
-    """
-    advantages = np.asarray(list(advantages), dtype=np.float64)
-    if not group.size:
-        raise ValueError("a group needs at least one rollout")
-    if advantages.size != group.size:
-        raise LengthMismatch(f"{advantages.size} advantages for {group.size} rollouts")
-    rollout_means = np.zeros(group.size)
-    for i, rollout in enumerate(group.rollouts):
-        ratio = np.exp(rollout.logp_new - rollout.logp_old)
-        clipped = np.clip(ratio, 1.0 - cfg.epsilon, 1.0 + cfg.epsilon)
-        adv = advantages[i]
-        surrogate = np.minimum(ratio * adv, clipped * adv)
-        kl = kl_k2(rollout.logp_new, rollout.logp_ref)
-        term = surrogate - cfg.beta * kl
-        rollout_means[i] = term.mean()
-    return float(rollout_means.mean())
+    """Clipped surrogate objective for one group, checked by ``check_group``:
+    the ``token_terms`` averaged over each rollout's tokens, then over the group."""
+    advantages = check_group(group.size, list(advantages))
+    return float(np.mean([token_terms(r.logp_new, r.logp_old, r.logp_ref, a, cfg)[0].mean()
+                          for r, a in zip(group.rollouts, advantages)]))

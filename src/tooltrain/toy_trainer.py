@@ -33,7 +33,8 @@ import numpy as np
 
 from . import divergence as dv
 from .chat_format import ToolCall
-from .grpo import LengthMismatch, check_finite_real, standardize_advantages
+from .grpo import (GrpoConfig, check_finite_real, check_group, standardize_advantages,
+                   token_terms)
 from .reward import total_reward
 from .toy_task import ToyTask, render_call_text
 
@@ -305,52 +306,40 @@ def objective_and_gradient(samples: list[GroupSample], beta: float
     """Exact slot-table gradient of the mean group-relative objective at the
     table state the minibatch was drawn from, where every importance ratio is 1.
 
-    Each token's contribution to the gradient of the objective J with respect
-    to its slot logits z is
-
-        c * (onehot(action) - softmax(z)),
-        c = (A - beta * (logp - logp_ref)) / (n_groups * G * T_i)
-
-    the gradient of ``grpo.grpo_objective`` at r = 1, ``logp`` from the one
-    view all groups were drawn from (else ``ValueError``). Each distinct
-    member (its trajectory, its advantage's bits, as 0.0 == -0.0, and its
-    group size) takes its token coefficients once, in Python floats, and each
-    touched slot's (coefficient, action) terms are folded into its gradient,
-    which holds only the touched slots, once at the end, in member and token
-    order: the IEEE operations of a per-token numpy loop.
+    Each token adds c * (onehot(action) - softmax(z)) to its slot's gradient, c
+    its ``grpo.token_terms`` derivative over n_groups * G * T_i, all from one
+    call in member and token order, with ``logp`` read once per distinct path
+    from the one view all groups were drawn from (else ``ValueError``). Only
+    touched slots have a gradient, each folded once at the end in that order:
+    the IEEE operations of a per-token numpy loop.
     """
-    members: dict = {}  # the [(slot, (coef, action))] terms of each distinct member
-    folds: dict[tuple, list] = {}  # the (coef, action) terms of each touched slot
-    n_groups = len(samples)
-    view = samples[0].group.view if samples else None
+    if not samples:
+        return {}
+    cfg, view, n_groups = GrpoConfig(beta=beta), samples[0].group.view, len(samples)
+    logps: dict[Trajectory, np.ndarray] = {}  # each distinct path's, from the view
+    members, advantages, scales = [], [], []  # and each token's A and divisor, in order
     for sample in samples:
         if sample.group.view is not view:
             raise ValueError("the batch's groups were drawn from different views")
-        trajectories = sample.group.trajectories
-        advantages = np.asarray(sample.advantages, dtype=np.float64)
-        size = len(trajectories)
-        if not size:
-            raise ValueError("a group needs at least one rollout")
-        if advantages.shape != (size,):
-            raise LengthMismatch(f"{advantages.size} advantages for {size} rollouts")
-        if not np.isfinite(advantages).all():
-            raise ValueError("advantages must be finite")
-        for traj, adv, bits in zip(trajectories, advantages.tolist(),
-                                   advantages.view(np.int64).tolist()):
-            key = id(traj), bits, size
-            if (terms := members.get(key)) is None:
-                logp = view.logps(traj.decisions)
-                if logp.shape != traj.logp_ref.shape:
+        size = len(sample.group.trajectories)
+        for traj, adv in zip(sample.group.trajectories,
+                             check_group(size, sample.advantages).tolist()):
+            if traj not in logps:
+                logps[traj] = view.logps(traj.decisions)
+                if logps[traj].shape != traj.logp_ref.shape:
                     raise ValueError("log-prob arrays must be 1-d and equally sized")
-                gaps = logp - traj.logp_ref
-                if not np.isfinite(gaps).all():
-                    raise ValueError("log-probabilities must be finite")
-                scale = n_groups * size * len(traj.decisions)
-                terms = members[key] = [
-                    (decision.slot, ((adv - beta * gap) / scale, decision.action))
-                    for decision, gap in zip(traj.decisions, gaps.tolist())]
-            for slot, term in terms:
-                folds.setdefault(slot, []).append(term)
+            members.append(traj)
+            advantages += [adv] * len(traj.decisions)
+            scales += [n_groups * size * len(traj.decisions)] * len(traj.decisions)
+    logp = np.concatenate([logps[traj] for traj in members])
+    logp_ref = np.concatenate([traj.logp_ref for traj in members])
+    if not np.isfinite(logp_ref).all():
+        raise ValueError("log-probabilities must be finite")
+    coefs = token_terms(logp, logp, logp_ref, np.array(advantages), cfg)[1] / scales
+    folds: dict[tuple, list] = {}  # the (coef, action) terms of each touched slot
+    for decision, coef in zip(chain.from_iterable(traj.decisions for traj in members),
+                              coefs.tolist()):
+        folds.setdefault(decision.slot, []).append((coef, decision.action))
     grads = {}
     for slot, slot_terms in folds.items():
         probs = view.probs(slot)

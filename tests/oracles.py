@@ -22,7 +22,14 @@ from tooltrain.chat_format import (
 )
 from tooltrain.cli import _loads
 from tooltrain.gradcheck import FD_STEP
-from tooltrain.grpo import GrpoConfig, Rollout, RolloutGroup, grpo_objective
+from tooltrain.grpo import (
+    GrpoConfig,
+    LengthMismatch,
+    Rollout,
+    RolloutGroup,
+    grpo_objective,
+    kl_k2,
+)
 from tooltrain.reward import total_reward
 from tooltrain.similarity import _is_number
 from tooltrain.toy_task import render_call_text
@@ -378,6 +385,27 @@ def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim
 def mean_entropy_per_table(tables) -> float:
     """``SlotView.mean_entropy`` as one softmax and entropy call per table."""
     return float(np.mean([dv.entropy(dv.softmax(z)) for z in tables.values()]))
+
+
+def grpo_objective_per_rollout(group, advantages, cfg) -> float:
+    """``grpo.grpo_objective`` as it was before ``token_terms``: its own group
+    checks, then per rollout the ratio, the clip, the surrogate and the k2
+    penalty written out, each rollout's mean stored, and their mean."""
+    advantages = np.asarray(list(advantages), dtype=np.float64)
+    if not group.size:
+        raise ValueError("a group needs at least one rollout")
+    if advantages.size != group.size:
+        raise LengthMismatch(f"{advantages.size} advantages for {group.size} rollouts")
+    rollout_means = np.zeros(group.size)
+    for i, rollout in enumerate(group.rollouts):
+        ratio = np.exp(rollout.logp_new - rollout.logp_old)
+        clipped = np.clip(ratio, 1.0 - cfg.epsilon, 1.0 + cfg.epsilon)
+        adv = advantages[i]
+        surrogate = np.minimum(ratio * adv, clipped * adv)
+        kl = kl_k2(rollout.logp_new, rollout.logp_ref)
+        term = surrogate - cfg.beta * kl
+        rollout_means[i] = term.mean()
+    return float(rollout_means.mean())
 
 
 def objective_and_gradient_per_token(tables, samples, cfg):

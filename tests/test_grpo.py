@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tooltrain import (
     GrpoConfig,
@@ -11,6 +15,14 @@ from tooltrain import (
     grpo_objective,
     kl_k2,
     standardize_advantages,
+)
+from tooltrain.grpo import token_terms
+from tooltrain.toy_trainer import Decision, DrawnGroup, GroupSample, SlotView, Trajectory
+
+from oracles import (
+    RecomputingSlotView,
+    grpo_objective_per_rollout,
+    objective_and_gradient_per_token,
 )
 
 
@@ -164,6 +176,18 @@ class TestObjective:
         with pytest.raises(LengthMismatch):
             grpo_objective(group, [1.0], GrpoConfig())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_advantage_raises(self, bad):
+        # a NaN advantage once gave a NaN objective
+        with pytest.raises(ValueError, match="^advantages must be finite$"):
+            grpo_objective(group_of([1.0, 0.0]), [bad, 1.0], GrpoConfig())
+
+    def test_a_column_of_advantages_raises(self):
+        # a (G, 1) array once passed as G advantages
+        for column in ([[1.0], [2.0]], np.array([[1.0], [2.0]])):
+            with pytest.raises(LengthMismatch):
+                grpo_objective(group_of([1.0, 0.0]), column, GrpoConfig())
+
     def test_reorder_invariance(self):
         rng = np.random.default_rng(2)
         rollouts = [Rollout(logp_new=rng.uniform(-2, 0, size=3),
@@ -231,3 +255,70 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
             GrpoConfig(**{field: value})
         assert getattr(GrpoConfig(**{field: np.float64(0.5)}), field) == 0.5
+
+
+log_probs = st.floats(-3.0, 0.0, allow_subnormal=False)
+signed_advantages = st.sampled_from([0.0, -0.0, 1.0, -1.0]) \
+    | st.floats(-3.0, 3.0, allow_subnormal=False)
+clip_ranges = st.sampled_from([0.1, 0.2, 0.5])
+betas = st.sampled_from([0.0, 1e-3, 0.1])
+
+
+class TestTokenTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-3.0, 3.0, allow_subnormal=False), adv=signed_advantages,
+           logp_ref=log_probs, epsilon=clip_ranges, beta=betas)
+    # A > 0 with r above 1 + eps, A < 0 with r below 1 - eps: the clip acts
+    @example(x=-1.0, adv=1.0, logp_ref=-1.0, epsilon=0.2, beta=1e-3)
+    @example(x=2.0, adv=-1.0, logp_ref=-1.0, epsilon=0.2, beta=1e-3)
+    # the other sides of the clip range, where it cannot act
+    @example(x=-1.0, adv=-1.0, logp_ref=-1.0, epsilon=0.2, beta=1e-3)
+    @example(x=2.0, adv=1.0, logp_ref=-1.0, epsilon=0.2, beta=1e-3)
+    # -0.0 counts as A >= 0, at and off ratio 1
+    @example(x=0.0, adv=-0.0, logp_ref=-0.5, epsilon=0.2, beta=0.1)
+    @example(x=-1.0, adv=-0.0, logp_ref=-0.5, epsilon=0.2, beta=0.1)
+    def test_derivative_is_the_oracle_coefficient(self, x, adv, logp_ref, epsilon, beta):
+        # one token at a live slot [0, 0], drawn from a view of [x, 0], so the
+        # ratio is (1 + exp(-x)) / 2: from about 0.52 to 10.5, and 1 at x = 0;
+        # the oracle's gradient there is coef * ([1, 0] - [0.5, 0.5]), whose
+        # first entry is coef / 2 exactly (a zero coefficient loses its sign)
+        slot, decisions = ("p", "fn"), [Decision(("p", "fn"), 0)]
+        live, view = {slot: np.zeros(2)}, SlotView({slot: np.array([x, 0.0])})
+        traj = Trajectory(decisions, "", 0.0, 0.0, np.array([logp_ref]))
+        cfg = GrpoConfig(epsilon=epsilon, beta=beta)
+        _, grads = objective_and_gradient_per_token(
+            live, [GroupSample(DrawnGroup(view, [traj]), np.array([adv]))], cfg)
+        _, derivative = token_terms(RecomputingSlotView(live).logps(decisions),
+                                    view.logps(decisions), traj.logp_ref, adv, cfg)
+        assert derivative.shape == (1,)
+        assert derivative[0] == 2 * grads[slot][0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(tokens=st.lists(st.tuples(st.floats(-50.0, 0.0), st.floats(-50.0, 0.0),
+                                     st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)),
+                           min_size=1, max_size=8),
+           epsilon=st.floats(1e-300, 10.0), beta=st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+    def test_derivative_at_ratio_one_is_a_minus_beta_gap(self, tokens, epsilon, beta):
+        # the trainer's coefficient before its division, as it once wrote it out
+        logp, logp_ref, adv = map(np.array, zip(*tokens))
+        _, derivative = token_terms(logp, logp, logp_ref, adv,
+                                    GrpoConfig(epsilon=epsilon, beta=beta))
+        assert derivative.tobytes() == (adv - beta * (logp - logp_ref)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(members=st.lists(st.tuples(st.lists(st.tuples(log_probs, log_probs, log_probs),
+                                               min_size=1, max_size=6),
+                                      signed_advantages), min_size=1, max_size=6),
+           epsilon=clip_ranges, beta=betas)
+    # the clip acts on both rollouts: r = exp(0.7) with A = 1, r = exp(-0.7) with A = -1
+    @example(members=[([(-0.3, -1.0, -1.0)], 1.0), ([(-1.0, -0.3, -0.5)], -1.0)],
+             epsilon=0.2, beta=1e-3)
+    def test_objective_equals_the_per_rollout_loop(self, members, epsilon, beta):
+        group = RolloutGroup("p", [Rollout(*map(np.array, zip(*tokens)), reward=0.0)
+                                   for tokens, _ in members])
+        advantages = [adv for _, adv in members]
+        cfg = GrpoConfig(epsilon=epsilon, beta=beta)
+        value = grpo_objective(group, advantages, cfg)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == \
+            np.float64(grpo_objective_per_rollout(group, advantages, cfg)).tobytes()

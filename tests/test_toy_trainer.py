@@ -774,6 +774,13 @@ class TestUpdateOracle:
         with pytest.raises(ValueError, match="^a group needs at least one rollout$"):
             update([*samples, empty], ToyTrainConfig().beta)
 
+    @pytest.mark.parametrize("beta", [-1e-3, math.nan])
+    def test_a_bad_beta_raises(self, beta):
+        # the update's token coefficients take beta through a GrpoConfig
+        _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        with pytest.raises(ValueError, match="^beta must be"):
+            objective_and_gradient(samples, beta)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_advantage_raises(self, bad):
         # the clip test once dropped a NaN's term and kept the KL term; at ratio
