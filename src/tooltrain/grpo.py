@@ -133,7 +133,7 @@ def check_group(size: int, advantages) -> np.ndarray:
     if not size:
         raise ValueError("a group needs at least one rollout")
     if advantages.shape != (size,):
-        raise LengthMismatch(f"{advantages.size} advantages for {size} rollouts")
+        raise LengthMismatch(f"advantages of shape {advantages.shape} for {size} rollouts")
     if not np.isfinite(advantages).all():
         raise ValueError("advantages must be finite")
     return advantages

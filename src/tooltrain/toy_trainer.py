@@ -92,11 +92,10 @@ class TrainLog:
         return float(np.mean(tail)) if tail else float("nan")
 
     def to_csv(self, path: str | Path) -> None:
-        lines = ["iteration,mean_reward,mean_entropy,filtered_fraction"]
-        for it, (r, h, f) in enumerate(zip(self.mean_reward, self.mean_entropy,
-                                           self.filtered_fraction)):
-            lines.append(f"{it},{r!r},{h!r},{f!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = zip(self.mean_reward, self.mean_entropy, self.filtered_fraction)
+        lines = [f"{it},{r!r},{h!r},{f!r}\n" for it, (r, h, f) in enumerate(rows)]
+        Path(path).write_text("iteration,mean_reward,mean_entropy,filtered_fraction\n"
+                              + "".join(lines), encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -167,14 +166,15 @@ class SlotView:
     mean softmax entropy, derived in one stacked pass per table size.
 
     Each is bit-identical to its per-table derivation (``dv.softmax``, its
-    normalised cumsum, ``z - logsumexp(z)``, ``dv.entropy``). All are taken
-    when the view is built, so tables edited in place later leave them as they
-    were; each prompt's CDF lists (``bind``) are bound once per view. Given
-    ``previous``, a view of the same tables before the slots in ``changed``
-    were edited, only those slots are derived and the rest are taken from it;
-    the result equals a fresh view bit for bit, and ``mean_entropy`` is still
-    the mean over every slot in table order. A table holding inf or NaN raises
-    ``ValueError``.
+    normalised cumsum, ``z - logsumexp(z)``, ``dv.entropy``); ``mean_entropy``
+    is ``np.add.reduce`` of the slots' entropies in table order over their
+    count: the sum and the IEEE division of ``np.mean``, so its bits, without
+    its per-call cost on a short list. All are taken when the view is built, so
+    tables edited in place later leave them as they were; each prompt's CDF
+    lists (``bind``) are bound once per view. Given ``previous``, a view of the
+    same tables before the slots in ``changed`` were edited, only those slots
+    are derived and the rest are taken from it, which equals a fresh view bit
+    for bit. A table holding inf or NaN raises ``ValueError``.
     """
 
     def __init__(self, tables: dict[tuple, np.ndarray], previous: SlotView | None = None,
@@ -202,7 +202,8 @@ class SlotView:
             cdf /= cdf[:, -1:]
             self._rows.update(zip(slots, zip(probs.tolist(), cdf.tolist(), logp.tolist(),
                                              dv.entropy_rows(probs).tolist())))
-        self.mean_entropy = float(np.mean([row[3] for row in self._rows.values()]))
+        entropies = [row[3] for row in self._rows.values()]
+        self.mean_entropy = float(np.add.reduce(entropies)) / len(entropies)
         self._bound: dict[str, tuple] = {}
 
     def bind(self, prompt_id: str, arg_slots: list[list[tuple]]) -> tuple[list, list]:
@@ -216,8 +217,7 @@ class SlotView:
         return self._rows[slot][0]
 
     def cdf(self, slot: tuple) -> list[float]:
-        """The normalised cumulative sum of ``probs(slot)``, as ``Generator.choice``
-        builds it."""
+        """The normalised cumsum of ``probs(slot)``, as ``Generator.choice`` builds it."""
         return self._rows[slot][1]
 
     def logps(self, decisions: Iterable[Decision]) -> np.ndarray:
@@ -371,9 +371,10 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     (task, cfg, seed) reproduce the log exactly. The run reads its generator's
     doubles through one ``uniform_stream``, and keeps one path memo and one
     ``SlotView`` per table state, i.e. until an update, whose mean entropy it
-    logs and whose log-probabilities the update takes. The next view re-derives
-    only the tables the update touched. Each distinct reward vector is
-    standardized once per run (see ``_advantages``).
+    logs and whose log-probabilities the update takes. A group is homogeneous
+    when Python's ``max`` and ``min`` of its finite rewards agree, as numpy's
+    would; only a kept group's rewards become an array (``_advantages``). The
+    mean reward is ``np.mean``'s bits, taken as ``SlotView.mean_entropy`` is.
     """
     _check_count("iterations", iterations, 0)
     rng, policy = np.random.default_rng(seed), ToyPolicy(task)
@@ -385,17 +386,17 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
             group = sample_group(policy, prompt.prompt_id, cfg.group_size, rng,
                                  cfg.reward_mode, paths, view, uniforms)
             graded.extend(t.graded_reward for t in group.trajectories)
-            rewards = np.array([t.reward for t in group.trajectories])
-            if rewards.max() != rewards.min():
-                samples.append(GroupSample(group, _advantages(rewards, advantages)))
+            rewards = [t.reward for t in group.trajectories]
+            if max(rewards) != min(rewards):
+                samples.append(GroupSample(group, _advantages(np.array(rewards), advantages)))
             elif not cfg.filter_groups:  # no advantage signal
-                samples.append(GroupSample(group, np.zeros(rewards.size)))
+                samples.append(GroupSample(group, np.zeros(len(rewards))))
         if samples:
             grads = objective_and_gradient(samples, cfg.beta)
             for key, grad in grads.items():
                 policy.tables[key] += cfg.learning_rate * grad
             view = SlotView(policy.tables, view, grads)
-        log.mean_reward.append(float(np.mean(graded)))
+        log.mean_reward.append(float(np.add.reduce(graded)) / len(graded))
         log.mean_entropy.append(view.mean_entropy)
         log.filtered_fraction.append(1.0 - len(samples) / len(task.prompts))
     return policy, log
@@ -464,8 +465,7 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
         raise ValueError("kd_fit needs at least one teacher position")
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(len(teachers), vocab_size))
-    escape = np.zeros(steps + 1)
-    ent = np.zeros(steps + 1)
+    escape, ent = np.zeros(steps + 1), np.zeros(steps + 1)
     loss = dv.LOSSES[loss_kind]
     # one block of stacked teachers when all share k, else each position's own
     if len({t.k for t in teachers}) == 1:

@@ -173,7 +173,8 @@ class TestObjective:
 
     def test_length_mismatch(self):
         group = group_of([1.0, 0.0])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch,
+                           match=r"^advantages of shape \(1,\) for 2 rollouts$"):
             grpo_objective(group, [1.0], GrpoConfig())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -183,9 +184,11 @@ class TestObjective:
             grpo_objective(group_of([1.0, 0.0]), [bad, 1.0], GrpoConfig())
 
     def test_a_column_of_advantages_raises(self):
-        # a (G, 1) array once passed as G advantages
+        # a (G, 1) array once passed as G advantages, and its message once
+        # read "2 advantages for 2 rollouts", which names no mismatch
         for column in ([[1.0], [2.0]], np.array([[1.0], [2.0]])):
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(LengthMismatch,
+                               match=r"^advantages of shape \(2, 1\) for 2 rollouts$"):
                 grpo_objective(group_of([1.0, 0.0]), column, GrpoConfig())
 
     def test_reorder_invariance(self):

@@ -823,6 +823,64 @@ class TestTraining:
         train_sim_rl(task, ToyTrainConfig(**kwargs), iterations=60, seed=0)
         assert len(members) > 100 and all(members)
 
+    @pytest.mark.parametrize("make_task", [bundled_default_task,
+                                           bundled_optional_param_task])
+    @pytest.mark.parametrize("mode", ["sim", "binary"])
+    @pytest.mark.parametrize("filter_groups", [True, False])
+    def test_bookkeeping_equals_numpy(self, make_task, mode, filter_groups, monkeypatch):
+        # the trainer decides homogeneity with Python's max and min and takes
+        # its two means without np.mean; each must equal numpy's, bit for bit
+        task, drawn, updates, iterations = make_task(), [], {}, 40
+        cfg = ToyTrainConfig(reward_mode=mode, filter_groups=filter_groups)
+
+        def recorded_sample_group(*args):
+            drawn.append(sample_group(*args))
+            return drawn[-1]
+
+        def recorded_update(samples, beta):
+            updates[len(drawn)] = samples
+            return objective_and_gradient(samples, beta)
+
+        monkeypatch.setattr(toy_trainer, "sample_group", recorded_sample_group)
+        monkeypatch.setattr(toy_trainer, "objective_and_gradient", recorded_update)
+        policy, log = train_sim_rl(task, cfg, iterations, seed=1)
+        n = len(task.prompts)
+        assert len(drawn) == iterations * n and len(log) == iterations
+        # the view each iteration's entropy is logged from: the next draw's,
+        # and after the last iteration the final tables
+        views = [group.view for group in drawn[n::n]]
+        assert log.mean_entropy[-1] == mean_entropy_per_table(policy.tables)
+        homogeneous = 0
+        for i in range(iterations):
+            groups = drawn[i * n:(i + 1) * n]
+            graded = [t.graded_reward for group in groups for t in group.trajectories]
+            assert log.mean_reward[i].hex() == float(np.mean(graded)).hex()
+            kept, want = [], []
+            for group in groups:
+                rewards = np.array([t.reward for t in group.trajectories])
+                if rewards.max() != rewards.min():
+                    kept.append(group)
+                    want.append(standardize_advantages(rewards).tobytes())
+                elif not filter_groups:
+                    kept.append(group)
+                    want.append(np.zeros(cfg.group_size).tobytes())
+                homogeneous += rewards.max() == rewards.min()
+            samples = updates.get((i + 1) * n, [])
+            assert [id(s.group) for s in samples] == [id(group) for group in kept]
+            assert [s.advantages.tobytes() for s in samples] == want
+            assert log.filtered_fraction[i] == 1.0 - len(kept) / n
+            if i < iterations - 1:
+                view = views[i]
+                entropies = [dv.entropy(np.array(view.probs(slot))) for slot in view.tables]
+                assert log.mean_entropy[i].hex() == float(np.mean(entropies)).hex()
+        # both branches of the rule are taken
+        assert 0 < homogeneous < iterations * n
+
+    def test_zero_iterations_give_an_empty_log(self):
+        policy, log = train_sim_rl(bundled_default_task(), ToyTrainConfig(), 0, seed=0)
+        assert log == TrainLog() and len(log) == 0
+        assert not any(table.any() for table in policy.tables.values())
+
     def test_deterministic_logs(self):
         task = bundled_optional_param_task()
         cfg = ToyTrainConfig()
