@@ -14,6 +14,7 @@ import functools
 import json
 from collections.abc import Iterator
 from itertools import chain, repeat
+from operator import add
 from typing import Any
 
 from .chat_format import ToolCall
@@ -161,7 +162,9 @@ def call_similarity(pred: ToolCall, gold: ToolCall) -> float:
     union = pred_keys | gold_keys
     if not union:
         return 1.0
-    # Sorted, so the float sum does not depend on the process's string hash seed.
+    # Sorted, so the sum does not depend on the string hash seed, and left to
+    # right: from Python 3.12 the builtin sum() compensates rounding
     shared = sorted(pred_keys & gold_keys)
-    total = sum(value_similarity(pred.arguments[k], gold.arguments[k]) for k in shared)
+    total = functools.reduce(add, (value_similarity(pred.arguments[k], gold.arguments[k])
+                                   for k in shared), 0.0)
     return total / len(union)

@@ -98,15 +98,9 @@ class TrainLog:
                               + "".join(lines), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class Decision:
-    slot: tuple
-    action: int
-
-
 @dataclass(eq=False)  # one per drawn path: the update keys members by identity
 class Trajectory:
-    decisions: list[Decision]
+    decisions: list[tuple[tuple, int]]  # (slot, action) pairs, in draw order
     text: str
     reward: float            # training reward (graded or binary)
     graded_reward: float     # graded reward regardless of mode
@@ -220,9 +214,9 @@ class SlotView:
         """The normalised cumsum of ``probs(slot)``, as ``Generator.choice`` builds it."""
         return self._rows[slot][1]
 
-    def logps(self, decisions: Iterable[Decision]) -> np.ndarray:
-        """Per-decision log-probabilities."""
-        return np.array([self._rows[d.slot][2][d.action] for d in decisions])
+    def logps(self, decisions: Iterable[tuple[tuple, int]]) -> np.ndarray:
+        """Per-decision log-probabilities of ``(slot, action)`` pairs."""
+        return np.array([self._rows[slot][2][action] for slot, action in decisions])
 
 
 # Uniforms drawn from the generator per block of a run's stream.
@@ -250,10 +244,9 @@ def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, 
     path = paths.get((prompt_id, actions))
     if path is None:
         fn, *values = actions
-        decisions = [Decision((prompt_id, "fn"), fn),
-                     *map(Decision, policy.arg_slots[prompt_id][fn], values)]
-        arguments = {d.slot[3]: value for d in decisions[1:]
-                     if (value := policy.actions[d.slot][d.action]) is not OMIT}
+        decisions = [((prompt_id, "fn"), fn), *zip(policy.arg_slots[prompt_id][fn], values)]
+        arguments = {slot[3]: value for slot, action in decisions[1:]
+                     if (value := policy.actions[slot][action]) is not OMIT}
         call = ToolCall(policy.actions[prompt_id, "fn"][fn], arguments)
         text = render_call_text("select the matching tool", [call])
         graded = total_reward(text, task.prompt(prompt_id).ground_truth,
@@ -272,58 +265,44 @@ class DrawnGroup:
     trajectories: list[Trajectory]
 
 
-def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int,
-                 rng: np.random.Generator, reward_mode: str = "sim",
-                 paths: dict | None = None, view: SlotView | None = None,
-                 uniforms: Iterator[float] | None = None) -> DrawnGroup:
+def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int, reward_mode: str,
+                 paths: dict, view: SlotView, uniforms: Iterator[float]) -> DrawnGroup:
     """``group_size`` paths for ``prompt_id``, drawn by ``ToyPolicy.sample_paths``
-    from ``view``, which the group names, and from ``uniforms``, a
-    ``uniform_stream`` of ``rng`` that the caller keeps across calls, or one
-    ``rng.random()`` call per decision when None. ``paths`` memoises each
-    distinct path (see ``_path``), so a repeated draw costs only its random
-    numbers. ``paths`` and ``view`` are fresh for the call when None.
+    from ``view``, a view of ``policy.tables`` that the group names, and from
+    ``uniforms``, which the caller keeps across calls (a run keeps one
+    ``uniform_stream``). ``paths`` memoises each distinct path (see ``_path``),
+    so a repeated draw costs only its random numbers.
     """
-    paths = {} if paths is None else paths
-    view = SlotView(policy.tables) if view is None else view
-    # a callable iterator: rng.random() never returns the sentinel
-    uniforms = iter(rng.random, None) if uniforms is None else uniforms
     return DrawnGroup(view, [
         paths.get((prompt_id, actions))
         or _path(policy.task, policy, prompt_id, actions, reward_mode, paths)
         for actions in policy.sample_paths(prompt_id, group_size, uniforms, view)])
 
 
-@dataclass
-class GroupSample:
-    """A drawn group and one advantage per member, in draw order."""
-
-    group: DrawnGroup
-    advantages: np.ndarray
-
-
-def objective_and_gradient(samples: list[GroupSample], beta: float
+def objective_and_gradient(samples: list[tuple[DrawnGroup, np.ndarray]], beta: float
                            ) -> dict[tuple, np.ndarray]:
     """Exact slot-table gradient of the mean group-relative objective at the
     table state the minibatch was drawn from, where every importance ratio is 1.
 
-    Each token adds c * (onehot(action) - softmax(z)) to its slot's gradient, c
-    its ``grpo.token_terms`` derivative over n_groups * G * T_i, all from one
-    call in member and token order, with ``logp`` read once per distinct path
-    from the one view all groups were drawn from (else ``ValueError``). Only
-    touched slots have a gradient, each folded once at the end in that order:
-    the IEEE operations of a per-token numpy loop.
+    ``samples`` pairs each drawn group with its members' advantages. Each
+    token adds c * (onehot(action) - softmax(z)) to its slot's gradient, c its
+    ``grpo.token_terms`` derivative over n_groups * G * T_i, all from one call
+    in member and token order, with ``logp`` read once per distinct path from
+    the one view all groups were drawn from (else ``ValueError``). One pass
+    adds the tokens in that order to each touched slot's gradient list: the
+    IEEE operations of a per-token numpy loop.
     """
     if not samples:
         return {}
-    cfg, view, n_groups = GrpoConfig(beta=beta), samples[0].group.view, len(samples)
+    cfg, view, n_groups = GrpoConfig(beta=beta), samples[0][0].view, len(samples)
     logps: dict[Trajectory, np.ndarray] = {}  # each distinct path's, from the view
     members, advantages, scales = [], [], []  # and each token's A and divisor, in order
-    for sample in samples:
-        if sample.group.view is not view:
+    for group, group_advantages in samples:
+        if group.view is not view:
             raise ValueError("the batch's groups were drawn from different views")
-        size = len(sample.group.trajectories)
-        for traj, adv in zip(sample.group.trajectories,
-                             check_group(size, sample.advantages).tolist()):
+        size = len(group.trajectories)
+        for traj, adv in zip(group.trajectories,
+                             check_group(size, group_advantages).tolist()):
             if traj not in logps:
                 logps[traj] = view.logps(traj.decisions)
                 if logps[traj].shape != traj.logp_ref.shape:
@@ -336,19 +315,14 @@ def objective_and_gradient(samples: list[GroupSample], beta: float
     if not np.isfinite(logp_ref).all():
         raise ValueError("log-probabilities must be finite")
     coefs = token_terms(logp, logp, logp_ref, np.array(advantages), cfg)[1] / scales
-    folds: dict[tuple, list] = {}  # the (coef, action) terms of each touched slot
-    for decision, coef in zip(chain.from_iterable(traj.decisions for traj in members),
-                              coefs.tolist()):
-        folds.setdefault(decision.slot, []).append((coef, decision.action))
-    grads = {}
-    for slot, slot_terms in folds.items():
+    grads: dict[tuple, list[float]] = {}  # each touched slot's, in first-touch order
+    for (slot, action), coef in zip(chain.from_iterable(traj.decisions for traj in members),
+                                    coefs.tolist()):
         probs = view.probs(slot)
-        grad = [0.0] * len(probs)
-        for coef, action in slot_terms:
-            grad = [g - coef * p for g, p in zip(grad, probs)]
-            grad[action] += coef
-        grads[slot] = np.array(grad)
-    return grads
+        grad = [g - coef * p for g, p in zip(grads.get(slot) or [0.0] * len(probs), probs)]
+        grad[action] += coef
+        grads[slot] = grad
+    return {slot: np.array(grad) for slot, grad in grads.items()}
 
 
 def _advantages(rewards: np.ndarray, memo: dict) -> np.ndarray:
@@ -377,20 +351,19 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
     mean reward is ``np.mean``'s bits, taken as ``SlotView.mean_entropy`` is.
     """
     _check_count("iterations", iterations, 0)
-    rng, policy = np.random.default_rng(seed), ToyPolicy(task)
-    uniforms = uniform_stream(rng)
+    policy, uniforms = ToyPolicy(task), uniform_stream(np.random.default_rng(seed))
     log, paths, view, advantages = TrainLog(), {}, SlotView(policy.tables), {}
     for _ in range(iterations):
         graded, samples = [], []
         for prompt in task.prompts:
-            group = sample_group(policy, prompt.prompt_id, cfg.group_size, rng,
+            group = sample_group(policy, prompt.prompt_id, cfg.group_size,
                                  cfg.reward_mode, paths, view, uniforms)
             graded.extend(t.graded_reward for t in group.trajectories)
             rewards = [t.reward for t in group.trajectories]
             if max(rewards) != min(rewards):
-                samples.append(GroupSample(group, _advantages(np.array(rewards), advantages)))
+                samples.append((group, _advantages(np.array(rewards), advantages)))
             elif not cfg.filter_groups:  # no advantage signal
-                samples.append(GroupSample(group, np.zeros(len(rewards))))
+                samples.append((group, np.zeros(len(rewards))))
         if samples:
             grads = objective_and_gradient(samples, cfg.beta)
             for key, grad in grads.items():

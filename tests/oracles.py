@@ -186,10 +186,10 @@ class RecomputingSlotView:
 
     def logps(self, decisions):
         out = []
-        for d in decisions:
-            z = self.tables[d.slot]
+        for slot, action in decisions:
+            z = self.tables[slot]
             m = z.max()
-            out.append(z[d.action] - float(m + np.log(np.exp(z - m).sum())))
+            out.append(z[action] - float(m + np.log(np.exp(z - m).sum())))
         return np.array(out, dtype=np.float64)
 
 
@@ -349,13 +349,13 @@ def sample_path(policy, prompt_id, rng, view):
     with each slot key, decision and argument built as it is drawn."""
     fn_slot = (prompt_id, "fn")
     fn_action = draw_action(view, fn_slot, rng)
-    decisions = [toy_trainer.Decision(fn_slot, fn_action)]
+    decisions = [(fn_slot, fn_action)]
     fdef = policy.task.schema.functions[fn_action]
     arguments = {}
     for pname in fdef.parameters:
         slot = (prompt_id, "arg", fdef.name, pname)
         action = draw_action(view, slot, rng)
-        decisions.append(toy_trainer.Decision(slot, action))
+        decisions.append((slot, action))
         value = policy.actions[slot][action]
         if value is not toy_trainer.OMIT:
             arguments[pname] = value
@@ -420,8 +420,7 @@ def objective_and_gradient_per_token(tables, samples, cfg):
     value = 0.0
     n_groups = len(samples)
     rollouts = {}
-    for sample in samples:
-        group = sample.group
+    for group, advantages in samples:
         for traj in group.trajectories:
             if id(traj) not in rollouts:
                 rollouts[id(traj)] = Rollout(
@@ -429,22 +428,22 @@ def objective_and_gradient_per_token(tables, samples, cfg):
                     logp_old=group.view.logps(traj.decisions),
                     logp_ref=traj.logp_ref, reward=traj.reward)
         group_rollouts = [rollouts[id(traj)] for traj in group.trajectories]
-        value += grpo_objective(RolloutGroup("p", group_rollouts), sample.advantages,
+        value += grpo_objective(RolloutGroup("p", group_rollouts), advantages,
                                 cfg) / n_groups
 
         for i, (traj, roll) in enumerate(zip(group.trajectories, group_rollouts)):
-            adv = sample.advantages[i]
+            adv = advantages[i]
             ratio = np.exp(roll.logp_new - roll.logp_old)
             tokens = len(traj.decisions)
-            for t, decision in enumerate(traj.decisions):
+            for t, (slot, action) in enumerate(traj.decisions):
                 r = ratio[t]
                 active = (adv >= 0 and r <= 1.0 + cfg.epsilon) or \
                     (adv < 0 and r >= 1.0 - cfg.epsilon)
                 coef = (adv * r if active else 0.0) \
                     - cfg.beta * (roll.logp_new[t] - roll.logp_ref[t])
                 coef /= n_groups * len(group.trajectories) * tokens
-                grads[decision.slot] -= coef * live.probs(decision.slot)
-                grads[decision.slot][decision.action] += coef
+                grads[slot] -= coef * live.probs(slot)
+                grads[slot][action] += coef
     return value, grads
 
 
@@ -452,7 +451,7 @@ def gradient_per_token(samples, beta):
     """``objective_and_gradient_per_token``'s gradient, called as
     ``toy_trainer.objective_and_gradient`` is, at the default clip range; the
     live tables are those of the first group's view."""
-    return objective_and_gradient_per_token(samples[0].group.view.tables, samples,
+    return objective_and_gradient_per_token(samples[0][0].view.tables, samples,
                                             GrpoConfig(beta=beta))[1]
 
 

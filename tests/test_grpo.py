@@ -17,7 +17,7 @@ from tooltrain import (
     standardize_advantages,
 )
 from tooltrain.grpo import token_terms
-from tooltrain.toy_trainer import Decision, DrawnGroup, GroupSample, SlotView, Trajectory
+from tooltrain.toy_trainer import DrawnGroup, SlotView, Trajectory
 
 from oracles import (
     RecomputingSlotView,
@@ -285,12 +285,12 @@ class TestTokenTerms:
         # ratio is (1 + exp(-x)) / 2: from about 0.52 to 10.5, and 1 at x = 0;
         # the oracle's gradient there is coef * ([1, 0] - [0.5, 0.5]), whose
         # first entry is coef / 2 exactly (a zero coefficient loses its sign)
-        slot, decisions = ("p", "fn"), [Decision(("p", "fn"), 0)]
+        slot, decisions = ("p", "fn"), [(("p", "fn"), 0)]
         live, view = {slot: np.zeros(2)}, SlotView({slot: np.array([x, 0.0])})
         traj = Trajectory(decisions, "", 0.0, 0.0, np.array([logp_ref]))
         cfg = GrpoConfig(epsilon=epsilon, beta=beta)
         _, grads = objective_and_gradient_per_token(
-            live, [GroupSample(DrawnGroup(view, [traj]), np.array([adv]))], cfg)
+            live, [(DrawnGroup(view, [traj]), np.array([adv]))], cfg)
         _, derivative = token_terms(RecomputingSlotView(live).logps(decisions),
                                     view.logps(decisions), traj.logp_ref, adv, cfg)
         assert derivative.shape == (1,)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -252,6 +253,15 @@ class TestCallSimilarity:
             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
         ).stdout for seed in range(8)}
         assert len(outputs) == 1
+
+    def test_sums_left_to_right_on_every_python(self):
+        # 1/6 + 2/11 + 1/5 rounds to different floats summed left to right and
+        # with compensation, as the builtin sum() does from Python 3.12
+        gold = "t0 g0 g1 g2 g3 g4 g5"
+        pred = _call({"a": "t0 t1 t2 t3 t4", "b": "t0 t1 t2 t3", "c": "t0 t1 t2"})
+        assert (1 / 6 + 2 / 11 + 1 / 5) / 3 != math.fsum([1 / 6, 2 / 11, 1 / 5]) / 3
+        assert call_similarity(pred, _call(dict.fromkeys("abc", gold))).hex() == \
+            (0.18282828282828287).hex()
 
     def test_symmetry_and_bounds(self):
         rng = random.Random(29)

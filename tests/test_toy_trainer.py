@@ -26,9 +26,7 @@ from tooltrain.toy_task import (
 from tooltrain.toy_trainer import (
     OMIT,
     UNIFORM_BLOCK,
-    Decision,
     DrawnGroup,
-    GroupSample,
     SlotView,
     ToyPolicy,
     ToyTrainConfig,
@@ -65,6 +63,14 @@ def tiny_task() -> ToyTask:
     gt = render_call_text("t", [ToolCall("f1", {"a": 1})])
     return ToyTask(schema=schema, domains=domains,
                    prompts=[ToyPrompt("t0", gt)])
+
+
+def draw_group(policy, prompt_id, group_size, rng, reward_mode="sim"):
+    """``sample_group`` with a fresh memo and view, drawing one ``rng.random()``
+    call per decision."""
+    # a callable iterator: rng.random() never returns the sentinel
+    return sample_group(policy, prompt_id, group_size, reward_mode, {},
+                        SlotView(policy.tables), iter(rng.random, None))
 
 
 def enumerate_expected_reward(policy: ToyPolicy, task: ToyTask,
@@ -161,7 +167,7 @@ class TestRollouts:
         policy = ToyPolicy(task)
         rng = np.random.default_rng(0)
         for prompt in task.prompts:
-            for traj in sample_group(policy, prompt.prompt_id, 16, rng).trajectories:
+            for traj in draw_group(policy, prompt.prompt_id, 16, rng).trajectories:
                 breakdown = total_reward(traj.text, prompt.ground_truth, task.schema)
                 assert breakdown.r_format == 1
                 assert traj.graded_reward == breakdown.total
@@ -169,8 +175,8 @@ class TestRollouts:
     def test_seeded_rollout_reproducible(self):
         task = bundled_default_task()
         policy = ToyPolicy(task)
-        a = sample_group(policy, "p0", 8, np.random.default_rng(5))
-        b = sample_group(policy, "p0", 8, np.random.default_rng(5))
+        a = draw_group(policy, "p0", 8, np.random.default_rng(5))
+        b = draw_group(policy, "p0", 8, np.random.default_rng(5))
         assert [t.reward for t in a.trajectories] == [t.reward for t in b.trajectories]
         for ta, tb in zip(a.trajectories, b.trajectories):
             np.testing.assert_array_equal(a.view.logps(ta.decisions),
@@ -181,7 +187,7 @@ class TestRollouts:
         policy = ToyPolicy(task)
         policy.tables[("t0", "fn")][0] = 1e3
         policy.tables[("t0", "arg", "f1", "a")][0] = 1e3
-        group = sample_group(policy, "t0", 8, np.random.default_rng(1))
+        group = draw_group(policy, "t0", 8, np.random.default_rng(1))
         assert {t.reward for t in group.trajectories} == {1.0}
 
     def test_uniform_policy_matches_enumeration_oracle(self):
@@ -190,7 +196,7 @@ class TestRollouts:
         exact = enumerate_expected_reward(policy, task, "t0")
         assert exact == pytest.approx(0.25)  # 1/2 * 1/2 chance of the exact call
         rng = np.random.default_rng(2)
-        trajectories = sample_group(policy, "t0", 3000, rng).trajectories
+        trajectories = draw_group(policy, "t0", 3000, rng).trajectories
         mc = np.mean([t.graded_reward for t in trajectories])
         sigma = np.std([t.graded_reward for t in trajectories]) / np.sqrt(3000)
         assert abs(mc - exact) < 4 * sigma + 1e-3
@@ -200,7 +206,7 @@ class TestRollouts:
         policy = ToyPolicy(task)
         # single-entry drift: a whole-row shift would be softmax-invariant
         policy.tables[("t0", "fn")][0] += 1.5
-        group = sample_group(policy, "t0", 4, np.random.default_rng(3))
+        group = draw_group(policy, "t0", 4, np.random.default_rng(3))
         for traj in group.trajectories:
             np.testing.assert_array_equal(traj.logp_ref,
                                           policy.ref_view.logps(traj.decisions))
@@ -229,7 +235,7 @@ class TestSlotView:
         for _ in range(20):
             action = draw_action(view, slot, rng)
             assert action == oracle.draw(slot, oracle_rng)
-            decisions = [Decision(slot, action)]
+            decisions = [(slot, action)]
             np.testing.assert_array_equal(view.logps(decisions),
                                           oracle.logps(decisions))
         np.testing.assert_array_equal(view.probs(slot), oracle.probs(slot))
@@ -246,7 +252,7 @@ class TestSlotView:
             assert np.array(view.probs(slot)).tobytes() == oracle.probs(slot).tobytes()
             for _ in range(4):
                 assert draw_action(view, slot, rng) == oracle.draw(slot, oracle_rng)
-            decisions = [Decision(slot, action) for action in range(z.size)]
+            decisions = [(slot, action) for action in range(z.size)]
             assert view.logps(decisions).tobytes() == oracle.logps(decisions).tobytes()
         assert view.mean_entropy == mean_entropy_per_table(tables)
 
@@ -269,7 +275,7 @@ class TestSlotView:
         def derived(v):
             return [np.array(x).tobytes() for slot, z in tables.items()
                     for x in (v.probs(slot), v.cdf(slot),
-                              v.logps([Decision(slot, a) for a in range(z.size)]))] \
+                              v.logps([(slot, a) for a in range(z.size)]))] \
                 + [np.array(v.mean_entropy).tobytes()]
         view = SlotView(tables, previous, changed)
         assert derived(view) == derived(SlotView(tables))
@@ -302,10 +308,12 @@ class TestSlotView:
 def train_unmemoised(task, cfg, iterations, seed, monkeypatch, keys=None):
     """``train_sim_rl`` through the oracles: unmemoised sampling, recomputing
     views and the per-token update; ``keys`` collects each sampled
-    trajectory's (prompt, actions) memo key. The oracle draws from ``rng`` one
-    ``random()`` call per decision and leaves the run's uniform stream unread."""
-    def sample_group(policy, prompt_id, group_size, rng, reward_mode, paths, view,
-                     uniforms):
+    trajectory's (prompt, actions) memo key. The oracle draws from its own
+    generator of ``seed``, one ``random()`` call per decision, and leaves the
+    run's uniform stream unread: the doubles the run would have drawn."""
+    rng = np.random.default_rng(seed)
+
+    def sample_group(policy, prompt_id, group_size, reward_mode, paths, view, uniforms):
         group = sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode)
         if keys is not None:
             keys.update(path_keys(group.trajectories))
@@ -365,12 +373,11 @@ class TestUniformStream:
     def test_group_from_the_stream_equals_the_group_from_scalar_calls(self):
         task = bundled_default_task()
         policy = ToyPolicy(task)
-        stream_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
-        stream = uniform_stream(stream_rng)
+        stream, rng = uniform_stream(np.random.default_rng(3)), np.random.default_rng(3)
         for prompt in task.prompts * 3:
-            from_stream = sample_group(policy, prompt.prompt_id, 8, stream_rng,
-                                       uniforms=stream).trajectories
-            from_rng = sample_group(policy, prompt.prompt_id, 8, rng).trajectories
+            from_stream = sample_group(policy, prompt.prompt_id, 8, "sim", {},
+                                       SlotView(policy.tables), stream).trajectories
+            from_rng = draw_group(policy, prompt.prompt_id, 8, rng).trajectories
             assert [t.decisions for t in from_stream] == [t.decisions for t in from_rng]
 
 
@@ -416,8 +423,8 @@ class TestScoreMemo:
         monkeypatch.setattr(toy_trainer, "total_reward",
                             lambda *a: calls.append(a) or total_reward(*a))
         task = tiny_task()
-        trajectories = sample_group(ToyPolicy(task), "t0", 64,
-                                    np.random.default_rng(0)).trajectories
+        trajectories = draw_group(ToyPolicy(task), "t0", 64,
+                                  np.random.default_rng(0)).trajectories
         # f1 takes a in {1, 2}; f2 takes b in {x, y} or omits it
         assert len(calls) == len({t.text for t in trajectories}) == 5
 
@@ -447,7 +454,7 @@ class FixedDraws:
 
 def path_keys(trajectories):
     """Each trajectory's path memo key: its prompt and its actions."""
-    return {(t.decisions[0].slot[0], tuple(d.action for d in t.decisions))
+    return {(t.decisions[0][0][0], tuple(action for _, action in t.decisions))
             for t in trajectories}
 
 
@@ -499,8 +506,9 @@ class TestPathMemo:
         policy = ToyPolicy(bundled_default_task())
         view, rewards = SlotView(policy.tables), {}
         for mode in ("sim", "binary"):
-            group = sample_group(policy, "p0", 16, np.random.default_rng(4), mode, {}, view)
-            fresh = sample_group(policy, "p0", 16, np.random.default_rng(4), mode)
+            group = sample_group(policy, "p0", 16, mode, {}, view,
+                                 iter(np.random.default_rng(4).random, None))
+            fresh = draw_group(policy, "p0", 16, np.random.default_rng(4), mode)
             assert group.view is view is not fresh.view
             rewards[mode] = [t.reward for t in group.trajectories]
             assert rewards[mode] == [t.reward for t in fresh.trajectories]
@@ -508,13 +516,14 @@ class TestPathMemo:
 
     def test_a_view_dies_with_its_last_reference(self):
         task = bundled_default_task()
-        policy, paths, rng = ToyPolicy(task), {}, np.random.default_rng(0)
+        policy, paths = ToyPolicy(task), {}
+        uniforms = iter(np.random.default_rng(0).random, None)
         gc.disable()  # only reference counting may free the view
         try:
             for _ in range(2):
                 view = SlotView(policy.tables)
                 for prompt in task.prompts:
-                    sample_group(policy, prompt.prompt_id, 8, rng, "sim", paths, view)
+                    sample_group(policy, prompt.prompt_id, 8, "sim", paths, view, uniforms)
                 assert paths
                 dead = weakref.ref(view)
                 del view
@@ -531,12 +540,14 @@ class TestPathMemo:
         state, drawn, kept, entropies = [0], set(), [], []
 
         def oracle_objective(samples, beta):
-            kept.append(set().union(*(path_keys(s.group.trajectories) for s in samples)))
+            kept.append(set().union(*(path_keys(group.trajectories)
+                                      for group, _ in samples)))
             state[0] += 1
             return gradient_per_token(samples, beta)
 
-        def oracle_sample_group(policy, prompt_id, group_size, rng, mode, paths, view,
-                                uniforms):
+        rng = np.random.default_rng(0)  # the run's seed, whose stream stays unread
+
+        def oracle_sample_group(policy, prompt_id, group_size, mode, paths, view, uniforms):
             if prompt_id == task.prompts[0].prompt_id:
                 entropies.append(mean_entropy_per_table(policy.tables))
             group = sample_group_unmemoised(policy, prompt_id, group_size, rng, mode)
@@ -618,11 +629,11 @@ class TestPolicyGradient:
         for key, table in policy.tables.items():
             policy.tables[key] = table + 0.5 * rng.normal(size=table.size)
         for seed in range(10):  # first seed whose group has reward spread
-            group = sample_group(policy, "opt0", 8, np.random.default_rng(seed))
+            group = draw_group(policy, "opt0", 8, np.random.default_rng(seed))
             rewards = np.array([t.reward for t in group.trajectories])
             if rewards.max() != rewards.min():
                 break
-        samples = [GroupSample(group=group, advantages=standardize_advantages(rewards))]
+        samples = [(group, standardize_advantages(rewards))]
         grads = objective_and_gradient(samples, beta)
         cfg = GrpoConfig(beta=beta)
 
@@ -650,16 +661,16 @@ def on_policy_minibatch(make_task, seed, offset):
     rng = np.random.default_rng(seed)
     for key, table in policy.tables.items():
         policy.tables[key] = table + offset * rng.normal(size=table.size)
-    view, samples = SlotView(policy.tables), []
+    view, samples, uniforms = SlotView(policy.tables), [], iter(rng.random, None)
     for prompt in task.prompts:
-        group = sample_group(policy, prompt.prompt_id, 8, rng, view=view)
+        group = sample_group(policy, prompt.prompt_id, 8, "sim", {}, view, uniforms)
         rewards = np.array([t.reward for t in group.trajectories])
         advantages = standardize_advantages(rewards) \
             if rewards.max() != rewards.min() else np.zeros(rewards.size)
-        samples.append(GroupSample(group, advantages))
-    first = samples[0]
-    samples.append(GroupSample(DrawnGroup(view, first.group.trajectories * 2),
-                               np.concatenate([first.advantages] * 2)))
+        samples.append((group, advantages))
+    first, first_advantages = samples[0]
+    samples.append((DrawnGroup(view, first.trajectories * 2),
+                    np.concatenate([first_advantages] * 2)))
     return policy, samples
 
 
@@ -673,7 +684,7 @@ def member_pool(offset):
     policy, rng = ToyPolicy(bundled_optional_param_task()), np.random.default_rng(2)
     for key, table in policy.tables.items():
         policy.tables[key] = table + offset * rng.normal(size=table.size)
-    return sample_group(policy, "opt0", 6, rng)
+    return draw_group(policy, "opt0", 6, rng)
 
 
 class TestUpdateOracle:
@@ -707,9 +718,8 @@ class TestUpdateOracle:
     @example(groups=[[(0, 0.0), (1, 1.0)], [(0, -0.0), (1, -1.0)]], offset=0.0, beta=0.0)
     def test_shared_members_equal_the_per_token_oracle(self, groups, offset, beta):
         pool = member_pool(offset)
-        samples = [GroupSample(DrawnGroup(pool.view,
-                                          [pool.trajectories[i] for i, _ in members]),
-                               np.array([adv for _, adv in members]))
+        samples = [(DrawnGroup(pool.view, [pool.trajectories[i] for i, _ in members]),
+                    np.array([adv for _, adv in members]))
                    for members in groups]
         grads = objective_and_gradient(samples, beta)
         oracle_grads = gradient_per_token(samples, beta)
@@ -722,18 +732,18 @@ class TestUpdateOracle:
         advantages = [adv for make_task in (bundled_default_task,
                                             bundled_optional_param_task)
                       for seed in range(4) for offset in (0.05, 1.0)
-                      for sample in on_policy_minibatch(make_task, seed, offset)[1]
-                      for adv in sample.advantages.tolist()]
+                      for _, group_adv in on_policy_minibatch(make_task, seed, offset)[1]
+                      for adv in group_adv.tolist()]
         assert min(advantages) < 0 < max(advantages) and 0.0 in advantages
 
     def test_a_batch_from_two_views_raises(self):
         # the update is exact at ratio 1 only, at the tables that drew the batch
         policy, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        other = sample_group(policy, "p0", 8, np.random.default_rng(1))
-        assert other.view is not samples[0].group.view
+        other = draw_group(policy, "p0", 8, np.random.default_rng(1))
+        assert other.view is not samples[0][0].view
         with pytest.raises(ValueError, match="^the batch's groups were drawn from "
                                              "different views$"):
-            objective_and_gradient([*samples, GroupSample(other, np.ones(8))], 1e-3)
+            objective_and_gradient([*samples, (other, np.ones(8))], 1e-3)
 
     def test_tables_edited_after_sampling_leave_the_gradient(self):
         # the gradient is taken at the view's table state, not at the live tables
@@ -751,8 +761,8 @@ class TestUpdateOracle:
     @pytest.mark.parametrize("fault", ["advantage count", "length", "nan logp_ref"])
     def test_malformed_minibatches_raise(self, update, fault):
         _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        sample = samples[0]
-        trajectories, advantages = list(sample.group.trajectories), sample.advantages
+        group, advantages = samples[0]
+        trajectories = list(group.trajectories)
         first, error = trajectories[0], ValueError
         if fault == "advantage count":
             advantages, error = advantages[:-1], LengthMismatch
@@ -762,7 +772,7 @@ class TestUpdateOracle:
         else:
             trajectories[0] = dataclasses.replace(
                 first, logp_ref=np.full(first.logp_ref.size, math.nan))
-        broken = GroupSample(DrawnGroup(sample.group.view, trajectories), advantages)
+        broken = (DrawnGroup(group.view, trajectories), advantages)
         with pytest.raises(error, match="advantages|equally sized|finite"):
             update([broken], ToyTrainConfig().beta)
 
@@ -770,7 +780,7 @@ class TestUpdateOracle:
     def test_empty_group_raises(self, update):
         # its value was once group_value / 0, a ZeroDivisionError
         _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        empty = GroupSample(DrawnGroup(samples[0].group.view, []), np.zeros(0))
+        empty = (DrawnGroup(samples[0][0].view, []), np.zeros(0))
         with pytest.raises(ValueError, match="^a group needs at least one rollout$"):
             update([*samples, empty], ToyTrainConfig().beta)
 
@@ -786,7 +796,7 @@ class TestUpdateOracle:
         # the clip test once dropped a NaN's term and kept the KL term; at ratio
         # 1 it would reach the tables
         _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        samples[0].advantages[3] = bad
+        samples[0][1][3] = bad
         with pytest.raises(ValueError, match="^advantages must be finite$"):
             objective_and_gradient(samples, 1e-3)
 
@@ -810,12 +820,12 @@ class TestTraining:
         def checked_update(samples, beta):
             view, this_round = drawn[-1].view, drawn[-len(task.prompts):]
             live = SlotView(view.tables)
-            for sample in samples:
-                assert any(sample.group is group for group in this_round)
-                assert sample.group.view is view
+            for group, _ in samples:
+                assert any(group is drawn_group for drawn_group in this_round)
+                assert group.view is view
                 members.extend(view.logps(traj.decisions).tobytes()
                                == live.logps(traj.decisions).tobytes()
-                               for traj in sample.group.trajectories)
+                               for traj in group.trajectories)
             return objective_and_gradient(samples, beta)
 
         monkeypatch.setattr(toy_trainer, "sample_group", recorded_sample_group)
@@ -866,8 +876,8 @@ class TestTraining:
                     want.append(np.zeros(cfg.group_size).tobytes())
                 homogeneous += rewards.max() == rewards.min()
             samples = updates.get((i + 1) * n, [])
-            assert [id(s.group) for s in samples] == [id(group) for group in kept]
-            assert [s.advantages.tobytes() for s in samples] == want
+            assert [id(group) for group, _ in samples] == [id(group) for group in kept]
+            assert [advantages.tobytes() for _, advantages in samples] == want
             assert log.filtered_fraction[i] == 1.0 - len(kept) / n
             if i < iterations - 1:
                 view = views[i]
@@ -875,6 +885,21 @@ class TestTraining:
                 assert log.mean_entropy[i].hex() == float(np.mean(entropies)).hex()
         # both branches of the rule are taken
         assert 0 < homogeneous < iterations * n
+
+    @pytest.mark.parametrize("make_task", [bundled_default_task,
+                                           bundled_optional_param_task])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_evaluation_draws_as_sample_group_does(self, make_task, seed):
+        # evaluate_policy keeps its own draw-and-score loop beside sample_group
+        task = make_task()
+        policy, _ = train_sim_rl(task, ToyTrainConfig(), iterations=30, seed=seed)
+        paths, view = {}, SlotView(policy.tables)
+        uniforms = uniform_stream(np.random.default_rng(seed))
+        graded = [t.graded_reward for prompt in task.prompts
+                  for t in sample_group(policy, prompt.prompt_id, 16, "sim", paths, view,
+                                        uniforms).trajectories]
+        assert evaluate_policy(policy, task, 16, seed).hex() == \
+            float(np.mean(graded)).hex()
 
     def test_zero_iterations_give_an_empty_log(self):
         policy, log = train_sim_rl(bundled_default_task(), ToyTrainConfig(), 0, seed=0)
