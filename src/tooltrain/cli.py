@@ -65,23 +65,28 @@ def _read_json(path: str, parse):
 _WIDE, _DEPTH = 2.0 ** 63, 100
 
 
-def _loads(text: str | bytearray):
+def _loads(text: str | bytearray, floats: str | None = None):
     """``json.loads`` of ``text`` (a ``str`` less one ending ``\\n``, or UTF-8 bytes),
     decoded by orjson where that gives the same objects, types, float bits, key order
     and errors. ``_json_loads`` decodes the text again when orjson raises (NaN, the
     infinities, ``1e400``, a lone surrogate, bad JSON or UTF-8), returns a float of
-    magnitude 2**63 or more, or nests past ``_DEPTH``."""
+    magnitude 2**63 or more, or nests past ``_DEPTH``. ``floats`` names a top-level
+    list that the caller reads only as float64, left unchecked in a ``_shallow`` line:
+    a wide integer there may be orjson's float, which is the integer's ``float()``."""
     import orjson  # on the first call, not with this module
     try:
         obj = orjson.loads(text)  # a "\n" is JSON whitespace to orjson
     except orjson.JSONDecodeError:
         return _json_loads(text)
+    exempt = obj.get(floats) if floats and type(obj) is dict and _shallow(text) else None
     level = [[obj]]
     for _ in range(_DEPTH):
         inner = []
         for node in level:
             if type(node) is dict:
                 node = node.values()
+            elif node is exempt:
+                continue
             elif node and type(node[0]) in (int, float):  # all numbers, perhaps
                 try:  # hypot >= each |x|, so under 2**62 none is wide; slices copy little
                     if all(math.hypot(*node[i:i + 4096]) < _WIDE / 2
@@ -99,6 +104,16 @@ def _loads(text: str | bytearray):
         if not (level := inner):
             return obj
     return _json_loads(text)
+
+
+def _shallow(text: str | bytearray) -> bool:
+    """Whether ``text`` has under ``_DEPTH`` "[" and "{", so nothing nests that deep."""
+    n = 0
+    for mark in "[{" if isinstance(text, str) else b"[{":  # find is memchr; count is slower
+        at = -1
+        while n < _DEPTH and (at := text.find(mark, at + 1)) >= 0:
+            n += 1
+    return n < _DEPTH
 
 
 def _json_loads(text: str | bytearray):
@@ -153,7 +168,7 @@ def _lines(handle):
         yield line
 
 
-def _iter_jsonl(path: str):
+def _iter_jsonl(path: str, floats: str | None = None):
     """Yield the JSON object on each non-blank line, reading one line at a time.
 
     A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, not at U+2028 or its kin, and
@@ -167,7 +182,7 @@ def _iter_jsonl(path: str):
                 # a record starts with "{", so only another line can be blank
                 if not line.startswith(b"{") and (not line or line.decode().isspace()):
                     continue
-                obj = _loads(line)
+                obj = _loads(line, floats)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{n}: invalid JSON ({exc.msg})") from exc
             except UnicodeDecodeError as exc:
@@ -355,7 +370,7 @@ def cmd_kd(args: argparse.Namespace) -> int:
     dv.check_lambda(args.lambda_tail)  # before any record, whatever the loss
     out_lines, notes = [], []
     losses, escapes, entropies = [], [], []
-    rows = _iter_jsonl(args.input)
+    rows = _iter_jsonl(args.input, "student_logits")
     header = next(rows, None)
     if header is None or "vocab_size" not in header:
         raise ValueError("first line must be a header with 'vocab_size'")

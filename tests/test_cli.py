@@ -1096,21 +1096,56 @@ def test_kd_converts_logits_as_asarray_then_a_type_check(logits):
     ints past int64 and the float range, bools, nulls, strings and lists."""
     want = _converted(student_logits_asarray, logits)
     vocab_size = len(want[2]) // 8 if len(want) == 3 else len(logits)  # passes its check
+    record = {"teacher_topk": {"indices": [0], "probs": [1.0]}, "student_logits": logits}
+    assert _converted(lambda record: _position_logits(record, vocab_size), record) == want
+
+
+def _position_logits(record, vocab_size):
+    """The logit array ``_kd_position`` hands a loss for a copy of ``record``."""
     seen = []
 
     def capture(teacher, z, m, lambda_tail):
         seen.append(z)
         return dv.LossReport(0.0, z, {"escape_mass": 0.0, "entropy": 0.0})
 
-    def fast(logits):
-        record = {"teacher_topk": {"indices": [0], "probs": [1.0]},
-                  "student_logits": list(logits)}
-        args = argparse.Namespace(k=None, loss="capture", lambda_tail=0.0)
-        with mock.patch.dict(dv.LOSSES, capture=capture):
-            cli._kd_position(record, vocab_size, 1, args)
-        return seen[0]
+    args = argparse.Namespace(k=None, loss="capture", lambda_tail=0.0)
+    with mock.patch.dict(dv.LOSSES, capture=capture):
+        cli._kd_position(dict(record), vocab_size, 1, args)
+    return seen[0]
 
-    assert _converted(fast, logits) == want
+
+@settings(max_examples=300, deadline=None)
+@given(logits=_student_logits)
+@example(logits=[2**64 - 1, 2**64, 2**64 + 1, -2**70, 10**300])
+@example(logits=[True, 2**65])
+@example(logits=[{"a": 2**64}, 1.0])
+def test_kd_position_reads_logits_decoded_either_way_alike(logits):
+    """``_kd_position`` gives the same array bits, or the same error, for a
+    record whose ``student_logits`` ``_loads`` leaves unwalked (so a wide
+    integer may arrive as orjson's float) as for ``json.loads``' record."""
+    want = _converted(student_logits_asarray, logits)
+    vocab_size = len(want[2]) // 8 if len(want) == 3 else len(logits)  # passes its check
+    text = json.dumps({"teacher_topk": {"indices": [0], "probs": [1.0]},
+                       "student_logits": logits})
+
+    def position(decode):
+        return _converted(lambda text: _position_logits(decode(text), vocab_size), text)
+
+    assert position(lambda text: _loads(text, "student_logits")) == position(json.loads)
+
+
+def test_loads_leaves_only_the_named_list_unwalked_and_only_in_a_shallow_line():
+    text = '{"a": [1, 2], "z": [18446744073709551617, [-18446744073709551617]]}'
+    want = "{'a': [1, 2], 'z': [1.8446744073709552e+19, [-1.8446744073709552e+19]]}"
+    assert repr(_loads(text, "z")) == repr(_loads(text.encode(), "z")) == want
+    def line(marks):  # with the record's own "{" and "[", 100 marks in all
+        return '{"z": [18446744073709551617], "s": "' + marks + '"}'
+
+    for floats, text in [("a", text), (None, text), ("z", '{"z": {"z": [18446744073709551617]}}'),
+                         ("z", line("[" * 98)), ("z", line("[" * 98).encode()),
+                         ("z", line("{" * 98))]:
+        assert repr(_loads(text, floats)) == repr(json.loads(text))
+    assert repr(_loads(line("{" * 97), "z")["z"]) == "[1.8446744073709552e+19]"
 
 
 @pytest.mark.parametrize("text", [
@@ -1124,7 +1159,8 @@ def test_loads_is_json_loads_on_deep_and_wide_lines(text):
 
 def test_kd_writes_what_json_loads_gives(tmp_path, capsys, monkeypatch):
     """Every byte and exit code of ``kd`` is that of a run decoding each line
-    with ``json.loads``, on ids orjson alone would read as floats."""
+    with ``json.loads``, on ids orjson alone would read as floats, and on logits
+    that it reads as floats where ``kd`` leaves them unchecked, or that nest."""
     rows = kd_rows(vocab_size=4096, positions=8, seed=27)
     rows += [{**rows[1], "position_id": pid} for pid in (2**64, -2**63 - 1, 1e19, [2**64])]
     inp, wide = tmp_path / "kd.jsonl", tmp_path / "wide.jsonl"
@@ -1133,14 +1169,30 @@ def test_kd_writes_what_json_loads_gives(tmp_path, capsys, monkeypatch):
                             [{"version": 1, "vocab_size": 2**64}, rows[1]]))
     runs = [["kd", "--input", str(inp), "--loss", "ckd"],
             ["kd", "--input", str(inp), "--loss", "rkl-stab"], ["kd", "--input", str(wide)]]
+    logits = rows[1]["student_logits"]
+    wide_logits = [[2**63, 2**64 - 1, 2**64, 2**64 + 1, -2**70], [10**300, -10**300]]
+    cases = {"wide_logits": [json.dumps(logits[:-len(w)] + w) for w in wide_logits],
+             "nested": [json.dumps([[2**64]] * 4096)],
+             "bool": [json.dumps([True, 2**65, *logits[2:]])],
+             "string": [json.dumps(["a", 2**64 + 1, *logits[2:]])],
+             "past_floats": [json.dumps([10**400, *logits[1:]])],
+             "deep": ["[" * 1100 + "]" * 1100]}
+    teacher = json.dumps(rows[1]["teacher_topk"])
+    for name, texts in cases.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(json.dumps(rows[0]) + "\n" + "".join(
+            f'{{"position_id": "{name}{i}", "teacher_topk": {teacher}, '
+            f'"student_logits": {text}}}\n' for i, text in enumerate(texts)))
+        runs += [["kd", "--input", str(path), "--loss", loss] for loss in ("ckd", "rkl-stab")]
 
     def outcomes():
         return [(main(argv), *capsys.readouterr()) for argv in runs]
 
     fast = outcomes()
-    monkeypatch.setattr(cli, "_loads", json.loads)
+    monkeypatch.setattr(cli, "_loads", lambda text, *_: json.loads(text))
     assert outcomes() == fast
-    assert [status for status, _, _ in fast] == [0, 0, 2]
+    assert [status for status, _, _ in fast] == [0, 0, 2, 1, 0] + [2] * 10
+    assert fast[-1][2].endswith("deep.jsonl:2: invalid JSON (nesting too deep)\n")
     ids = [json.loads(line)["position_id"] for line in fast[0][1].splitlines()[8:-1]]
     assert ids == [2**64, -2**63 - 1, 1e19, [2**64]]
     assert fast[2][1:] == ("", "error: position 'pos0': student_logits has length "
