@@ -316,7 +316,7 @@ def _kd_position(record: dict, vocab_size: int, m: int,
     """One ``kd`` record's loss, escape mass and entropy. The logit list
     leaves ``record`` and is dropped once converted, and the arrays built here
     die with the call, so the next line is read and parsed beside none of them."""
-    from array import array
+    from struct import error as struct_error, pack_into
 
     import numpy as np
     from . import divergence as dv
@@ -333,10 +333,13 @@ def _kd_position(record: dict, vocab_size: int, m: int,
             raise ValueError(f"teacher {name} {raw!r} are not all {kind}")
     indices = np.asarray(topk["indices"], dtype=np.int64)
     probs = np.asarray(topk["probs"], dtype=np.float64)
-    try:  # one C pass to numpy's values; it reads a bool as 0 or 1, hence the type check
-        z = np.frombuffer(array("d", logits), dtype=np.float64)
+    try:  # C passes to numpy's values; they read a bool as 0 or 1, hence the type check
+        buf = bytearray(8 * len(logits))
+        for i in range(0, len(logits), 4096):
+            pack_into(f"{min(4096, len(logits) - i)}d", buf, 8 * i, *logits[i:i + 4096])
+        z = np.frombuffer(buf, dtype=np.float64)
         fast = not ((z == 0) | (z == 1)).any() or set(map(type, logits)) <= {int, float}
-    except (TypeError, OverflowError):  # a string, null, list or int past 1e308
+    except (struct_error, TypeError, OverflowError):  # a string, null, list or int past 1e308
         fast = False
     if not fast:  # numpy's conversion, then the check, for their messages in order
         z = np.asarray(logits, dtype=np.float64)

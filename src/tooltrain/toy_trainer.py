@@ -288,9 +288,11 @@ def objective_and_gradient(samples: list[tuple[DrawnGroup, np.ndarray]], beta: f
     token adds c * (onehot(action) - softmax(z)) to its slot's gradient, c its
     ``grpo.token_terms`` derivative over n_groups * G * T_i, all from one call
     in member and token order, with ``logp`` read once per distinct path from
-    the one view all groups were drawn from (else ``ValueError``). One pass
-    adds the tokens in that order to each touched slot's gradient list: the
-    IEEE operations of a per-token numpy loop.
+    the one view all groups were drawn from (else ``ValueError``). Each touched
+    slot, in first-touch order, collects its tokens' (c, action) terms in that
+    order; each entry j of its gradient then starts at 0.0 and takes, term by
+    term, ``g -= c * p_j`` and, where the action is j, ``g += c``: the IEEE
+    operations of a per-token numpy loop, with no list built per token.
     """
     if not samples:
         return {}
@@ -315,14 +317,22 @@ def objective_and_gradient(samples: list[tuple[DrawnGroup, np.ndarray]], beta: f
     if not np.isfinite(logp_ref).all():
         raise ValueError("log-probabilities must be finite")
     coefs = token_terms(logp, logp, logp_ref, np.array(advantages), cfg)[1] / scales
-    grads: dict[tuple, list[float]] = {}  # each touched slot's, in first-touch order
+    terms: dict[tuple, list] = {}  # each touched slot's (coef, action), in first-touch order
     for (slot, action), coef in zip(chain.from_iterable(traj.decisions for traj in members),
                                     coefs.tolist()):
-        probs = view.probs(slot)
-        grad = [g - coef * p for g, p in zip(grads.get(slot) or [0.0] * len(probs), probs)]
-        grad[action] += coef
-        grads[slot] = grad
-    return {slot: np.array(grad) for slot, grad in grads.items()}
+        terms.setdefault(slot, []).append((coef, action))
+    grads = {}
+    for slot, slot_terms in terms.items():
+        grad = []
+        for j, p in enumerate(view.probs(slot)):
+            g = 0.0
+            for coef, action in slot_terms:
+                g -= coef * p
+                if action == j:
+                    g += coef
+            grad.append(g)
+        grads[slot] = np.array(grad)
+    return grads
 
 
 def _advantages(rewards: np.ndarray, memo: dict) -> np.ndarray:

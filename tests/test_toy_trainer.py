@@ -677,6 +677,27 @@ def on_policy_minibatch(make_task, seed, offset):
 advantage_values = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-3.0, 3.0)
 
 
+@st.composite
+def wide_batches(draw):
+    """Slot sizes of 1 to 64 actions, paths as (slot index, action) decisions over
+    them, and groups as (path index, advantage) members, for hand-built batches."""
+    sizes = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))
+    decisions = st.integers(0, len(sizes) - 1).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(0, sizes[s] - 1)))
+    paths = draw(st.lists(st.lists(decisions, min_size=1, max_size=5),
+                          min_size=1, max_size=6))
+    members = st.tuples(st.integers(0, len(paths) - 1), advantage_values)
+    return sizes, paths, draw(st.lists(st.lists(members, min_size=1, max_size=8),
+                                       min_size=1, max_size=4))
+
+
+# slot 0 (64 actions) is hit by 13 tokens, 10 of them on action 5; slot 1 has one
+WIDE_BATCH = ([64, 1, 7],
+              [[(0, 5), (1, 0), (2, 3)], [(0, 5), (2, 3)], [(0, 63), (0, 5)]],
+              [[(0, 1.0), (1, -0.0), (2, -2.5)], [(0, 0.0), (1, 0.7), (2, -0.7), (0, 1.0)],
+               [(2, -1.0), (1, 0.5), (0, 2.0)]])
+
+
 def member_pool(offset):
     """A group of six members sampled on the optional-parameter task after
     the policy's tables moved off the reference by ``offset`` standard
@@ -725,6 +746,31 @@ class TestUpdateOracle:
         oracle_grads = gradient_per_token(samples, beta)
         assert grads.keys() <= oracle_grads.keys()
         for key, oracle_grad in oracle_grads.items():
+            got = grads.get(key, np.zeros_like(oracle_grad))
+            assert got.tobytes() == oracle_grad.tobytes(), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=wide_batches(), seed=st.integers(0, 3), beta=st.sampled_from([0.0, 1e-3]))
+    @example(batch=WIDE_BATCH, seed=0, beta=0.0)
+    @example(batch=WIDE_BATCH, seed=1, beta=1e-3)
+    def test_wide_slots_equal_the_per_token_oracle(self, batch, seed, beta):
+        # the bundled tasks' slots hold 2 to 4 actions; these hold up to 64
+        sizes, paths, groups = batch
+        rng, slots = np.random.default_rng(seed), [("w", i) for i in range(len(sizes))]
+        view = SlotView({slot: rng.normal(size=n) for slot, n in zip(slots, sizes)})
+        ref_view = SlotView({slot: rng.normal(size=n) for slot, n in zip(slots, sizes)})
+        trajectories = []
+        for path in paths:
+            decisions = [(slots[s], action) for s, action in path]
+            trajectories.append(toy_trainer.Trajectory(decisions, "", 0.0, 0.0,
+                                                       ref_view.logps(decisions)))
+        samples = [(DrawnGroup(view, [trajectories[i] for i, _ in members]),
+                    np.array([adv for _, adv in members])) for members in groups]
+        grads = objective_and_gradient(samples, beta)
+        touched = dict.fromkeys(slot for group, _ in samples
+                                for traj in group.trajectories for slot, _ in traj.decisions)
+        assert list(grads) == list(touched)  # first-touch token order
+        for key, oracle_grad in gradient_per_token(samples, beta).items():
             got = grads.get(key, np.zeros_like(oracle_grad))
             assert got.tobytes() == oracle_grad.tobytes(), key
 
