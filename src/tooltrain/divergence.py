@@ -31,8 +31,10 @@ per-row losses, the (N, V) gradient and per-row aux: ``escape_mass``,
 ``entropy``, ``kl_part``, ``tail_part`` and ``confident_size`` (|J'_m|, 0
 without a tail term). ``TopKRows`` is where a teacher is validated, and it
 derives what depends on the teacher alone once, so a caller that steps
-students against fixed teachers builds it once. ``TopKDistribution`` is its
-one-row form, with read-only arrays. The public kernels are the body's
+students against fixed teachers builds it once. That includes the (N, V)
+mask of entries outside I_k that J'_m is read from, built at a call's
+vocabulary size V and rebuilt only when V changes. ``TopKDistribution`` is
+its one-row form, with read-only arrays. The public kernels are the body's
 one-row calls and ``LOSSES[name].rows`` its batched entry; row r of a batch
 equals the one-row call on row r bit for bit.
 """
@@ -62,10 +64,12 @@ class TopKRows:
     """Teacher top-k entries at N positions, indices and probabilities (N, k),
     with what every loss derives from the teacher alone: the row-index column,
     the largest index, P per row, log p, the ``p > 0`` mask and the rows where
-    it fails. It holds read-only copies, so a later change to the caller's
-    arrays cannot reach it. Its indices are non-negative and distinct within a
-    row, its probabilities finite and within [0, 1], and each row sums to at
-    most one; the loss raises ``IndexError`` for an index past the vocabulary."""
+    it fails, and, from ``outside(V)``, the (N, V) mask of entries outside the
+    top-k, kept for the last V asked for. It holds read-only copies, so a
+    later change to the caller's arrays cannot reach it. Its indices are
+    non-negative and distinct within a row, its probabilities finite and
+    within [0, 1], and each row sums to at most one; the loss raises
+    ``IndexError`` for an index past the vocabulary."""
 
     def __init__(self, indices: np.ndarray, probs: np.ndarray):
         self.indices = np.array(indices, dtype=np.int64)
@@ -96,6 +100,17 @@ class TopKRows:
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
+        self._outside = None
+
+    def outside(self, size: int) -> np.ndarray:
+        """The read-only (N, size) mask of entries outside each row's top-k."""
+        outside = self._outside
+        if outside is None or outside.shape[1] != size:
+            outside = np.ones((len(self.indices), size), dtype=bool)
+            outside[self.row_index, self.indices] = False
+            outside.flags.writeable = False
+            self._outside = outside
+        return outside
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -138,9 +153,9 @@ class TopKDistribution:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Max-subtracted stable softmax along the last axis."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def entropy(q: np.ndarray) -> float:
@@ -164,18 +179,18 @@ def _row_sums(terms: np.ndarray, live: np.ndarray,
     (one of ``dead_rows``, found from ``live`` if not given) sums its live ones
     packed together, as the 1-d masked sum does; a zero left in place would
     change numpy's pairwise summation order."""
-    sums = terms.sum(axis=1)
+    sums = np.add.reduce(terms, axis=1)
     if dead_rows is None:
-        dead_rows = np.flatnonzero(~live.all(axis=1))
+        dead_rows = np.flatnonzero(~np.logical_and.reduce(live, axis=1))
     for row in dead_rows:
-        sums[row] = terms[row][live[row]].sum()
+        sums[row] = np.add.reduce(terms[row][live[row]])
     return sums
 
 
 def entropy_rows(q: np.ndarray) -> np.ndarray:
     """``entropy`` of each row of a 2-d stack, bit for bit."""
-    if q.min() > 0:  # no log of zero, so nothing to silence
-        return -(q * np.log(q)).sum(axis=1)
+    if np.minimum.reduce(q, axis=None) > 0:  # no log of zero, so nothing to silence
+        return -np.add.reduce(q * np.log(q), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = q * np.log(q)
     return -_row_sums(terms, q > 0)
@@ -198,7 +213,7 @@ def topk_indices(p: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k={k} out of range for size {size}")
     neg = -p
     if size <= FULL_SORT_MAX_SIZE:
-        return np.argsort(neg, axis=-1, kind="stable")[..., :k]
+        return neg.argsort(axis=-1, kind="stable")[..., :k]
     if neg.ndim == 1:
         return _select_smallest(neg, k)
     return np.stack([_select_smallest(row, k) for row in neg])
@@ -234,7 +249,7 @@ class LossReport:
 
 
 def _fkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
-    if q_top.min() == 0.0:
+    if np.minimum.reduce(q_top, axis=None) == 0.0:
         raise DegenerateStudent("student probability underflowed at top-k indices "
                                 f"{teacher.indices[q_top == 0.0].tolist()}")
     grad = q * teacher.mass
@@ -248,7 +263,8 @@ def _rkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
     if teacher.dead_rows.size:
         raise DegenerateTeacher("teacher probability is zero at top-k indices "
                                 f"{teacher.indices[~teacher.live].tolist()}")
-    underflow = q_top.min() == 0.0  # an underflowed entry is taken at its limit, 0
+    # an underflowed entry is taken at its limit, 0
+    underflow = np.minimum.reduce(q_top, axis=None) == 0.0
     with np.errstate(divide="ignore", invalid="ignore") if underflow else nullcontext():
         log_ratio = np.log(q_top / teacher.probs)
         terms = q_top * log_ratio
@@ -257,31 +273,30 @@ def _rkl(teacher: TopKRows, q, q_top) -> tuple[np.ndarray, np.ndarray]:
         live = q_top > 0.0
         ratio_term = np.where(live, ratio_term, 0.0)
     weighted = q_top * ratio_term
-    grad = q * -weighted.sum(axis=1, keepdims=True)
+    grad = q * -np.add.reduce(weighted, axis=1, keepdims=True)
     grad[teacher.row_index, teacher.indices] += weighted
-    return _row_sums(terms, live) if underflow else terms.sum(axis=1), grad
+    return _row_sums(terms, live) if underflow else np.add.reduce(terms, axis=1), grad
 
 
-def _confident(indices: np.ndarray, q: np.ndarray,
+def _confident(teacher: TopKRows, q: np.ndarray,
                m: int) -> tuple[np.ndarray, np.ndarray]:
     """J'_m, the student's top-m indices outside I_k, as (row, index) pairs
     in row order and, within a row, in top-m order."""
     if m < 1:
         raise ValueError("m must be at least 1")
     top = topk_indices(q, m)
-    rows = np.arange(len(q))[:, None]
-    endorsed = np.zeros(q.shape, dtype=bool)
-    endorsed[rows, indices] = True
-    r, j = np.nonzero(~endorsed[rows, top])
+    r, j = teacher.outside(q.shape[1])[teacher.row_index, top].nonzero()
     return r, top[r, j]
 
 
-def _tail(indices, q, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = _confident(indices, q, m)
+def _tail(teacher: TopKRows, q, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows, cols = _confident(teacher, q, m)
     mass_at = q[rows, cols]
     size = np.bincount(rows, minlength=len(q))
-    ends = np.cumsum(size).tolist()  # J'_m differs in size between rows: sum each alone
-    tail_mass = np.array([mass_at[a:b].sum() for a, b in zip([0] + ends, ends)])
+    # J'_m differs in size between rows: sum each alone (padding or reduceat change bits)
+    ends = size.cumsum().tolist()
+    tail_mass = np.array([np.add.reduce(mass_at[a:b])
+                          for a, b in zip([0] + ends, ends)])
     grad = q * -tail_mass[:, None]  # (-q) * T without a full-size -q
     grad[rows, cols] += mass_at
     return tail_mass, grad, size
@@ -301,7 +316,7 @@ def _rows(teacher: TopKRows, student_logits: np.ndarray, kl, m: int | None,
     z = np.asarray(student_logits, dtype=np.float64)
     if z.ndim != 2:  # a stack of single positions' vectors
         raise ValueError("student logits must be a 1-d vector")
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("student logits must be finite")
     if teacher.high >= z.shape[1]:
         raise IndexError(f"teacher index {teacher.high} out of bounds for vocabulary "
@@ -311,10 +326,11 @@ def _rows(teacher: TopKRows, student_logits: np.ndarray, kl, m: int | None,
     loss, grad = kl(teacher, q, q_top) if kl else (np.zeros(len(q)), 0.0)
     kl_part, tail_part, size = loss, np.zeros(len(q)), np.zeros(len(q))
     if m is not None:
-        tail_part, tail_grad, size = _tail(teacher.indices, q, m)
+        tail_part, tail_grad, size = _tail(teacher, q, m)
         loss, grad = loss + lambda_tail * tail_part, grad + lambda_tail * tail_grad
-    aux = {"escape_mass": 1.0 - q_top.sum(axis=1), "entropy": entropy_rows(q),
-           "kl_part": kl_part, "tail_part": tail_part, "confident_size": size}
+    aux = {"escape_mass": 1.0 - np.add.reduce(q_top, axis=1),
+           "entropy": entropy_rows(q), "kl_part": kl_part, "tail_part": tail_part,
+           "confident_size": size}
     return LossReport(loss=loss, grad=grad, aux=aux)
 
 
@@ -332,6 +348,9 @@ class LossKind(NamedTuple):
     def rows(self, teacher: TopKRows, student_logits, m, lambda_tail) -> LossReport:
         """The loss at N positions: a teacher (N, k), student logits (N, V).
         It raises what one-row calls in row order would."""
+        if len(student_logits) != len(teacher):  # numpy would broadcast one row
+            raise ValueError(f"student logits have {len(student_logits)} rows, "
+                             f"the teacher {len(teacher)}")
         weighted = self.kl is not None and self.tail  # only composites take lambda
         terms = self.kl, m if self.tail else None, lambda_tail if weighted else 1.0
         try:

@@ -452,18 +452,18 @@ def kd_fit(teachers: list[dv.TopKDistribution], loss_kind: str, steps: int,
     loss = dv.LOSSES[loss_kind]
     # one block of stacked teachers when all share k, else each position's own
     if len({t.k for t in teachers}) == 1:
-        blocks = [(slice(None), dv.TopKRows(np.stack([t.indices for t in teachers]),
-                                            np.stack([t.probs for t in teachers])))]
+        blocks = [(logits, dv.TopKRows(np.stack([t.indices for t in teachers]),
+                                       np.stack([t.probs for t in teachers])))]
     else:
-        blocks = [(slice(r, r + 1), t.rows) for r, t in enumerate(teachers)]
+        blocks = [(logits[r:r + 1], t.rows) for r, t in enumerate(teachers)]
 
     for step in range(steps + 1):
         escapes, entropies = [], []
-        for rows, teacher in blocks:
+        for block, teacher in blocks:  # each block a view of its rows of logits
             # aux holds the softmax statistics of the logits before this step
-            report = loss.rows(teacher, logits[rows], m, lambda_tail)
+            report = loss.rows(teacher, block, m, lambda_tail)
             if step < steps:
-                logits[rows] -= step_size * report.grad
+                block -= step_size * report.grad
             escapes += report.aux["escape_mass"].tolist()
             entropies += report.aux["entropy"].tolist()
         # a running sum left to right: from Python 3.12 the builtin sum()

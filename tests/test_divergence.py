@@ -135,7 +135,7 @@ def test_confident_set_equals_setdiff_in_topm_order(data):
     teacher = dv.TopKDistribution(indices=np.array(indices),
                                   probs=np.full(len(indices), 1.0 / len(indices)))
     m = data.draw(st.integers(1, q.size), label="m")
-    rows, got = dv._confident(teacher.indices[None], q[None], m)
+    rows, got = dv._confident(teacher.rows, q[None], m)
     expected = confident_setdiff(teacher, q, m)
     assert not rows.any()
     assert np.array_equal(got, expected)
@@ -479,7 +479,9 @@ class TestTopKRows:
         """One teacher stepped against many student batches, as ``kd_fit``
         does, gives what a teacher built for each call gives, bit for bit; a
         change to the caller's arrays after the build reaches neither, nor a
-        ``TopKDistribution`` built from the first row."""
+        ``TopKDistribution`` built from the first row. The batches alternate
+        between two vocabulary sizes, so the mask of entries outside the top-k
+        that the teacher keeps for one size must not serve the other."""
         teachers = [_instance(seed, 40, 6)[0] for seed in range(4)]
         indices = np.stack([t.indices for t in teachers])
         probs = np.stack([t.probs for t in teachers])
@@ -490,7 +492,8 @@ class TestTopKRows:
         fresh_first = dv.TopKDistribution(built_from[0][0], built_from[1][0])
         for name, loss in dv.LOSSES.items():
             for batch, logits in enumerate(["normal", "underflow", "ties", "wide"] * 2):
-                z = np.stack([_instance(100 * batch + r, 40, 6, logits)[1]
+                vocab_size = (40, 48)[batch % 2]
+                z = np.stack([_instance(100 * batch + r, vocab_size, 6, logits)[1]
                               for r in range(4)])
                 assert _outcome(loss.rows, shared, z, 5, 2.0) == \
                     _outcome(loss.rows, dv.TopKRows(*built_from), z, 5, 2.0), (name, batch)
@@ -499,13 +502,30 @@ class TestTopKRows:
 
     def test_arrays_are_read_only(self):
         teacher = dv.TopKRows([[0, 1]], [[0.5, 0.0]])
-        for array in (teacher.indices, teacher.probs, teacher.log_probs, teacher.live):
+        for array in (teacher.indices, teacher.probs, teacher.log_probs, teacher.live,
+                      teacher.outside(3)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
         one_row = dv.TopKDistribution(np.array([0, 1]), np.array([0.5, 0.0]))
         for array in (one_row.indices, one_row.probs):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+
+    @pytest.mark.parametrize("teacher_rows, student_rows", [(1, 2), (2, 1), (3, 0)])
+    def test_rejects_student_rows_that_differ_from_the_teachers(self, teacher_rows,
+                                                                student_rows):
+        """A one-row teacher was once broadcast over two student rows, and two
+        teacher rows against one student row raised numpy's bare IndexError.
+        The count is checked first: the NaN logit, which one row alone would
+        name, is not reached."""
+        teacher = dv.TopKRows(np.tile([0, 1], (teacher_rows, 1)),
+                              np.full((teacher_rows, 2), 0.25))
+        z = np.zeros((student_rows, 4))
+        z[:, 3] = math.nan
+        message = f"^student logits have {student_rows} rows, the teacher {teacher_rows}$"
+        for loss in dv.LOSSES.values():
+            with pytest.raises(ValueError, match=message):
+                loss.rows(teacher, z, 2, 10.0)
 
     def test_one_row_teachers_compare_and_hash_by_identity(self):
         # a generated == once raised on the k > 1 arrays' truth value, and
