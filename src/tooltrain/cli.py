@@ -65,62 +65,50 @@ def _read_json(path: str, parse):
 _WIDE, _DEPTH = 2.0 ** 63, 100
 
 
-def _loads(text: str | bytearray, floats: str | None = None):
-    """``json.loads`` of ``text`` (a ``str`` less one ending ``\\n``, or UTF-8 bytes),
-    decoded by orjson where that gives the same objects, types, float bits, key order
-    and errors. ``_json_loads`` decodes the text again when orjson raises (NaN, the
-    infinities, ``1e400``, a lone surrogate, bad JSON or UTF-8), returns a float of
-    magnitude 2**63 or more, or nests past ``_DEPTH``. ``floats`` names a top-level
-    list that the caller reads only as float64, left unchecked in a ``_shallow`` line:
-    a wide integer there may be orjson's float, which is the integer's ``float()``."""
+def _loads(text: bytearray, floats: str | None = None):
+    """``json.loads`` of the UTF-8 bytes ``text``, decoded by orjson where that gives the
+    same objects, types, float bits, key order and errors. ``_json_loads`` decodes the
+    text again when orjson raises (NaN, the infinities, ``1e400``, a lone surrogate, bad
+    JSON or UTF-8), returns a float of magnitude 2**63 or more, or returns more than
+    ``_DEPTH`` containers, as any line nested deeper than that holds. ``floats`` names a
+    top-level list that the caller reads only as float64, left unchecked in a
+    ``_shallow`` line: a wide integer there may be orjson's float, which is the
+    integer's ``float()``."""
     import orjson  # on the first call, not with this module
     try:
-        obj = orjson.loads(text)  # a "\n" is JSON whitespace to orjson
+        obj = orjson.loads(text)
     except orjson.JSONDecodeError:
         return _json_loads(text)
     exempt = obj.get(floats) if floats and type(obj) is dict and _shallow(text) else None
-    level = [[obj]]
-    for _ in range(_DEPTH):
-        inner = []
-        for node in level:
-            if type(node) is dict:
-                node = node.values()
-            elif node is exempt:
-                continue
-            elif node and type(node[0]) in (int, float):  # all numbers, perhaps
-                try:  # hypot >= each |x|, so under 2**62 none is wide; slices copy little
-                    if all(math.hypot(*node[i:i + 4096]) < _WIDE / 2
-                           for i in range(0, len(node), 4096)):
-                        continue
-                except TypeError:  # a string, container or null after all
-                    pass
-            for x in node:
-                kind = type(x)
-                if kind is float:
-                    if not -_WIDE < x < _WIDE:
-                        return _json_loads(text)
-                elif kind is list or kind is dict:
-                    inner.append(x)
-        if not (level := inner):
-            return obj
-    return _json_loads(text)
+    walk = [[obj]]  # grows as the loop goes: every container, after a wrapper
+    for node in walk:
+        for x in node.values() if type(node) is dict else node:
+            kind = type(x)
+            if kind is float:
+                if not -_WIDE < x < _WIDE:
+                    return _json_loads(text)
+            elif kind is dict or kind is list and x is not exempt:
+                if len(walk) > _DEPTH:
+                    return _json_loads(text)
+                walk.append(x)
+    return obj
 
 
-def _shallow(text: str | bytearray) -> bool:
+def _shallow(text: bytearray) -> bool:
     """Whether ``text`` has under ``_DEPTH`` "[" and "{", so nothing nests that deep."""
     n = 0
-    for mark in "[{" if isinstance(text, str) else b"[{":  # find is memchr; count is slower
+    for mark in b"[{":  # find is memchr; count is slower
         at = -1
         while n < _DEPTH and (at := text.find(mark, at + 1)) >= 0:
             n += 1
     return n < _DEPTH
 
 
-def _json_loads(text: str | bytearray):
-    """``json.loads`` of ``text`` less one ending ``\\n``, for bad JSON's messages, and
-    of bytes as strict UTF-8, so bad UTF-8 raises ``UnicodeDecodeError`` (``json.loads``
-    would guess their encoding and pass encoded surrogates)."""
-    return json.loads(text.removesuffix("\n") if isinstance(text, str) else text.decode())
+def _json_loads(text: bytearray):
+    """``json.loads`` of ``text`` decoded as strict UTF-8, for bad JSON's messages, so
+    bad UTF-8 raises ``UnicodeDecodeError`` (``json.loads`` would guess the bytes'
+    encoding and pass encoded surrogates)."""
+    return json.loads(text.decode())
 
 
 _READ = 1 << 16  # bytes asked of each read

@@ -60,6 +60,10 @@ class DegenerateTeacher(ValueError):
     this, so it flags a corrupted teacher file."""
 
 
+class _Rank(ValueError):
+    """Student logits that are not (N, V), which ``LossKind.row`` names as not 1-d."""
+
+
 class TopKRows:
     """Teacher top-k entries at N positions, indices and probabilities (N, k),
     with what every loss derives from the teacher alone: the row-index column,
@@ -315,7 +319,7 @@ def _rows(teacher: TopKRows, student_logits: np.ndarray, kl, m: int | None,
     check_lambda(lambda_tail)
     z = np.asarray(student_logits, dtype=np.float64)
     if z.ndim != 2:  # a stack of single positions' vectors
-        raise ValueError("student logits must be a 1-d vector")
+        raise _Rank("student logits must be an (N, V) array")
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("student logits must be finite")
     if teacher.high >= z.shape[1]:
@@ -365,7 +369,10 @@ class LossKind(NamedTuple):
     def row(self, teacher: TopKDistribution, student_logits, m, lambda_tail) -> LossReport:
         """The loss at one position: ``rows`` on the teacher's one-row form."""
         z = np.asarray(student_logits, dtype=np.float64)[None]
-        report = self.rows(teacher.rows, z, m, lambda_tail)
+        try:
+            report = self.rows(teacher.rows, z, m, lambda_tail)
+        except _Rank:
+            raise ValueError("student logits must be a 1-d vector") from None
         return LossReport(loss=float(report.loss[0]), grad=report.grad[0],
                           aux={key: float(value[0]) for key, value in report.aux.items()})
 

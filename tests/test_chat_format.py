@@ -98,6 +98,16 @@ class TestParse:
         parsed = parse_generation("<think>t</think><tool_call>[1,2]</tool_call>")
         assert rule_ids(parsed.raw_errors) == [3]
 
+    @pytest.mark.parametrize("payload, detail", [
+        ('{"name": 1, "arguments": {}}', "'name' must be a string"),
+        ('{"name": "f", "arguments": [1]}', "'arguments' must be a JSON object"),
+    ])
+    def test_payload_of_the_wrong_field_type_is_rule_3(self, payload, detail):
+        parsed = parse_generation(f"<think>t</think><tool_call>{payload}</tool_call>")
+        assert [(v.rule_id, v.detail) for v in parsed.raw_errors] == [
+            (3, f"tool_call block 0: {detail}")]
+        assert parsed.tool_calls == []
+
     def test_calls_preserve_source_order(self):
         parsed = parse_generation(
             '<think>t</think>'

@@ -238,6 +238,15 @@ class TestScore:
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert main(["score", "--input", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_record_with_no_schema_ref_and_no_schema_flag_is_format_error(self, tmp_path,
+                                                                          capsys):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps({"id": "r", "generation": "<think>t</think>hi",
+                                   "ground_truth": "<think>t</think>hi"}) + "\n")
+        assert main(["score", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: record 'r': record has no schema_ref and no --schema was given\n")
+
     def test_records_without_id_are_not_duplicates(self, score_files, tmp_path):
         schema_path, _ = score_files
         inp = tmp_path / "in.jsonl"
@@ -1040,31 +1049,21 @@ def _decoded(decode, text):
 @settings(max_examples=120, deadline=None)
 @given(text=json_texts, edit=st.none() | st.tuples(
     st.integers(0), st.sampled_from(list(' \t,:[]{}"\\-.0eE1nN')), st.booleans()))
-def test_loads_is_json_loads(text, edit):
-    """The same object, types, float bits and key order, or the same error, on
-    JSON texts and on texts one character away from them."""
-    if edit is not None:
-        at, char, replace = edit
-        at %= len(text) + 1
-        text = text[:at] + char + text[at + replace:]
-    assert _decoded(_loads, text) == _decoded(json.loads, text)
-
-
-@settings(max_examples=120, deadline=None)
-@given(text=json_texts, edit=st.none() | st.tuples(
-    st.integers(0), st.sampled_from(list(' \t,:[]{}"\\-.0eE1nN')), st.booleans()))
 @example(text='{"a": "cut off', edit=None)
 @example(text='[NaN, "cut off', edit=None)
 @example(text='"a\\', edit=None)
-def test_loads_reads_a_line_as_json_loads_reads_it_without_its_end(text, edit):
-    """A line is decoded with its ``\\n``, as ``json.loads`` decodes the line
-    without it: the same objects, float bits and key order, or the same error,
-    a cut-off string's included."""
+@example(text="[" + "[], " * 101 + "[]]", edit=None)  # past the walk's cap, none wide
+@example(text="[" + "[], " * 101 + "[18446744073709551616]]", edit=None)  # wide past it
+@example(text="[-9223372036854775809, " + "{}, " * 101 + "[]]", edit=None)  # wide before it
+def test_loads_is_json_loads(text, edit):
+    """The same object, types, float bits and key order, or the same error, a
+    cut-off string's included, on JSON texts, on texts one character away from
+    them, and on lines of more containers than the walk checks."""
     if edit is not None:
         at, char, replace = edit
         at %= len(text) + 1
         text = text[:at] + char + text[at + replace:]
-    assert _decoded(_loads, text + "\n") == _decoded(json.loads, text)
+    assert _decoded(_loads, text.encode()) == _decoded(json.loads, text)
 
 
 _logit_entries = (st.floats() | st.sampled_from([-0.0, 0.0, 1.0, math.nan])
@@ -1131,21 +1130,20 @@ def test_kd_position_reads_logits_decoded_either_way_alike(logits):
     def position(decode):
         return _converted(lambda text: _position_logits(decode(text), vocab_size), text)
 
-    assert position(lambda text: _loads(text, "student_logits")) == position(json.loads)
+    assert position(lambda text: _loads(text.encode(), "student_logits")) == position(json.loads)
 
 
 def test_loads_leaves_only_the_named_list_unwalked_and_only_in_a_shallow_line():
     text = '{"a": [1, 2], "z": [18446744073709551617, [-18446744073709551617]]}'
     want = "{'a': [1, 2], 'z': [1.8446744073709552e+19, [-1.8446744073709552e+19]]}"
-    assert repr(_loads(text, "z")) == repr(_loads(text.encode(), "z")) == want
+    assert repr(_loads(text.encode(), "z")) == want
     def line(marks):  # with the record's own "{" and "[", 100 marks in all
         return '{"z": [18446744073709551617], "s": "' + marks + '"}'
 
     for floats, text in [("a", text), (None, text), ("z", '{"z": {"z": [18446744073709551617]}}'),
-                         ("z", line("[" * 98)), ("z", line("[" * 98).encode()),
-                         ("z", line("{" * 98))]:
-        assert repr(_loads(text, floats)) == repr(json.loads(text))
-    assert repr(_loads(line("{" * 97), "z")["z"]) == "[1.8446744073709552e+19]"
+                         ("z", line("[" * 98)), ("z", line("{" * 98))]:
+        assert repr(_loads(text.encode(), floats)) == repr(json.loads(text))
+    assert repr(_loads(line("{" * 97).encode(), "z")["z"]) == "[1.8446744073709552e+19]"
 
 
 @pytest.mark.parametrize("text", [
@@ -1154,7 +1152,7 @@ def test_loads_leaves_only_the_named_list_unwalked_and_only_in_a_shallow_line():
     '{"a": 0, "b": [[1.5, {"c": -9223372036854775809}]], "a": 2}',
 ], ids=["1100 deep", "100000 open", "300 deep", "wide int 60 deep", "wide int in dict"])
 def test_loads_is_json_loads_on_deep_and_wide_lines(text):
-    assert _decoded(_loads, text) == _decoded(json.loads, text)
+    assert _decoded(_loads, text.encode()) == _decoded(json.loads, text)
 
 
 def test_kd_writes_what_json_loads_gives(tmp_path, capsys, monkeypatch):
@@ -1197,6 +1195,45 @@ def test_kd_writes_what_json_loads_gives(tmp_path, capsys, monkeypatch):
     assert ids == [2**64, -2**63 - 1, 1e19, [2**64]]
     assert fast[2][1:] == ("", "error: position 'pos0': student_logits has length "
                                "4096, header declares 18446744073709551616\n")
+
+
+def test_score_and_advantages_write_what_json_loads_gives(score_files, tmp_path, capsys,
+                                                         monkeypatch):
+    """Every byte and exit code of ``score`` and ``advantages`` is that of a run
+    decoding each line with ``json.loads``, on ids orjson alone would read as
+    floats, on a line of more containers than ``_loads`` walks, and on a line
+    nested past ``json.loads``' limit."""
+    schema_path, records_path = score_files
+    ids = [2**64, -2**63 - 1, 1e19]
+    golden = [json.loads(line) for line in records_path.read_text().splitlines()]
+    call = '<tool_call>{"name": "f7", "arguments": {"a": 1}}</tool_call>'
+    schema = [{"name": f"f{i}", "parameters": {"a": {"type": "int", "default": 2**64}}}
+              for i in range(40)]  # 121 containers
+    records = [{**golden[i], "id": rid} for i, rid in enumerate(ids)]
+    records.append({"id": "big", "generation": "<think>t</think>" + call,
+                    "ground_truth": "<think>u</think>" + call, "schema_ref": schema})
+    groups = [{"prompt_id": pid, "rewards": [1, 0, 2**64, 1e19]} for pid in ids]
+    groups.append({"prompt_id": "big", "rewards": [1, 0], "seen": [{}] * 101})
+    runs, deep = [], "[" * 1100 + "]" * 1100 + "\n"
+    for name, rows, flags in (("score", records, ["--schema", str(schema_path)]),
+                              ("advantages", groups, [])):
+        path, deep_path = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_deep.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        deep_path.write_text(json.dumps(rows[0]) + "\n" + deep)
+        runs += [[name, "--input", str(p), *flags] for p in (path, deep_path)]
+
+    def outcomes():
+        return [(main(argv), *capsys.readouterr()) for argv in runs]
+
+    fast = outcomes()
+    monkeypatch.setattr(cli, "_loads", lambda text, *_: json.loads(text))
+    assert outcomes() == fast
+    assert [status for status, _, _ in fast] == [0, 2, 0, 2]
+    for (_, out, _), key in ((fast[0], "id"), (fast[2], "prompt_id")):
+        assert [json.loads(line)[key] for line in out.splitlines()] == [*ids, "big"]
+    assert json.loads(fast[0][1].splitlines()[-1])["total"] == 1.0
+    for _, out, err in (fast[1], fast[3]):
+        assert out == "" and err.endswith("_deep.jsonl:2: invalid JSON (nesting too deep)\n")
 
 
 @pytest.mark.parametrize("command, record, key", [

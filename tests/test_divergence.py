@@ -527,6 +527,25 @@ class TestTopKRows:
             with pytest.raises(ValueError, match=message):
                 loss.rows(teacher, z, 2, 10.0)
 
+    def test_a_student_of_the_wrong_rank_is_named_by_the_shape_each_entry_needs(self):
+        """``rows`` needs (N, V) logits and says so, where it once asked for a
+        1-d vector; a one-row call still does. The checks before the rank's
+        keep their order: the row count, then a composite loss's lambda."""
+        rows = dv.TopKRows([[0, 1]], [[0.5, 0.25]])
+        one = dv.TopKDistribution(np.array([0, 1]), np.array([0.5, 0.25]))
+        for name, loss in dv.LOSSES.items():
+            with pytest.raises(ValueError, match=r"^student logits must be an \(N, V\) array$"):
+                loss.rows(rows, np.zeros((1, 2, 2)), 2, 1.0)
+            with pytest.raises(ValueError, match="^student logits must be a 1-d vector$"):
+                loss(one, np.zeros((2, 2)), 2, 1.0)
+            with pytest.raises(ValueError, match="^student logits have 2 rows, the teacher 1$"):
+                loss.rows(rows, np.zeros((2, 2, 2)), 2, -1.0)
+            if name in ("ckd", "rkl-stab"):  # the losses that take lambda
+                with pytest.raises(ValueError, match="^lambda=-1.0 must be non-negative$"):
+                    loss.rows(rows, np.zeros((1, 2, 2)), 2, -1.0)
+                with pytest.raises(ValueError, match="^lambda=-1.0 must be non-negative$"):
+                    loss(one, np.zeros((2, 2)), 2, -1.0)
+
     def test_one_row_teachers_compare_and_hash_by_identity(self):
         # a generated == once raised on the k > 1 arrays' truth value, and
         # hash() once raised TypeError on them
