@@ -11,6 +11,7 @@ gives each token's term and its derivative, the toy trainer's token coefficient.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -85,23 +86,28 @@ class RolloutGroup:
 
 
 def standardize_advantages(rewards: Iterable[float]) -> np.ndarray:
-    """(R_i - mean) / std with the population standard deviation.
+    """(R_i - mean) / std of 1-d rewards, with the population standard deviation.
 
     The output has mean zero and population standard deviation one; e.g.
-    rewards [1, 0, 0, 1] standardize to [1, -1, -1, 1] exactly.
+    rewards [1, 0, 0, 1] standardize to [1, -1, -1, 1] exactly. The mean and
+    std are ``ndarray.mean`` and ``std``'s bits: the ufuncs of numpy's ``_var``.
     """
-    rewards = np.asarray(list(rewards), dtype=np.float64)
-    if rewards.size < 2:
+    rewards = np.asarray(rewards if isinstance(rewards, np.ndarray) else list(rewards),
+                         dtype=np.float64)
+    if rewards.ndim != 1:
+        raise ValueError(f"advantage standardization needs 1-d rewards, got shape {rewards.shape}")
+    if (n := rewards.size) < 2:
         raise ValueError("advantage standardization needs at least two rewards")
     with np.errstate(over="ignore", invalid="ignore"):
-        std = float(rewards.std())  # population: divide by G
-    # max == min is the homogeneity rule of ``filter_homogeneous``: the float
-    # std of equal rewards such as 0.7 can be ~1e-16 rather than zero
-    if rewards.max() == rewards.min() or std == 0.0:
-        raise ZeroVariance(f"all {rewards.size} rewards equal {rewards[0]}")
-    if not np.isfinite(std):  # e.g. [1e308, -1e308] or a non-finite reward
+        centred = rewards - np.add.reduce(rewards) / n
+        std = math.sqrt(np.add.reduce(centred * centred) / n)  # population: divide by G
+    # all equal (numpy's max == min, false with a NaN) is the homogeneity rule of
+    # ``filter_homogeneous``: the float std of equal rewards such as 0.7 can be ~1e-16
+    if std == 0.0 or np.logical_and.reduce(rewards == rewards[0]):
+        raise ZeroVariance(f"all {n} rewards equal {rewards[0]}")
+    if not math.isfinite(std):  # e.g. [1e308, -1e308] or a non-finite reward
         raise ValueError("reward spread overflows float64")
-    return (rewards - rewards.mean()) / std
+    return centred / std
 
 
 def filter_homogeneous(groups: Iterable[RolloutGroup]) -> list[RolloutGroup]:
@@ -134,7 +140,7 @@ def check_group(size: int, advantages) -> np.ndarray:
         raise ValueError("a group needs at least one rollout")
     if advantages.shape != (size,):
         raise LengthMismatch(f"advantages of shape {advantages.shape} for {size} rollouts")
-    if not np.isfinite(advantages).all():
+    if not np.logical_and.reduce(np.isfinite(advantages)):
         raise ValueError("advantages must be finite")
     return advantages
 
@@ -146,7 +152,7 @@ def token_terms(logp_new, logp_old, logp_ref, advantages, cfg: GrpoConfig):
     and r <= hi, or A < 0 and r >= lo), else 0, minus beta * (logp_new - logp_ref)."""
     ratio, lo, hi = np.exp(logp_new - logp_old), 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
     unclipped = ratio * advantages
-    terms = np.minimum(unclipped, np.clip(ratio, lo, hi) * advantages) \
+    terms = np.minimum(unclipped, np.minimum(np.maximum(ratio, lo), hi) * advantages) \
         - cfg.beta * kl_k2(logp_new, logp_ref)
     active = np.where(advantages >= 0, ratio <= hi, ratio >= lo)
     return terms, np.where(active, unclipped, 0.0) - cfg.beta * (logp_new - logp_ref)

@@ -185,12 +185,12 @@ class SlotView:
             by_size.setdefault(tables[slot].size, []).append(slot)
         for slots in by_size.values():
             z = np.array([tables[slot] for slot in slots])
-            m = z.max(axis=1, keepdims=True)
+            m = np.maximum.reduce(z, axis=1, keepdims=True)
             e = np.exp(z - m)
-            s = e.sum(axis=1, keepdims=True)
+            s = np.add.reduce(e, axis=1, keepdims=True)
             probs = e / s
             logp = z - (m + np.log(s))
-            if not np.isfinite(logp).all():
+            if not np.logical_and.reduce(np.isfinite(logp), axis=None):
                 raise ValueError("log-probabilities must be finite")
             cdf = probs.cumsum(axis=1)
             cdf /= cdf[:, -1:]
@@ -314,7 +314,7 @@ def objective_and_gradient(samples: list[tuple[DrawnGroup, np.ndarray]], beta: f
             scales += [n_groups * size * len(traj.decisions)] * len(traj.decisions)
     logp = np.concatenate([logps[traj] for traj in members])
     logp_ref = np.concatenate([traj.logp_ref for traj in members])
-    if not np.isfinite(logp_ref).all():
+    if not np.logical_and.reduce(np.isfinite(logp_ref)):
         raise ValueError("log-probabilities must be finite")
     coefs = token_terms(logp, logp, logp_ref, np.array(advantages), cfg)[1] / scales
     terms: dict[tuple, list] = {}  # each touched slot's (coef, action), in first-touch order

@@ -26,6 +26,7 @@ from tooltrain.grpo import (
     LengthMismatch,
     Rollout,
     RolloutGroup,
+    ZeroVariance,
     grpo_objective,
     kl_k2,
 )
@@ -405,6 +406,31 @@ def grpo_objective_per_rollout(group, advantages, cfg) -> float:
         term = surrogate - cfg.beta * kl
         rollout_means[i] = term.mean()
     return float(rollout_means.mean())
+
+
+def standardize_advantages_methods(rewards) -> np.ndarray:
+    """``grpo.standardize_advantages`` as it was written with the ndarray
+    methods ``std``, ``max``, ``min`` and ``mean``, for 1-d rewards."""
+    rewards = np.asarray(list(rewards), dtype=np.float64)
+    if rewards.size < 2:
+        raise ValueError("advantage standardization needs at least two rewards")
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(rewards.std())
+    if rewards.max() == rewards.min() or std == 0.0:
+        raise ZeroVariance(f"all {rewards.size} rewards equal {rewards[0]}")
+    if not np.isfinite(std):
+        raise ValueError("reward spread overflows float64")
+    return (rewards - rewards.mean()) / std
+
+
+def token_terms_np_clip(logp_new, logp_old, logp_ref, advantages, cfg):
+    """``grpo.token_terms`` with its clip written as ``np.clip``."""
+    ratio, lo, hi = np.exp(logp_new - logp_old), 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
+    unclipped = ratio * advantages
+    terms = np.minimum(unclipped, np.clip(ratio, lo, hi) * advantages) \
+        - cfg.beta * kl_k2(logp_new, logp_ref)
+    active = np.where(advantages >= 0, ratio <= hi, ratio >= lo)
+    return terms, np.where(active, unclipped, 0.0) - cfg.beta * (logp_new - logp_ref)
 
 
 def objective_and_gradient_per_token(tables, samples, cfg):

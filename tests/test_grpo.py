@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from oracles import (
     RecomputingSlotView,
     grpo_objective_per_rollout,
     objective_and_gradient_per_token,
+    standardize_advantages_methods,
+    token_terms_np_clip,
 )
 
 
@@ -31,12 +35,40 @@ def single_token_rollout(logp_new, logp_old, logp_ref, reward=0.0):
                    logp_ref=np.array([logp_ref]), reward=reward)
 
 
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its arrays' shapes and bytes, or its exception's
+    type and message, with the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+            result = [(a.shape, a.dtype, a.tobytes())
+                      for a in (result if isinstance(result, tuple) else (result,))]
+        except Exception as exc:  # its type and message are the outcome
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 def group_of(rewards, tokens=1):
     rollouts = [Rollout(logp_new=np.full(tokens, -1.0),
                         logp_old=np.full(tokens, -1.0),
                         logp_ref=np.full(tokens, -1.0), reward=r)
                 for r in rewards]
     return RolloutGroup(prompt_id="p", rollouts=rollouts)
+
+
+nan, inf = math.nan, math.inf
+# uniform floats, {0, 0.5, 1} grids, signed zeros, non-finite, huge and subnormal
+# rewards, and any float, in groups of 2 to 64
+_grid = st.sampled_from([0.0, 0.5, 1.0])
+_edges = st.sampled_from([0.0, -0.0, nan, inf, -inf, 1e308, -1e308, 1.7e308,
+                          5e-324, -5e-324, 1e-310, 2.2250738585072014e-308])
+reward_vectors = st.integers(2, 64).flatmap(lambda g: st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=g, max_size=g),
+    st.lists(_grid, min_size=g, max_size=g),
+    st.lists(st.floats(-1.0, 1.0) | _grid | _edges, min_size=g, max_size=g),
+    st.lists(_grid | _edges, min_size=g, max_size=g),
+    st.lists(st.floats(), min_size=g, max_size=g)))
 
 
 class TestAdvantages:
@@ -85,6 +117,37 @@ class TestAdvantages:
             adv = standardize_advantages(rewards)
             assert abs(adv.mean()) <= 1e-9
             assert abs(adv.std() - 1.0) <= 1e-9  # population std
+
+    @pytest.mark.parametrize("rewards", [[[1, 2], [3, 4]], [[1, 1], [1, 1]],
+                                         np.ones((2, 2)), np.array(0.5), [[]]])
+    def test_input_that_is_not_1d_is_named_by_its_shape(self, rewards):
+        shape = np.shape(rewards)
+        with pytest.raises(ValueError, match=f"^advantage standardization needs 1-d "
+                                             f"rewards, got shape {re.escape(str(shape))}$"):
+            standardize_advantages(rewards)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rewards=reward_vectors)
+    @example(rewards=[0.7] * 3)
+    @example(rewards=[0.1] * 64)
+    @example(rewards=[1.7e308] * 2)
+    @example(rewards=[1.7e308, 1.6e308])
+    @example(rewards=[1e308, 1e308, -1e308, -1e308, 1.0, 0.0, 0.5, 0.25, 1e308])
+    @example(rewards=[1.7e308, -1.7e308, -1.7e308])
+    @example(rewards=[inf, inf])
+    @example(rewards=[inf, -inf])
+    @example(rewards=[nan] * 9)
+    @example(rewards=[0.0, 5e-324])
+    @example(rewards=[5e-324, 1e-323])
+    @example(rewards=[-0.0, 0.0])
+    @example(rewards=[1e-160, -1e-160, 3e-162])
+    @example(rewards=[0.0, 0.5, 1.0, 0.5, 0.0, 1.0, 1.0, 0.5, 0.0])
+    def test_equals_the_ndarray_method_form(self, rewards):
+        # bytes, exception and RuntimeWarnings; 8 or more rewards take numpy's
+        # blocked pairwise sum, and an ndarray skips the list round trip
+        want = outcome(standardize_advantages_methods, rewards)
+        assert outcome(standardize_advantages, rewards) == want
+        assert outcome(standardize_advantages, np.array(rewards)) == want
 
 
 class TestFilter:
@@ -307,6 +370,27 @@ class TestTokenTerms:
         _, derivative = token_terms(logp, logp, logp_ref, adv,
                                     GrpoConfig(epsilon=epsilon, beta=beta))
         assert derivative.tobytes() == (adv - beta * (logp - logp_ref)).tobytes()
+
+    @pytest.mark.parametrize("side", ["hi", "lo"])
+    @pytest.mark.parametrize("gap", [0.05, 0.2, 0.5, 0.6])
+    def test_clip_by_minimum_and_maximum_is_np_clip(self, side, gap):
+        # ratios at exactly 1 + eps (or 1 - eps), inside, outside and at 1, and
+        # NaN, inf and 0 from non-finite log-probabilities, each with every advantage
+        diffs = [gap, -gap, 0.0, 0.5 * gap, -0.5 * gap, 2.0, -2.0, 1000.0, -1000.0,
+                 math.inf, -math.inf, math.nan]
+        advantages = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]
+        logp_new = np.repeat(diffs, len(advantages)) - 0.5
+        logp_old = np.full(logp_new.size, -0.5)
+        logp_new[-len(advantages):], logp_old[-len(advantages):] = math.inf, math.inf  # NaN
+        adv = np.tile(advantages, len(diffs))
+        logp_ref = np.linspace(-2.0, 0.0, logp_new.size)
+        with np.errstate(all="ignore"):
+            at = np.exp(logp_new - logp_old)[0 if side == "hi" else len(advantages)]
+        epsilon = at - 1.0 if side == "hi" else 1.0 - at
+        cfg = GrpoConfig(epsilon=epsilon, beta=0.1)
+        assert (1.0 + cfg.epsilon if side == "hi" else 1.0 - cfg.epsilon) == at
+        want = outcome(token_terms_np_clip, logp_new, logp_old, logp_ref, adv, cfg)
+        assert outcome(token_terms, logp_new, logp_old, logp_ref, adv, cfg) == want
 
     @settings(max_examples=150, deadline=None)
     @given(members=st.lists(st.tuples(st.lists(st.tuples(log_probs, log_probs, log_probs),
