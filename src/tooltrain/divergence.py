@@ -288,6 +288,8 @@ def _confident(teacher: TopKRows, q: np.ndarray,
     in row order and, within a row, in top-m order."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    if m > q.shape[1]:
+        raise ValueError(f"m={m} exceeds the vocabulary size {q.shape[1]}")
     top = topk_indices(q, m)
     r, j = teacher.outside(q.shape[1])[teacher.row_index, top].nonzero()
     return r, top[r, j]

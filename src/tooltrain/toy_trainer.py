@@ -115,8 +115,9 @@ class ToyPolicy:
     ``actions`` holds each slot's action tuple, built here once: the function
     names, or the domain values and, for an optional parameter, OMIT. A task
     edited after the policy is built no longer changes what it renders.
-    Tables start at zero (a uniform policy); the initial tables are kept as
-    the frozen reference for the KL penalty, with one view of them.
+    Tables start at zero (a uniform policy); a copy of the initial tables is
+    the frozen reference for the KL penalty, kept only in its one view,
+    ``ref_view``.
     """
 
     def __init__(self, task: ToyTask):
@@ -134,25 +135,7 @@ class ToyPolicy:
                                    for f in functions]
             self.actions.update(zip(chain.from_iterable(self.arg_slots[pid]), values))
         self.tables = {slot: np.zeros(len(acts)) for slot, acts in self.actions.items()}
-        self.ref_tables = {k: v.copy() for k, v in self.tables.items()}
-        self.ref_view = SlotView(self.ref_tables)
-
-    def sample_paths(self, prompt_id: str, n: int, uniforms: Iterator[float],
-                     view: SlotView) -> list[tuple[int, ...]]:
-        """Draw ``n`` paths' actions from ``view``, a view of ``self.tables``:
-        per path a function index, then a value index for each of its
-        parameters. Each decision is ``bisect_right`` of the slot's CDF and the
-        next of ``uniforms``, from the prompt's CDF lists as ``view.bind`` gives
-        them: the comparisons that ``Generator.choice`` makes with that uniform
-        in ``searchsorted(side="right")``."""
-        fn_cdf, arg_cdfs = view.bind(prompt_id, self.arg_slots[prompt_id])
-        draw, paths = uniforms.__next__, []
-        for _ in range(n):
-            fn = bisect_right(fn_cdf, draw())
-            # map pulls from its arguments in order and stops at the first
-            # exhausted one: one uniform per parameter, and none past them
-            paths.append((fn, *map(bisect_right, arg_cdfs[fn], uniforms)))
-        return paths
+        self.ref_view = SlotView({k: v.copy() for k, v in self.tables.items()})
 
 
 class SlotView:
@@ -231,80 +214,77 @@ def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
                                    map(rng.random, repeat(UNIFORM_BLOCK))))
 
 
-def _path(task: ToyTask, policy: ToyPolicy, prompt_id: str, actions: tuple[int, ...],
+def _path(policy: ToyPolicy, prompt_id: str, actions: tuple[int, ...],
           reward_mode: str, paths: dict) -> Trajectory:
-    """The path of ``actions`` under ``prompt_id``, memoised in ``paths``.
+    """The path of ``actions`` under ``prompt_id``, stored in ``paths``.
 
     Its decisions and text follow from the prompt, the actions and
-    ``policy.actions``, its rewards also from the task, and its logp_ref
-    from ``policy.ref_view``. A memo serves one policy, task and reward
+    ``policy.actions``, its rewards also from ``policy.task``, and its
+    logp_ref from ``policy.ref_view``. A memo serves one policy and reward
     mode, and must not outlive the call that built it, since a ``ToyTask``
     may be edited in place.
     """
-    path = paths.get((prompt_id, actions))
-    if path is None:
-        fn, *values = actions
-        decisions = [((prompt_id, "fn"), fn), *zip(policy.arg_slots[prompt_id][fn], values)]
-        arguments = {slot[3]: value for slot, action in decisions[1:]
-                     if (value := policy.actions[slot][action]) is not OMIT}
-        call = ToolCall(policy.actions[prompt_id, "fn"][fn], arguments)
-        text = render_call_text("select the matching tool", [call])
-        graded = total_reward(text, task.prompt(prompt_id).ground_truth,
-                              task.schema).total
-        reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
-        path = paths[prompt_id, actions] = Trajectory(
-            decisions, text, reward, graded, policy.ref_view.logps(decisions))
+    fn, *values = actions
+    decisions = [((prompt_id, "fn"), fn), *zip(policy.arg_slots[prompt_id][fn], values)]
+    arguments = {slot[3]: value for slot, action in decisions[1:]
+                 if (value := policy.actions[slot][action]) is not OMIT}
+    call = ToolCall(policy.actions[prompt_id, "fn"][fn], arguments)
+    text = render_call_text("select the matching tool", [call])
+    graded = total_reward(text, policy.task.prompt(prompt_id).ground_truth,
+                          policy.task.schema).total
+    reward = graded if reward_mode == "sim" else (1.0 if graded == 1.0 else -1.0)
+    path = paths[prompt_id, actions] = Trajectory(
+        decisions, text, reward, graded, policy.ref_view.logps(decisions))
     return path
 
 
-@dataclass
-class DrawnGroup:
-    """One prompt's sampled paths, in draw order, and the view they were drawn from."""
-
-    view: SlotView
-    trajectories: list[Trajectory]
-
-
 def sample_group(policy: ToyPolicy, prompt_id: str, group_size: int, reward_mode: str,
-                 paths: dict, view: SlotView, uniforms: Iterator[float]) -> DrawnGroup:
-    """``group_size`` paths for ``prompt_id``, drawn by ``ToyPolicy.sample_paths``
-    from ``view``, a view of ``policy.tables`` that the group names, and from
-    ``uniforms``, which the caller keeps across calls (a run keeps one
-    ``uniform_stream``). ``paths`` memoises each distinct path (see ``_path``),
-    so a repeated draw costs only its random numbers.
+                 paths: dict, view: SlotView, uniforms: Iterator[float]) -> list[Trajectory]:
+    """``group_size`` paths for ``prompt_id``, in draw order, from ``view``, a
+    view of ``policy.tables``, and ``uniforms``, which the caller keeps across
+    calls (a run keeps one ``uniform_stream``). A path is a function index and
+    a value index per parameter, each ``bisect_right`` of the slot's CDF in
+    ``view.bind``'s lists and the next uniform: the comparisons that
+    ``Generator.choice`` makes in ``searchsorted(side="right")``. ``paths``
+    memoises each distinct path (see ``_path``), so a repeated draw costs only
+    its random numbers.
     """
-    return DrawnGroup(view, [
-        paths.get((prompt_id, actions))
-        or _path(policy.task, policy, prompt_id, actions, reward_mode, paths)
-        for actions in policy.sample_paths(prompt_id, group_size, uniforms, view)])
+    fn_cdf, arg_cdfs = view.bind(prompt_id, policy.arg_slots[prompt_id])
+    draw, group = uniforms.__next__, []
+    for _ in range(group_size):
+        fn = bisect_right(fn_cdf, draw())
+        # map pulls from its arguments in order and stops at the first
+        # exhausted one: one uniform per parameter, and none past them
+        actions = (fn, *map(bisect_right, arg_cdfs[fn], uniforms))
+        group.append(paths.get((prompt_id, actions))
+                     or _path(policy, prompt_id, actions, reward_mode, paths))
+    return group
 
 
-def objective_and_gradient(samples: list[tuple[DrawnGroup, np.ndarray]], beta: float
-                           ) -> dict[tuple, np.ndarray]:
+def objective_and_gradient(samples: list[tuple[list[Trajectory], np.ndarray]],
+                           view: SlotView, beta: float) -> dict[tuple, np.ndarray]:
     """Exact slot-table gradient of the mean group-relative objective at the
-    table state the minibatch was drawn from, where every importance ratio is 1.
+    table state of ``view``, which drew the minibatch, where every importance
+    ratio is 1.
 
     ``samples`` pairs each drawn group with its members' advantages. Each
     token adds c * (onehot(action) - softmax(z)) to its slot's gradient, c its
     ``grpo.token_terms`` derivative over n_groups * G * T_i, all from one call
     in member and token order, with ``logp`` read once per distinct path from
-    the one view all groups were drawn from (else ``ValueError``). Each touched
-    slot, in first-touch order, collects its tokens' (c, action) terms in that
-    order; each entry j of its gradient then starts at 0.0 and takes, term by
-    term, ``g -= c * p_j`` and, where the action is j, ``g += c``: the IEEE
-    operations of a per-token numpy loop, with no list built per token.
+    ``view``. Each touched slot, in first-touch order, collects its tokens'
+    (c, action) terms in that order; each entry j of its gradient then starts
+    at 0.0 and takes, term by term, ``g -= c * p_j`` and, where the action is
+    j, ``g += c``: the IEEE operations of a per-token numpy loop, with no list
+    built per token.
     """
     if not samples:
         return {}
-    cfg, view, n_groups = GrpoConfig(beta=beta), samples[0][0].view, len(samples)
+    cfg, n_groups = GrpoConfig(beta=beta), len(samples)
     logps: dict[Trajectory, np.ndarray] = {}  # each distinct path's, from the view
     members, advantages, scales = [], [], []  # and each token's A and divisor, in order
     for group, group_advantages in samples:
-        if group.view is not view:
-            raise ValueError("the batch's groups were drawn from different views")
-        size = len(group.trajectories)
-        for traj, adv in zip(group.trajectories,
-                             check_group(size, group_advantages).tolist()):
+        size = len(group)
+        for traj, adv in zip(group, check_group(size, group_advantages).tolist()):
             if traj not in logps:
                 logps[traj] = view.logps(traj.decisions)
                 if logps[traj].shape != traj.logp_ref.shape:
@@ -368,14 +348,14 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
         for prompt in task.prompts:
             group = sample_group(policy, prompt.prompt_id, cfg.group_size,
                                  cfg.reward_mode, paths, view, uniforms)
-            graded.extend(t.graded_reward for t in group.trajectories)
-            rewards = [t.reward for t in group.trajectories]
+            graded.extend(t.graded_reward for t in group)
+            rewards = [t.reward for t in group]
             if max(rewards) != min(rewards):
                 samples.append((group, _advantages(np.array(rewards), advantages)))
             elif not cfg.filter_groups:  # no advantage signal
                 samples.append((group, np.zeros(len(rewards))))
         if samples:
-            grads = objective_and_gradient(samples, cfg.beta)
+            grads = objective_and_gradient(samples, view, cfg.beta)
             for key, grad in grads.items():
                 policy.tables[key] += cfg.learning_rate * grad
             view = SlotView(policy.tables, view, grads)
@@ -387,15 +367,18 @@ def train_sim_rl(task: ToyTask, cfg: ToyTrainConfig, iterations: int,
 
 def evaluate_policy(policy: ToyPolicy, task: ToyTask, samples_per_prompt: int,
                     seed: int) -> float:
-    """Mean graded reward of freshly sampled trajectories, drawn as
-    ``sample_group`` draws them from one ``uniform_stream``."""
+    """Mean graded reward of ``samples_per_prompt`` paths per prompt, drawn by
+    ``sample_group`` from one fresh view and one ``uniform_stream``. ``task``
+    must be ``policy.task`` (else ``ValueError``): a policy's slots, actions
+    and scores all come from its own task."""
     _check_count("samples_per_prompt", samples_per_prompt, 1)
+    if task is not policy.task:
+        raise ValueError("evaluate_policy needs the task the policy was built on")
     uniforms = uniform_stream(np.random.default_rng(seed))
     view, paths = SlotView(policy.tables), {}
-    graded = [_path(task, policy, prompt.prompt_id, actions, "sim", paths).graded_reward
-              for prompt in task.prompts
-              for actions in policy.sample_paths(prompt.prompt_id, samples_per_prompt,
-                                                 uniforms, view)]
+    graded = [t.graded_reward for prompt in task.prompts
+              for t in sample_group(policy, prompt.prompt_id, samples_per_prompt, "sim",
+                                    paths, view, uniforms)]
     return float(np.mean(graded))
 
 

@@ -265,6 +265,8 @@ def _tail_per_row(teacher: dv.TopKDistribution, q: np.ndarray,
                   m: int) -> tuple[float, np.ndarray]:
     if m < 1:
         raise ValueError("m must be at least 1")
+    if m > q.size:
+        raise ValueError(f"m={m} exceeds the vocabulary size {q.size}")
     top = topk_indices_argsort(q, m)
     endorsed = np.zeros(q.size, dtype=bool)
     endorsed[teacher.indices] = True
@@ -364,10 +366,10 @@ def sample_path(policy, prompt_id, rng, view):
 
 def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim"):
     """``toy_trainer.sample_group`` that draws, renders and scores every sampled
-    trajectory, repeats included, from a view made for the call, which the
-    group names, and derives each one's reference log-probabilities."""
+    trajectory, repeats included, from a view made for the call, and derives
+    each one's reference log-probabilities."""
     view = toy_trainer.SlotView(policy.tables)
-    ref_view = toy_trainer.SlotView(policy.ref_tables)
+    ref_view = toy_trainer.SlotView(policy.ref_view.tables)
     task = policy.task
     trajectories = []
     for _ in range(group_size):
@@ -379,7 +381,7 @@ def sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode="sim
         trajectories.append(toy_trainer.Trajectory(
             decisions=decisions, text=text, reward=reward, graded_reward=graded,
             logp_ref=ref_view.logps(decisions)))
-    return toy_trainer.DrawnGroup(view, trajectories)
+    return trajectories
 
 
 def mean_entropy_per_table(tables) -> float:
@@ -433,11 +435,11 @@ def token_terms_np_clip(logp_new, logp_old, logp_ref, advantages, cfg):
     return terms, np.where(active, unclipped, 0.0) - cfg.beta * (logp_new - logp_ref)
 
 
-def objective_and_gradient_per_token(tables, samples, cfg):
+def objective_and_gradient_per_token(tables, samples, view, cfg):
     """The mean clipped objective over groups and its slot-table gradient, as
     a numpy loop over tokens: a ``Rollout`` per distinct sampled trajectory,
     whose logp_new comes from ``tables`` as they are now and whose
-    logp_old from the view that drew its group, and ``grpo_objective`` per
+    logp_old from ``view``, which drew the batch, and ``grpo_objective`` per
     group for the value; per token a softmax and a numpy update of the slot's
     gradient, with the clip active off ratio 1."""
     live = RecomputingSlotView(tables)
@@ -446,17 +448,17 @@ def objective_and_gradient_per_token(tables, samples, cfg):
     n_groups = len(samples)
     rollouts = {}
     for group, advantages in samples:
-        for traj in group.trajectories:
+        for traj in group:
             if id(traj) not in rollouts:
                 rollouts[id(traj)] = Rollout(
                     logp_new=live.logps(traj.decisions),
-                    logp_old=group.view.logps(traj.decisions),
+                    logp_old=view.logps(traj.decisions),
                     logp_ref=traj.logp_ref, reward=traj.reward)
-        group_rollouts = [rollouts[id(traj)] for traj in group.trajectories]
+        group_rollouts = [rollouts[id(traj)] for traj in group]
         value += grpo_objective(RolloutGroup("p", group_rollouts), advantages,
                                 cfg) / n_groups
 
-        for i, (traj, roll) in enumerate(zip(group.trajectories, group_rollouts)):
+        for i, (traj, roll) in enumerate(zip(group, group_rollouts)):
             adv = advantages[i]
             ratio = np.exp(roll.logp_new - roll.logp_old)
             tokens = len(traj.decisions)
@@ -466,17 +468,17 @@ def objective_and_gradient_per_token(tables, samples, cfg):
                     (adv < 0 and r >= 1.0 - cfg.epsilon)
                 coef = (adv * r if active else 0.0) \
                     - cfg.beta * (roll.logp_new[t] - roll.logp_ref[t])
-                coef /= n_groups * len(group.trajectories) * tokens
+                coef /= n_groups * len(group) * tokens
                 grads[slot] -= coef * live.probs(slot)
                 grads[slot][action] += coef
     return value, grads
 
 
-def gradient_per_token(samples, beta):
+def gradient_per_token(samples, view, beta):
     """``objective_and_gradient_per_token``'s gradient, called as
     ``toy_trainer.objective_and_gradient`` is, at the default clip range; the
-    live tables are those of the first group's view."""
-    return objective_and_gradient_per_token(samples[0][0].view.tables, samples,
+    live tables are those of ``view``."""
+    return objective_and_gradient_per_token(view.tables, samples, view,
                                             GrpoConfig(beta=beta))[1]
 
 

@@ -19,7 +19,7 @@ from tooltrain import (
     standardize_advantages,
 )
 from tooltrain.grpo import token_terms
-from tooltrain.toy_trainer import DrawnGroup, SlotView, Trajectory
+from tooltrain.toy_trainer import SlotView, Trajectory
 
 from oracles import (
     RecomputingSlotView,
@@ -353,7 +353,7 @@ class TestTokenTerms:
         traj = Trajectory(decisions, "", 0.0, 0.0, np.array([logp_ref]))
         cfg = GrpoConfig(epsilon=epsilon, beta=beta)
         _, grads = objective_and_gradient_per_token(
-            live, [(DrawnGroup(view, [traj]), np.array([adv]))], cfg)
+            live, [([traj], np.array([adv]))], view, cfg)
         _, derivative = token_terms(RecomputingSlotView(live).logps(decisions),
                                     view.logps(decisions), traj.logp_ref, adv, cfg)
         assert derivative.shape == (1,)

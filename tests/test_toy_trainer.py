@@ -26,7 +26,6 @@ from tooltrain.toy_task import (
 from tooltrain.toy_trainer import (
     OMIT,
     UNIFORM_BLOCK,
-    DrawnGroup,
     SlotView,
     ToyPolicy,
     ToyTrainConfig,
@@ -167,7 +166,7 @@ class TestRollouts:
         policy = ToyPolicy(task)
         rng = np.random.default_rng(0)
         for prompt in task.prompts:
-            for traj in draw_group(policy, prompt.prompt_id, 16, rng).trajectories:
+            for traj in draw_group(policy, prompt.prompt_id, 16, rng):
                 breakdown = total_reward(traj.text, prompt.ground_truth, task.schema)
                 assert breakdown.r_format == 1
                 assert traj.graded_reward == breakdown.total
@@ -177,10 +176,10 @@ class TestRollouts:
         policy = ToyPolicy(task)
         a = draw_group(policy, "p0", 8, np.random.default_rng(5))
         b = draw_group(policy, "p0", 8, np.random.default_rng(5))
-        assert [t.reward for t in a.trajectories] == [t.reward for t in b.trajectories]
-        for ta, tb in zip(a.trajectories, b.trajectories):
-            np.testing.assert_array_equal(a.view.logps(ta.decisions),
-                                          b.view.logps(tb.decisions))
+        assert [t.reward for t in a] == [t.reward for t in b]
+        view = SlotView(policy.tables)
+        for ta, tb in zip(a, b):
+            np.testing.assert_array_equal(view.logps(ta.decisions), view.logps(tb.decisions))
 
     def test_one_hot_policy_gives_homogeneous_group(self):
         task = tiny_task()
@@ -188,7 +187,7 @@ class TestRollouts:
         policy.tables[("t0", "fn")][0] = 1e3
         policy.tables[("t0", "arg", "f1", "a")][0] = 1e3
         group = draw_group(policy, "t0", 8, np.random.default_rng(1))
-        assert {t.reward for t in group.trajectories} == {1.0}
+        assert {t.reward for t in group} == {1.0}
 
     def test_uniform_policy_matches_enumeration_oracle(self):
         task = tiny_task()
@@ -196,7 +195,7 @@ class TestRollouts:
         exact = enumerate_expected_reward(policy, task, "t0")
         assert exact == pytest.approx(0.25)  # 1/2 * 1/2 chance of the exact call
         rng = np.random.default_rng(2)
-        trajectories = draw_group(policy, "t0", 3000, rng).trajectories
+        trajectories = draw_group(policy, "t0", 3000, rng)
         mc = np.mean([t.graded_reward for t in trajectories])
         sigma = np.std([t.graded_reward for t in trajectories]) / np.sqrt(3000)
         assert abs(mc - exact) < 4 * sigma + 1e-3
@@ -206,11 +205,12 @@ class TestRollouts:
         policy = ToyPolicy(task)
         # single-entry drift: a whole-row shift would be softmax-invariant
         policy.tables[("t0", "fn")][0] += 1.5
-        group = draw_group(policy, "t0", 4, np.random.default_rng(3))
-        for traj in group.trajectories:
+        group, view = draw_group(policy, "t0", 4, np.random.default_rng(3)), \
+            SlotView(policy.tables)
+        for traj in group:
             np.testing.assert_array_equal(traj.logp_ref,
                                           policy.ref_view.logps(traj.decisions))
-            assert not np.allclose(group.view.logps(traj.decisions)[0], traj.logp_ref[0])
+            assert not np.allclose(view.logps(traj.decisions)[0], traj.logp_ref[0])
 
 
 @st.composite
@@ -316,7 +316,7 @@ def train_unmemoised(task, cfg, iterations, seed, monkeypatch, keys=None):
     def sample_group(policy, prompt_id, group_size, reward_mode, paths, view, uniforms):
         group = sample_group_unmemoised(policy, prompt_id, group_size, rng, reward_mode)
         if keys is not None:
-            keys.update(path_keys(group.trajectories))
+            keys.update(path_keys(group))
         return group
 
     with monkeypatch.context() as patch:
@@ -376,8 +376,8 @@ class TestUniformStream:
         stream, rng = uniform_stream(np.random.default_rng(3)), np.random.default_rng(3)
         for prompt in task.prompts * 3:
             from_stream = sample_group(policy, prompt.prompt_id, 8, "sim", {},
-                                       SlotView(policy.tables), stream).trajectories
-            from_rng = draw_group(policy, prompt.prompt_id, 8, rng).trajectories
+                                       SlotView(policy.tables), stream)
+            from_rng = draw_group(policy, prompt.prompt_id, 8, rng)
             assert [t.decisions for t in from_stream] == [t.decisions for t in from_rng]
 
 
@@ -424,7 +424,7 @@ class TestScoreMemo:
                             lambda *a: calls.append(a) or total_reward(*a))
         task = tiny_task()
         trajectories = draw_group(ToyPolicy(task), "t0", 64,
-                                  np.random.default_rng(0)).trajectories
+                                  np.random.default_rng(0))
         # f1 takes a in {1, 2}; f2 takes b in {x, y} or omits it
         assert len(calls) == len({t.text for t in trajectories}) == 5
 
@@ -485,21 +485,23 @@ class TestPathMemo:
             for slot in changed:
                 policy.tables[slot] += 3.0 * rng.normal(size=policy.tables[slot].size)
 
+        def paths(policy, view):
+            group = sample_group(policy, "p0", 16, "sim", {}, view, iter(uniforms))
+            return [tuple(action for _, action in t.decisions) for t in group]
+
         def oracle_paths():
-            return oracle_policy.sample_paths("p0", 16, iter(uniforms),
-                                              RecomputingSlotView(policy.tables))
+            return paths(oracle_policy, RecomputingSlotView(policy.tables))
 
         view_a = SlotView(policy.tables)
-        drawn_a = policy.sample_paths("p0", 16, iter(uniforms), view_a)
+        drawn_a = paths(policy, view_a)
         update()
         view_b = SlotView(policy.tables, view_a, changed)
-        drawn_b = policy.sample_paths("p0", 16, iter(uniforms), view_b)
+        drawn_b = paths(policy, view_b)
         assert drawn_b == oracle_paths() != drawn_a
         # a view made per call dies with it, and the next may take its address
         for _ in range(3):
             update()
-            assert policy.sample_paths("p0", 16, iter(uniforms),
-                                       SlotView(policy.tables)) == oracle_paths()
+            assert paths(policy, SlotView(policy.tables)) == oracle_paths()
 
     def test_one_view_keeps_each_memos_paths_apart(self):
         # the same draws under both modes: equal paths whose rewards differ
@@ -509,9 +511,8 @@ class TestPathMemo:
             group = sample_group(policy, "p0", 16, mode, {}, view,
                                  iter(np.random.default_rng(4).random, None))
             fresh = draw_group(policy, "p0", 16, np.random.default_rng(4), mode)
-            assert group.view is view is not fresh.view
-            rewards[mode] = [t.reward for t in group.trajectories]
-            assert rewards[mode] == [t.reward for t in fresh.trajectories]
+            rewards[mode] = [t.reward for t in group]
+            assert rewards[mode] == [t.reward for t in fresh]
         assert rewards["sim"] != rewards["binary"]
 
     def test_a_view_dies_with_its_last_reference(self):
@@ -539,11 +540,10 @@ class TestPathMemo:
         # each iteration starts from
         state, drawn, kept, entropies = [0], set(), [], []
 
-        def oracle_objective(samples, beta):
-            kept.append(set().union(*(path_keys(group.trajectories)
-                                      for group, _ in samples)))
+        def oracle_objective(samples, view, beta):
+            kept.append(set().union(*(path_keys(group) for group, _ in samples)))
             state[0] += 1
-            return gradient_per_token(samples, beta)
+            return gradient_per_token(samples, view, beta)
 
         rng = np.random.default_rng(0)  # the run's seed, whose stream stays unread
 
@@ -551,7 +551,7 @@ class TestPathMemo:
             if prompt_id == task.prompts[0].prompt_id:
                 entropies.append(mean_entropy_per_table(policy.tables))
             group = sample_group_unmemoised(policy, prompt_id, group_size, rng, mode)
-            drawn.update((state[0], key) for key in path_keys(group.trajectories))
+            drawn.update((state[0], key) for key in path_keys(group))
             return group
 
         with monkeypatch.context() as patch:
@@ -576,11 +576,11 @@ class TestPathMemo:
         def counted(name, fn):
             return lambda *args: counts.update([name]) or fn(*args)
 
-        def update(samples, beta):
+        def update(samples, view, beta):
             counts.update(["update"])
             phase[0] = "update"
             try:
-                return objective(samples, beta)
+                return objective(samples, view, beta)
             finally:
                 phase[0] = "sampling"
 
@@ -589,7 +589,7 @@ class TestPathMemo:
             view_init(view, tables, *previous_and_changed)
 
         def recorded_logps(view, decisions):
-            if view.tables is policies[0].ref_tables:
+            if view.tables is policies[0].ref_view.tables:
                 ref_paths.append(tuple(decisions))
             else:
                 counts.update([f"live logps while {phase[0]}"])
@@ -611,7 +611,7 @@ class TestPathMemo:
         # reference log-probs once per distinct path for the whole run
         assert len(ref_paths) == len(set(ref_paths)) == len({key for _, key in drawn})
         # one view per table state and one of the reference tables per run
-        assert [tables is policies[0].ref_tables for tables in views].count(True) == 1
+        assert [tables is policies[0].ref_view.tables for tables in views].count(True) == 1
         assert [tables is policies[0].tables for tables in views].count(True) == \
             counts["update"] + 1 == len(kept) + 1 < iterations
         assert len(views) == len(kept) + 2
@@ -630,11 +630,11 @@ class TestPolicyGradient:
             policy.tables[key] = table + 0.5 * rng.normal(size=table.size)
         for seed in range(10):  # first seed whose group has reward spread
             group = draw_group(policy, "opt0", 8, np.random.default_rng(seed))
-            rewards = np.array([t.reward for t in group.trajectories])
+            rewards = np.array([t.reward for t in group])
             if rewards.max() != rewards.min():
                 break
-        samples = [(group, standardize_advantages(rewards))]
-        grads = objective_and_gradient(samples, beta)
+        samples, view = [(group, standardize_advantages(rewards))], SlotView(policy.tables)
+        grads = objective_and_gradient(samples, view, beta)
         cfg = GrpoConfig(beta=beta)
 
         step = 1e-6
@@ -642,9 +642,9 @@ class TestPolicyGradient:
             for idx in range(table.size):
                 original = table[idx]
                 table[idx] = original + step
-                up, _ = objective_and_gradient_per_token(policy.tables, samples, cfg)
+                up, _ = objective_and_gradient_per_token(policy.tables, samples, view, cfg)
                 table[idx] = original - step
-                down, _ = objective_and_gradient_per_token(policy.tables, samples, cfg)
+                down, _ = objective_and_gradient_per_token(policy.tables, samples, view, cfg)
                 table[idx] = original
                 numeric = (up - down) / (2 * step)
                 got = grads[key][idx] if key in grads else 0.0
@@ -655,7 +655,8 @@ def on_policy_minibatch(make_task, seed, offset):
     """One group per prompt plus a copy of the first with every member twice,
     zero advantages for a homogeneous group, all drawn from one view after the
     live tables move off the reference by ``offset`` standard normals per
-    entry: every ratio at the live tables is 1, and the KL gaps are not 0."""
+    entry: every ratio at the live tables is 1, and the KL gaps are not 0.
+    Returns the policy, that view and the batch."""
     task = make_task()
     policy = ToyPolicy(task)
     rng = np.random.default_rng(seed)
@@ -664,14 +665,13 @@ def on_policy_minibatch(make_task, seed, offset):
     view, samples, uniforms = SlotView(policy.tables), [], iter(rng.random, None)
     for prompt in task.prompts:
         group = sample_group(policy, prompt.prompt_id, 8, "sim", {}, view, uniforms)
-        rewards = np.array([t.reward for t in group.trajectories])
+        rewards = np.array([t.reward for t in group])
         advantages = standardize_advantages(rewards) \
             if rewards.max() != rewards.min() else np.zeros(rewards.size)
         samples.append((group, advantages))
     first, first_advantages = samples[0]
-    samples.append((DrawnGroup(view, first.trajectories * 2),
-                    np.concatenate([first_advantages] * 2)))
-    return policy, samples
+    samples.append((first * 2, np.concatenate([first_advantages] * 2)))
+    return policy, view, samples
 
 
 advantage_values = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-3.0, 3.0)
@@ -701,11 +701,12 @@ WIDE_BATCH = ([64, 1, 7],
 def member_pool(offset):
     """A group of six members sampled on the optional-parameter task after
     the policy's tables moved off the reference by ``offset`` standard
-    normals per entry."""
+    normals per entry, and the view that drew it."""
     policy, rng = ToyPolicy(bundled_optional_param_task()), np.random.default_rng(2)
     for key, table in policy.tables.items():
         policy.tables[key] = table + offset * rng.normal(size=table.size)
-    return draw_group(policy, "opt0", 6, rng)
+    view = SlotView(policy.tables)
+    return sample_group(policy, "opt0", 6, "sim", {}, view, iter(rng.random, None)), view
 
 
 class TestUpdateOracle:
@@ -715,9 +716,9 @@ class TestUpdateOracle:
     @pytest.mark.parametrize("offset", [0.05, 1.0])
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1])
     def test_gradient_equals_the_per_token_oracle(self, make_task, seed, offset, beta):
-        _, samples = on_policy_minibatch(make_task, seed, offset)
-        grads = objective_and_gradient(samples, beta)
-        oracle_grads = gradient_per_token(samples, beta)
+        _, view, samples = on_policy_minibatch(make_task, seed, offset)
+        grads = objective_and_gradient(samples, view, beta)
+        oracle_grads = gradient_per_token(samples, view, beta)
         assert grads.keys() <= oracle_grads.keys()
         for key, oracle_grad in oracle_grads.items():
             if key in grads:
@@ -738,12 +739,11 @@ class TestUpdateOracle:
     # one member with a 0.0 and a -0.0 advantage in one call
     @example(groups=[[(0, 0.0), (1, 1.0)], [(0, -0.0), (1, -1.0)]], offset=0.0, beta=0.0)
     def test_shared_members_equal_the_per_token_oracle(self, groups, offset, beta):
-        pool = member_pool(offset)
-        samples = [(DrawnGroup(pool.view, [pool.trajectories[i] for i, _ in members]),
-                    np.array([adv for _, adv in members]))
+        pool, view = member_pool(offset)
+        samples = [([pool[i] for i, _ in members], np.array([adv for _, adv in members]))
                    for members in groups]
-        grads = objective_and_gradient(samples, beta)
-        oracle_grads = gradient_per_token(samples, beta)
+        grads = objective_and_gradient(samples, view, beta)
+        oracle_grads = gradient_per_token(samples, view, beta)
         assert grads.keys() <= oracle_grads.keys()
         for key, oracle_grad in oracle_grads.items():
             got = grads.get(key, np.zeros_like(oracle_grad))
@@ -764,13 +764,13 @@ class TestUpdateOracle:
             decisions = [(slots[s], action) for s, action in path]
             trajectories.append(toy_trainer.Trajectory(decisions, "", 0.0, 0.0,
                                                        ref_view.logps(decisions)))
-        samples = [(DrawnGroup(view, [trajectories[i] for i, _ in members]),
+        samples = [([trajectories[i] for i, _ in members],
                     np.array([adv for _, adv in members])) for members in groups]
-        grads = objective_and_gradient(samples, beta)
+        grads = objective_and_gradient(samples, view, beta)
         touched = dict.fromkeys(slot for group, _ in samples
-                                for traj in group.trajectories for slot, _ in traj.decisions)
+                                for traj in group for slot, _ in traj.decisions)
         assert list(grads) == list(touched)  # first-touch token order
-        for key, oracle_grad in gradient_per_token(samples, beta).items():
+        for key, oracle_grad in gradient_per_token(samples, view, beta).items():
             got = grads.get(key, np.zeros_like(oracle_grad))
             assert got.tobytes() == oracle_grad.tobytes(), key
 
@@ -778,27 +778,18 @@ class TestUpdateOracle:
         advantages = [adv for make_task in (bundled_default_task,
                                             bundled_optional_param_task)
                       for seed in range(4) for offset in (0.05, 1.0)
-                      for _, group_adv in on_policy_minibatch(make_task, seed, offset)[1]
+                      for _, group_adv in on_policy_minibatch(make_task, seed, offset)[2]
                       for adv in group_adv.tolist()]
         assert min(advantages) < 0 < max(advantages) and 0.0 in advantages
 
-    def test_a_batch_from_two_views_raises(self):
-        # the update is exact at ratio 1 only, at the tables that drew the batch
-        policy, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        other = draw_group(policy, "p0", 8, np.random.default_rng(1))
-        assert other.view is not samples[0][0].view
-        with pytest.raises(ValueError, match="^the batch's groups were drawn from "
-                                             "different views$"):
-            objective_and_gradient([*samples, (other, np.ones(8))], 1e-3)
-
     def test_tables_edited_after_sampling_leave_the_gradient(self):
         # the gradient is taken at the view's table state, not at the live tables
-        policy, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        before = objective_and_gradient(samples, 1e-3)
+        policy, view, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        before = objective_and_gradient(samples, view, 1e-3)
         rng = np.random.default_rng(1)
         for table in policy.tables.values():
             table += rng.normal(size=table.size)
-        after = objective_and_gradient(samples, 1e-3)
+        after = objective_and_gradient(samples, view, 1e-3)
         assert before.keys() == after.keys()
         for key, grad in before.items():
             assert grad.tobytes() == after[key].tobytes(), key
@@ -806,9 +797,9 @@ class TestUpdateOracle:
     @pytest.mark.parametrize("update", [objective_and_gradient, gradient_per_token])
     @pytest.mark.parametrize("fault", ["advantage count", "length", "nan logp_ref"])
     def test_malformed_minibatches_raise(self, update, fault):
-        _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        _, view, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
         group, advantages = samples[0]
-        trajectories = list(group.trajectories)
+        trajectories = list(group)
         first, error = trajectories[0], ValueError
         if fault == "advantage count":
             advantages, error = advantages[:-1], LengthMismatch
@@ -818,33 +809,31 @@ class TestUpdateOracle:
         else:
             trajectories[0] = dataclasses.replace(
                 first, logp_ref=np.full(first.logp_ref.size, math.nan))
-        broken = (DrawnGroup(group.view, trajectories), advantages)
         with pytest.raises(error, match="advantages|equally sized|finite"):
-            update([broken], ToyTrainConfig().beta)
+            update([(trajectories, advantages)], view, ToyTrainConfig().beta)
 
     @pytest.mark.parametrize("update", [objective_and_gradient, gradient_per_token])
     def test_empty_group_raises(self, update):
         # its value was once group_value / 0, a ZeroDivisionError
-        _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
-        empty = (DrawnGroup(samples[0][0].view, []), np.zeros(0))
+        _, view, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
         with pytest.raises(ValueError, match="^a group needs at least one rollout$"):
-            update([*samples, empty], ToyTrainConfig().beta)
+            update([*samples, ([], np.zeros(0))], view, ToyTrainConfig().beta)
 
     @pytest.mark.parametrize("beta", [-1e-3, math.nan])
     def test_a_bad_beta_raises(self, beta):
         # the update's token coefficients take beta through a GrpoConfig
-        _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        _, view, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
         with pytest.raises(ValueError, match="^beta must be"):
-            objective_and_gradient(samples, beta)
+            objective_and_gradient(samples, view, beta)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_advantage_raises(self, bad):
         # the clip test once dropped a NaN's term and kept the KL term; at ratio
         # 1 it would reach the tables
-        _, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
+        _, view, samples = on_policy_minibatch(bundled_default_task, 0, 0.05)
         samples[0][1][3] = bad
         with pytest.raises(ValueError, match="^advantages must be finite$"):
-            objective_and_gradient(samples, 1e-3)
+            objective_and_gradient(samples, view, 1e-3)
 
 
 class TestTraining:
@@ -860,19 +849,18 @@ class TestTraining:
         task, drawn, members = make_task(), [], []
 
         def recorded_sample_group(*args):
-            drawn.append(sample_group(*args))
-            return drawn[-1]
+            drawn.append((args[5], sample_group(*args)))  # (view, group)
+            return drawn[-1][1]
 
-        def checked_update(samples, beta):
-            view, this_round = drawn[-1].view, drawn[-len(task.prompts):]
-            live = SlotView(view.tables)
+        def checked_update(samples, view, beta):
+            this_round, live = drawn[-len(task.prompts):], SlotView(view.tables)
             for group, _ in samples:
-                assert any(group is drawn_group for drawn_group in this_round)
-                assert group.view is view
+                assert any(group is drawn_group and view is drawn_view
+                           for drawn_view, drawn_group in this_round)
                 members.extend(view.logps(traj.decisions).tobytes()
                                == live.logps(traj.decisions).tobytes()
-                               for traj in group.trajectories)
-            return objective_and_gradient(samples, beta)
+                               for traj in group)
+            return objective_and_gradient(samples, view, beta)
 
         monkeypatch.setattr(toy_trainer, "sample_group", recorded_sample_group)
         monkeypatch.setattr(toy_trainer, "objective_and_gradient", checked_update)
@@ -886,16 +874,17 @@ class TestTraining:
     def test_bookkeeping_equals_numpy(self, make_task, mode, filter_groups, monkeypatch):
         # the trainer decides homogeneity with Python's max and min and takes
         # its two means without np.mean; each must equal numpy's, bit for bit
-        task, drawn, updates, iterations = make_task(), [], {}, 40
+        task, drawn, views, updates, iterations = make_task(), [], [], {}, 40
         cfg = ToyTrainConfig(reward_mode=mode, filter_groups=filter_groups)
 
         def recorded_sample_group(*args):
+            views.append(args[5])
             drawn.append(sample_group(*args))
             return drawn[-1]
 
-        def recorded_update(samples, beta):
+        def recorded_update(samples, view, beta):
             updates[len(drawn)] = samples
-            return objective_and_gradient(samples, beta)
+            return objective_and_gradient(samples, view, beta)
 
         monkeypatch.setattr(toy_trainer, "sample_group", recorded_sample_group)
         monkeypatch.setattr(toy_trainer, "objective_and_gradient", recorded_update)
@@ -904,16 +893,16 @@ class TestTraining:
         assert len(drawn) == iterations * n and len(log) == iterations
         # the view each iteration's entropy is logged from: the next draw's,
         # and after the last iteration the final tables
-        views = [group.view for group in drawn[n::n]]
+        views = views[n::n]
         assert log.mean_entropy[-1] == mean_entropy_per_table(policy.tables)
         homogeneous = 0
         for i in range(iterations):
             groups = drawn[i * n:(i + 1) * n]
-            graded = [t.graded_reward for group in groups for t in group.trajectories]
+            graded = [t.graded_reward for group in groups for t in group]
             assert log.mean_reward[i].hex() == float(np.mean(graded)).hex()
             kept, want = [], []
             for group in groups:
-                rewards = np.array([t.reward for t in group.trajectories])
+                rewards = np.array([t.reward for t in group])
                 if rewards.max() != rewards.min():
                     kept.append(group)
                     want.append(standardize_advantages(rewards).tobytes())
@@ -935,17 +924,21 @@ class TestTraining:
     @pytest.mark.parametrize("make_task", [bundled_default_task,
                                            bundled_optional_param_task])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_evaluation_draws_as_sample_group_does(self, make_task, seed):
-        # evaluate_policy keeps its own draw-and-score loop beside sample_group
+    def test_evaluation_equals_the_unmemoised_oracle(self, make_task, seed):
+        # evaluate_policy draws through sample_group; the oracle draws, renders
+        # and scores every sample slot by slot
         task = make_task()
         policy, _ = train_sim_rl(task, ToyTrainConfig(), iterations=30, seed=seed)
-        paths, view = {}, SlotView(policy.tables)
-        uniforms = uniform_stream(np.random.default_rng(seed))
-        graded = [t.graded_reward for prompt in task.prompts
-                  for t in sample_group(policy, prompt.prompt_id, 16, "sim", paths, view,
-                                        uniforms).trajectories]
         assert evaluate_policy(policy, task, 16, seed).hex() == \
-            float(np.mean(graded)).hex()
+            evaluate_unmemoised(policy, task, 16, seed).hex()
+
+    def test_evaluation_needs_the_policys_own_task(self):
+        # an equal task is not enough: the policy's scores come from its own
+        policy = ToyPolicy(bundled_default_task())
+        with pytest.raises(ValueError, match="^evaluate_policy needs the task the "
+                                             "policy was built on$"):
+            evaluate_policy(policy, bundled_default_task(), 16, 0)
+        assert 0.0 <= evaluate_policy(policy, policy.task, 16, 0) <= 1.0
 
     def test_zero_iterations_give_an_empty_log(self):
         policy, log = train_sim_rl(bundled_default_task(), ToyTrainConfig(), 0, seed=0)
@@ -1179,6 +1172,7 @@ class TestKdFit:
         ({"lambda_tail": math.nan}, ValueError, "lambda=nan must be finite"),
         ({"lambda_tail": -1.0}, ValueError, "lambda=-1.0 must be non-negative"),
         ({"m": 0}, ValueError, "m must be at least 1"),
+        ({"m": 40}, ValueError, "m=40 exceeds the vocabulary size 32"),
         ({"vocab_size": 4}, IndexError, "teacher index {high} out of bounds for "
                                         "vocabulary of size 4"),
     ])
